@@ -12,10 +12,9 @@ import sys
 from pathlib import Path
 
 from .bounds import BoundReport
-from .codes import LinearCode
+from .codes import LinearCode, _field_of_order
 from .codetable import load_table, search_qc_type2, verify_table
 from .decoding import AwgnBpskHard, Bsc, SimConfig, SimResult, fer_simulate
-from .fields import field_create
 from .grc import (
     GrcCode,
     as_blocked,
@@ -84,30 +83,16 @@ def _base_code(args: argparse.Namespace) -> LinearCode:
     if args.cyclic_gen:
         if args.n is None:
             raise UsageError("--cyclic-gen needs --n")
-        field = field_create(*_pk(args.q))
+        field = _field_of_order(args.q)
         return LinearCode.cyclic(field, args.n, Poly.parse(field, args.cyclic_gen))
     raise UsageError("pass --base FILE or --cyclic-gen POLY")
-
-
-def _pk(q: int) -> tuple[int, int]:
-    p, e = q, 1
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p, e, qq = cand, 0, q
-            while qq % cand == 0:
-                qq //= cand
-                e += 1
-            if qq != 1:
-                raise UsageError(f"{q} is not a prime power")
-            break
-    return p, e
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.kind == "qc":
         if args.n is None or not args.gens:
             raise UsageError("qc construction needs --n and --gens")
-        field = field_create(*_pk(args.q))
+        field = _field_of_order(args.q)
         gens = [Poly.parse(field, s) for s in args.gens.split(";")]
         grc = from_qc_generators(args.n, gens)
     else:

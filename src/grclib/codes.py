@@ -286,6 +286,8 @@ class LinearCode:
     @classmethod
     def from_text(cls, text: str) -> tuple["LinearCode", int | None]:
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("missing code header 'q n k [m]'; the text is empty")
         head = lines[0].split()
         if len(head) not in (3, 4):
             raise ValueError("bad code header; expected 'q n k [m]'")
@@ -293,7 +295,9 @@ class LinearCode:
         m = int(head[3]) if len(head) == 4 else None
         field = _field_of_order(q)
         rows = [[int(x) for x in ln.split()] for ln in lines[1 : 1 + k]]
-        if len(rows) != k or any(len(r) != n for r in rows):
+        if len(rows) != k:
+            raise ValueError(f"missing generator rows: header gives k={k}, found {len(rows)}")
+        if any(len(r) != n for r in rows):
             raise ValueError("generator rows do not match header")
         return cls.from_rows(field, rows), m
 

@@ -365,16 +365,15 @@ class GrcDecoder:
         rng: np.random.Generator | None = None,
     ) -> tuple[int, ...]:
         if cand.kind == "chase":
-            zs = self.split(received)
-            perms = self.grc.variant.perms  # type: ignore[union-attr]
-            if tie_policy not in ("first-block", "random"):
-                raise ValueError(f"unknown tie policy {tie_policy!r}")
-            # align every chosen block (block i was transmitted through A_{i-1})
-            aligned = [
-                zs[i - 1] if i == 1 else perms[i - 2].inverse().apply(zs[i - 1])
-                for i in cand.blocks
-            ]
-            combined = _majority_vote(aligned, tie_policy, rng)
+            # Chase candidates always combine the prefix of blocks 1..r
+            r = len(cand.blocks)
+            combined = chase_combine(
+                self.split(received)[:r],
+                self.grc.variant.perms[: r - 1],  # type: ignore[union-attr]
+                field=self.grc.field,
+                tie_policy=tie_policy,
+                rng=rng,
+            )
             return self.base.decode(combined, [0], "hamming").message
         packed = self.full.pack(received)
         idx, _ = self.full.decode_packed(packed, [b - 1 for b in cand.blocks], cand.kind)
@@ -427,6 +426,11 @@ class SimConfig:
             raise ValueError("frames must be >= 1")
         if not 1 <= self.max_depth <= self.grc.m:
             raise ValueError("max_depth must be in [1, m]")
+        if self.crc is not None and self.crc.degree >= self.grc.dim:
+            raise ValueError(
+                f"CRC degree {self.crc.degree} leaves no payload in a message of"
+                f" dimension {self.grc.dim}"
+            )
 
 
 @dataclass(frozen=True)

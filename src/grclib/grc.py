@@ -452,6 +452,8 @@ def grc_to_text(grc: GrcCode) -> str:
 
 def grc_from_text(text: str) -> GrcCode:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("missing GRC header 'q n k m'; the text is empty")
     head = lines[0].split()
     if len(head) != 4:
         raise ValueError("bad GRC header; expected 'q n k m'")
@@ -460,13 +462,15 @@ def grc_from_text(text: str) -> GrcCode:
 
     field = _field_of_order(q)
     rows = [[int(x) for x in ln.split()] for ln in lines[1 : 1 + k]]
+    if len(rows) != k:
+        raise ValueError(f"missing generator rows: header gives k={k}, found {len(rows)}")
     if any(len(r) != total_n for r in rows):
         raise ValueError("generator rows do not match header")
     gen = Matrix.from_rows(field, rows)
     idx = 1 + k
-    tag = lines[idx].split()
-    if tag[0] != "variant":
-        raise ValueError("missing variant line")
+    tag = lines[idx].split() if idx < len(lines) else []
+    if tag[:1] != ["variant"] or len(tag) < 2:
+        raise ValueError("missing variant line 'variant type1|type2|none'")
     variant_name = tag[1]
     idx += 1
     qc_lines = [ln for ln in lines[idx:] if ln.startswith("qc-")]

@@ -1,14 +1,22 @@
 """Vectorized exhaustive-enumeration kernels.
 
-Everything distance-related funnels through here: the q^k codeword space is
-swept in chunks, with GF(2) codewords packed into uint64 words (one or more
-per block) and general fields handled as int16 symbol arrays.  Block
-weights come from OR-reductions over per-block support masks, which also
-drive the single-pass per-subset minima used by the distance profiles.
+Everything distance-related funnels through one engine here:
 
-Chunks are produced in a fixed message order (message index digits in base
-q select generator rows), so reductions are deterministic and independent
-of chunk boundaries.
+- ``_span`` builds all q^r combinations of r generator rows in message-index
+  order.  It is the only place codewords are built.  GF(2) rows are packed
+  into uint64 words and combine by XOR; rows over other fields hold int16
+  symbols and combine through the field's add/multiply tables.
+- ``_chunks`` splits the q^k messages into chunks: the span of the low rows,
+  built once, plus one combination of the high rows per chunk.
+- ``_sweep`` turns each chunk into per-block support masks of shape
+  (C, m, Wb) uint64, bit j of word w set when symbol 64*w + j of the block
+  is nonzero.  Over GF(2) these are the packed codewords themselves.  A
+  block may span several words, so block length is not limited.
+
+Two reducers consume the masks: the per-subset fold behind the distance
+profiles, and the union over all blocks behind single-metric distances and
+weight histograms.  Reductions are deterministic and independent of chunk
+boundaries.
 """
 
 from __future__ import annotations
@@ -32,7 +40,8 @@ __all__ = [
 
 DEFAULT_CAP = 28
 _INF = np.iinfo(np.int64).max
-_CHUNK_BUDGET = 1 << 22  # target elements resident per chunk
+_INF32 = np.iinfo(np.int32).max
+_CHUNK_BUDGET = 1 << 22  # target mask words resident per chunk, across all subsets
 
 
 class DimensionCapError(Exception):
@@ -63,6 +72,14 @@ else:  # numpy < 2.0
         return _POP8[b].sum(axis=-1, dtype=np.uint8)
 
 
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits across the last (word) axis, as int32."""
+    total = popcount_u64(words[..., 0]).astype(np.int32)
+    for j in range(1, words.shape[-1]):
+        total += popcount_u64(words[..., j])
+    return total
+
+
 # ---------------------------------------------------------------------------
 # generator packing
 
@@ -70,11 +87,13 @@ else:  # numpy < 2.0
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a (..., nbits) 0/1 array into (..., W) uint64, bit j of word w
     holding position 64*w + j (little-endian within the vector)."""
-    nbits = bits.shape[-1]
-    w = (nbits + 63) // 64
-    padded = np.zeros(bits.shape[:-1] + (w * 64,), dtype=np.uint8)
-    padded[..., :nbits] = bits
-    return np.packbits(padded, axis=-1, bitorder="little").view(np.uint64)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    nbytes = 8 * ((bits.shape[-1] + 63) // 64)
+    if packed.shape[-1] == nbytes:
+        return packed.view(np.uint64)
+    padded = np.zeros(packed.shape[:-1] + (nbytes,), dtype=np.uint8)
+    padded[..., : packed.shape[-1]] = packed
+    return padded.view(np.uint64)
 
 
 def _rows_to_blocks(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
@@ -85,112 +104,74 @@ def _rows_to_blocks(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
     return arr.reshape(k, m, length // m)
 
 
-def _pack_block_rows(blocks: np.ndarray) -> np.ndarray:
-    """(k, m, nb) 0/1 -> (k, m, Wb) uint64."""
-    return _pack_bits(blocks.astype(np.uint8))
-
-
 # ---------------------------------------------------------------------------
-# codeword chunk iterators
+# the enumeration engine
 
 
-def _iter_chunks_gf2(packed: np.ndarray, chunk_rows: int | None = None) -> Iterator[np.ndarray]:
-    """All 2^k codewords of the row space, chunked.  packed: (k, W) uint64.
+def _span(field: Field, rows: np.ndarray) -> np.ndarray:
+    """All q^r combinations of the r rows, shape (q^r, width).
 
-    The first chunk starts with the zero word; chunk t covers message
-    indices [t * 2^lo, (t+1) * 2^lo).
+    Digit i (base q, little-endian) of the message index scales rows[i].
+    GF(2) rows are packed words, combined by XOR; other rows hold symbols,
+    and c * row is looked up in the field's multiplication table.
     """
-    k, w = packed.shape
-    if chunk_rows is None:
-        chunk_rows = _CHUNK_BUDGET // max(w, 1)
-    lo = min(k, max(1, chunk_rows.bit_length() - 1))
-    low = np.zeros((1, w), dtype=np.uint64)
-    for i in range(lo):
-        low = np.concatenate([low, low ^ packed[i]])
-    if k == lo:
-        yield low
-        return
-    cur = np.zeros(w, dtype=np.uint64)
-    yield low
-    for t in range(1, 1 << (k - lo)):
-        flip = (t & -t).bit_length() - 1
-        cur = cur ^ packed[lo + flip]
-        yield low ^ cur
-
-
-class _FieldOps:
-    """Chunk arithmetic for one field: mod-p fast path or table lookups."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.q = field.q
-        if field.e == 1:
-            self.add_table = None
-            self.scalar_rows = None
-        else:
-            add, mul = field.tables()
-            self.add_table = add
-            self.mul_col = mul  # mul[c, value]
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.add_table is None:
-            return (a + b) % self.q
-        return self.add_table[a, b]
-
-    def scaled(self, c: int, row: np.ndarray) -> np.ndarray:
-        if self.add_table is None:
-            return (c * row) % self.q
-        return self.mul_col[c, row]
-
-
-def _iter_chunks_modq(
-    rows: np.ndarray, field: Field, chunk_rows: int | None = None
-) -> Iterator[np.ndarray]:
-    """All q^k codewords as (C, L) int16 chunks; message digit i (base q)
-    scales generator row i."""
-    ops = _FieldOps(field)
     q = field.q
-    k, length = rows.shape
-    if chunk_rows is None:
-        chunk_rows = _CHUNK_BUDGET // max(length, 1)
-    per = max(q, chunk_rows)
+    out = np.zeros((q ** len(rows), rows.shape[1]), dtype=rows.dtype)
+    size = 1  # out[:size] holds the span of the rows seen so far
+    if q == 2:
+        for row in rows:
+            np.bitwise_xor(out[:size], row, out=out[size : 2 * size])
+            size *= 2
+        return out
+    add, mul = field.tables()
+    for row in rows:
+        # the c = 0 term is out[:size] itself, already in place
+        for c in range(1, q):
+            out[c * size : (c + 1) * size] = add[out[:size], mul[c, row]]
+        size *= q
+    return out
+
+
+def _chunks(
+    field: Field, rows: np.ndarray, chunk_rows: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(low, high) per chunk: chunk t's codewords are low + high.
+
+    ``low`` is the span of the first lo rows, with q^lo <= max(q, chunk_rows),
+    and is the same array for every chunk.  ``high`` is the combination of
+    the remaining rows selected by the high digits of t, so chunk t covers
+    message indices [t * q^lo, (t+1) * q^lo).
+    """
+    q = field.q
+    k = len(rows)
     lo = 1
-    while lo < k and q ** (lo + 1) <= per:
+    while lo < k and q ** (lo + 1) <= chunk_rows:
         lo += 1
-    low = np.zeros((1, length), dtype=np.int16)
-    for i in range(lo):
-        low = np.concatenate([ops.add(low, ops.scaled(c, rows[i])) for c in range(q)])
-    hi = k - lo
-    if hi == 0:
-        yield low
+    low = _span(field, rows[:lo])
+    for high in _span(field, rows[lo:]):
+        yield low, high
+
+
+def _sweep(field: Field, rows: Sequence[Sequence[int]], m: int) -> Iterator[np.ndarray]:
+    """Per-block support masks (C, m, Wb) uint64 of all q^k codewords.
+
+    Chunks are sized for the largest consumer, the subset fold, which keeps
+    a union of Wb words per row for each of the 2^m subsets.
+    """
+    blocks = _rows_to_blocks(rows, m)
+    k, _, nb = blocks.shape
+    wb = (nb + 63) // 64
+    chunk_rows = _CHUNK_BUDGET // ((1 << m) * wb)
+    if field.q == 2:
+        packed = _pack_bits(blocks).reshape(k, m * wb)
+        for low, high in _chunks(field, packed, chunk_rows):
+            yield (low ^ high).reshape(-1, m, wb)
         return
-    cur = np.zeros(length, dtype=np.int16)
-    digits = [0] * hi
-    yield low
-    total = q**hi
-    for _ in range(1, total):
-        pos = 0
-        while digits[pos] == q - 1:
-            digits[pos] = 0
-            cur = ops.add(cur, rows[lo + pos])
-            pos += 1
-        digits[pos] += 1
-        cur = ops.add(cur, rows[lo + pos])
-        yield ops.add(low, cur)
-
-
-# ---------------------------------------------------------------------------
-# support masks
-
-_POW2 = (np.uint64(1) << np.arange(64, dtype=np.uint64)).astype(np.uint64)
-
-
-def _support_masks(vals: np.ndarray) -> np.ndarray:
-    """(C, m, nb) symbol values -> (C, m) uint64 support bitmasks (nb <= 64)."""
-    nb = vals.shape[-1]
-    if nb > 64:
-        raise ValueError("block length above 64 is not supported by the mask path")
-    return ((vals != 0).astype(np.uint64) * _POW2[:nb]).sum(axis=-1, dtype=np.uint64)
+    _, mul = field.tables()
+    neg = mul[field.neg(1)]
+    for low, high in _chunks(field, blocks.reshape(k, m * nb), chunk_rows):
+        # low + high is nonzero exactly where low differs from -high
+        yield _pack_bits((low != neg[high]).reshape(-1, m, nb))
 
 
 # ---------------------------------------------------------------------------
@@ -212,96 +193,45 @@ def subset_minima(
     """
     if m > 16:
         raise ValueError("block count above 16 not supported for profiles")
-    k = len(rows)
-    check_cap(k, cap)
-    nsub = 1 << m
-    block_min = np.full(nsub, _INF, dtype=np.int64)
-    ham_min = np.full(nsub, _INF, dtype=np.int64)
-    # the subset DP keeps ~2^m arrays of one chunk resident
-    chunk_rows = max(1024, _CHUNK_BUDGET // nsub)
-
-    if field.q == 2:
-        blocks = _rows_to_blocks(rows, m)
-        nb = blocks.shape[-1]
-        if nb > 64:
-            raise ValueError("block length above 64 not supported")
-        packed = _pack_block_rows(blocks)[:, :, 0]  # (k, m)
-        for chunk in _iter_chunks_gf2(packed, chunk_rows=chunk_rows):
-            bw = popcount_u64(chunk).astype(np.int32)
-            _update_minima(chunk, bw, block_min, ham_min)
-    else:
-        arr = np.array(rows, dtype=np.int16)
-        nb = arr.shape[1] // m
-        for chunk in _iter_chunks_modq(arr, field, chunk_rows=chunk_rows):
-            vals = chunk.reshape(chunk.shape[0], m, nb)
-            masks = _support_masks(vals)
-            bw = (vals != 0).sum(axis=-1, dtype=np.int32)
-            _update_minima(masks, bw, block_min, ham_min)
+    check_cap(len(rows), cap)
+    block_min = np.full(1 << m, _INF, dtype=np.int64)
+    ham_min = np.full(1 << m, _INF, dtype=np.int64)
+    for masks in _sweep(field, rows, m):
+        _fold_subsets(masks, block_min, ham_min)
     return block_min, ham_min
 
 
-_INF32 = np.iinfo(np.int32).max
+def _fold_subsets(masks: np.ndarray, block_min: np.ndarray, ham_min: np.ndarray) -> None:
+    """Fold one chunk of masks (C, m, Wb) into the per-subset minima.
 
-
-def _update_minima(
-    masks: np.ndarray,
-    bw: np.ndarray,
-    block_min: np.ndarray,
-    ham_min: np.ndarray,
-) -> None:
-    """Fold one chunk into the per-subset minima (masks: (C, m) uint64)."""
+    Subset t extends t minus its lowest block, so each subset costs one OR
+    of unions and one add of Hamming weights.  Kept apart from the sweep so
+    that a chunk's temporaries are freed before the next chunk is built.
+    """
     m = masks.shape[1]
-    nsub = 1 << m
-    unions: list[np.ndarray | None] = [None] * nsub
-    hams: list[np.ndarray | None] = [None] * nsub
-    for t in range(1, nsub):
+    bw = _popcount(masks)  # (C, m): Hamming weight of each block
+    unions: list = [None] * (1 << m)
+    hams: list = [None] * (1 << m)
+    for t in range(1, 1 << m):
         i = (t & -t).bit_length() - 1
         rest = t ^ (1 << i)
-        if rest == 0:
-            u = masks[:, i]
-            h = bw[:, i]
-            w = h  # single block: block weight = Hamming weight
-        else:
-            u = unions[rest] | masks[:, i]
-            h = hams[rest] + bw[:, i]
-            w = popcount_u64(u).astype(np.int32)
-        unions[t] = u
-        hams[t] = h
-        valid = u != 0
-        if valid.any():
-            bm = int(np.min(w, where=valid, initial=_INF32))
-            hm = int(np.min(h, where=valid, initial=_INF32))
-            if bm < block_min[t]:
-                block_min[t] = bm
-            if hm < ham_min[t]:
-                ham_min[t] = hm
+        if rest:
+            unions[t] = unions[rest] | masks[:, i]
+            hams[t] = hams[rest] + bw[:, i]
+            w = _popcount(unions[t])
+        else:  # single block: block weight = Hamming weight
+            unions[t] = masks[:, i]
+            hams[t] = w = bw[:, i]
+        nonzero = w != 0
+        bm = int(np.min(w, where=nonzero, initial=_INF32))
+        if bm != _INF32:  # some codeword has a nonzero projection onto t
+            block_min[t] = min(int(block_min[t]), bm)
+            hm = int(np.min(hams[t], where=nonzero, initial=_INF32))
+            ham_min[t] = min(int(ham_min[t]), hm)
 
 
 # ---------------------------------------------------------------------------
-# single-metric sweeps
-
-
-def _iter_block_weights(
-    field: Field, rows: Sequence[Sequence[int]], m: int
-) -> Iterator[np.ndarray]:
-    """Yield per-chunk block weights (m = 1 gives Hamming weights)."""
-    if field.q == 2:
-        blocks = _rows_to_blocks(rows, m)
-        packed = _pack_block_rows(blocks)  # (k, m, Wb)
-        k, _, wb = packed.shape
-        flat = packed.reshape(k, m * wb)
-        for chunk in _iter_chunks_gf2(flat):
-            words = chunk.reshape(chunk.shape[0], m, wb)
-            union = np.bitwise_or.reduce(words, axis=1)  # (C, Wb)
-            yield popcount_u64(union).sum(axis=-1, dtype=np.int64)
-    else:
-        arr = np.array(rows, dtype=np.int16)
-        nb = arr.shape[1] // m
-        if arr.shape[1] % m:
-            raise ValueError("length not divisible by block count")
-        for chunk in _iter_chunks_modq(arr, field):
-            vals = chunk.reshape(chunk.shape[0], m, nb)
-            yield (vals != 0).any(axis=1).sum(axis=-1, dtype=np.int64)
+# single-metric sweeps: the union over all blocks
 
 
 def min_block_distance(
@@ -313,12 +243,11 @@ def min_block_distance(
 ) -> int:
     """Minimum block weight over nonzero codewords (m = 1: Hamming)."""
     check_cap(len(rows), cap)
-    best = _INF
-    for w in _iter_block_weights(field, rows, m):
-        nz = w > 0
-        if nz.any():
-            best = min(best, int(np.min(w, where=nz, initial=_INF)))
-    if best == _INF:
+    best = _INF32
+    for masks in _sweep(field, rows, m):
+        w = _popcount(np.bitwise_or.reduce(masks, axis=1))
+        best = min(best, int(np.min(w, where=w != 0, initial=_INF32)))
+    if best == _INF32:
         raise ValueError("degenerate zero code has no minimum distance")
     return best
 
@@ -334,7 +263,8 @@ def weight_histogram(
     check_cap(len(rows), cap)
     nb_cols = len(rows[0]) // m
     counts = np.zeros(nb_cols + 1, dtype=np.int64)
-    for w in _iter_block_weights(field, rows, m):
+    for masks in _sweep(field, rows, m):
+        w = _popcount(np.bitwise_or.reduce(masks, axis=1))
         counts += np.bincount(w, minlength=nb_cols + 1)
     return counts
 
@@ -390,20 +320,13 @@ def build_table(field: Field, rows: Sequence[Sequence[int]], m: int) -> Codeword
     nb = length // m
     if field.q**k * length > _TABLE_BUDGET * 4:
         raise DimensionCapError(f"codeword table too large for k={k}, q={field.q}")
+    blocks = _rows_to_blocks(rows, m)
     if field.q == 2:
-        blocks = _rows_to_blocks(rows, m)
-        packed = _pack_block_rows(blocks)
-        kk, _, wb = packed.shape
-        flat = packed.reshape(kk, m * wb)
-        table = np.zeros((1, m * wb), dtype=np.uint64)
-        for i in range(kk):
-            table = np.concatenate([table, table ^ flat[i]])
+        packed = _pack_bits(blocks)
+        wb = packed.shape[-1]
+        table = _span(field, packed.reshape(k, m * wb))
         return CodewordTable(field, k, m, nb, table.reshape(-1, m, wb), None)
-    ops = _FieldOps(field)
-    arr = np.array(rows, dtype=np.int16)
-    table = np.zeros((1, length), dtype=np.int16)
-    for i in range(k):
-        table = np.concatenate([ops.add(table, ops.scaled(c, arr[i])) for c in range(field.q)])
+    table = _span(field, blocks.reshape(k, length))
     return CodewordTable(field, k, m, nb, None, table.reshape(-1, m, nb))
 
 

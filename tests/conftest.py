@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from grclib.fields import field_create
 from grclib.grc import distance_profile
 from grclib import presets
+
+# every run draws the same examples, and none replays from a local database
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -197,6 +197,22 @@ def test_missing_file_is_error(capsys):
     assert code == 1
 
 
+def test_empty_code_file_is_error(tmp_path, capsys):
+    empty = tmp_path / "empty.grc"
+    empty.write_text("")
+    code, _, err = run_cli(["profile", "--code", str(empty)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "header" in err
+
+
+def test_construct_rejects_non_prime_power(capsys):
+    code, _, err = run_cli(
+        ["construct", "--kind", "qc", "--q", "6", "--n", "7", "--gens", "x+1"], capsys
+    )
+    assert code == 1
+    assert "not a prime power" in err
+
+
 def test_cap_exceeded_exit_code(mixed_file, capsys):
     code, _, err = run_cli(["profile", "--code", mixed_file, "--cap", "4"], capsys)
     assert code == 3

@@ -1,10 +1,12 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from grclib import kernels
 from grclib.codes import (
     Block,
     BlockView,
@@ -14,6 +16,7 @@ from grclib.codes import (
     hamming_weight,
 )
 from grclib.fields import field_create
+from grclib.grc import distance_profile, from_qc_generators
 from grclib.kernels import DimensionCapError
 from grclib.matrices import Matrix
 from grclib.poly import Poly
@@ -51,6 +54,22 @@ def _oracle_min_distance(field, rows, m):
             w = _oracle_block_weight(cw, m)
             best = w if best is None else min(best, w)
     return best
+
+
+def _oracle_subset_minima(field, rows, m):
+    """(block_min, ham_min) per subset bitmask, None where the projection is zero."""
+    n = len(rows[0]) // m
+    block_min = [None] * (1 << m)
+    ham_min = [None] * (1 << m)
+    for _, cw in _oracle_codewords(field, rows):
+        for t in range(1, 1 << m):
+            proj = tuple(x for i in range(m) if t >> i & 1 for x in cw[i * n : (i + 1) * n])
+            if any(proj):
+                w = _oracle_block_weight(proj, bin(t).count("1"))
+                h = hamming_weight(proj)
+                block_min[t] = w if block_min[t] is None else min(block_min[t], w)
+                ham_min[t] = h if ham_min[t] is None else min(ham_min[t], h)
+    return block_min, ham_min
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +148,60 @@ def test_block_metric_min_distance_matches_oracle():
         for m in (1, 2):
             got = code.min_distance(Block(m))
             assert got == _oracle_min_distance(field, rows, m)
+
+
+# q -> ((p, e), largest k whose q^k codewords the plain-python oracle enumerates quickly)
+_ORACLE_FIELDS = {2: ((2, 1), 6), 3: ((3, 1), 4), 4: ((2, 2), 3), 5: ((5, 1), 3),
+                  7: ((7, 1), 2), 8: ((2, 3), 2), 9: ((3, 2), 2)}
+
+
+@st.composite
+def _small_codes(draw):
+    q = draw(st.sampled_from(sorted(_ORACLE_FIELDS)))
+    (p, e), kmax = _ORACLE_FIELDS[q]
+    field = field_create(p, e)
+    m = draw(st.integers(1, 3))
+    nb = draw(st.integers(2, 6) | st.integers(63, 70))
+    k = draw(st.integers(2, min(kmax, m * nb)))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=m * nb, max_size=m * nb),
+        min_size=k, max_size=k,
+    ))
+    assume(Matrix.from_rows(field, rows).rank() == k)
+    return field, rows, m
+
+
+@given(_small_codes())
+@settings(max_examples=60, deadline=None)
+def test_kernels_match_oracle_across_chunks(code):
+    field, rows, m = code
+    nb = len(rows[0]) // m
+    inf = np.iinfo(np.int64).max
+    oracle = dict(_oracle_codewords(field, rows))
+    with pytest.MonkeyPatch.context() as mp:
+        # chunks of q messages: every code with k >= 2 spans several chunks
+        mp.setattr(kernels, "_CHUNK_BUDGET", 1)
+        block_min, ham_min = kernels.subset_minima(field, rows, m)
+        dist = kernels.min_block_distance(field, rows, m)
+        hist = kernels.weight_histogram(field, rows, m)
+    want_block, want_ham = _oracle_subset_minima(field, rows, m)
+    assert [None if b == inf else int(b) for b in block_min[1:]] == want_block[1:]
+    assert [None if h == inf else int(h) for h in ham_min[1:]] == want_ham[1:]
+    assert dist == _oracle_min_distance(field, rows, m)
+    want_hist = [0] * (nb + 1)
+    for cw in oracle.values():
+        want_hist[_oracle_block_weight(cw, m)] += 1
+    assert hist.tolist() == want_hist
+    table = kernels.build_table(field, rows, m)
+    assert table.size == len(oracle)
+    for i in range(table.size):
+        assert table.codeword(i) == oracle[table.message(i)]
+
+
+def test_profile_of_blocks_longer_than_64():
+    g = Poly.xn_minus_1(GF2, 65) // Poly.parse(GF2, "x+1")
+    prof = distance_profile(from_qc_generators(65, [g, g]))
+    assert (prof.sbdh, prof.shdh) == ((65, 65), (65, 130))
 
 
 def test_block1_equals_hamming(golay):
@@ -332,6 +405,13 @@ def test_text_roundtrip_blocked(golay_shift4):
 def test_text_rejects_bad_header():
     with pytest.raises(ValueError):
         LinearCode.from_text("2 3\n1 0 1\n")
+
+
+def test_text_names_missing_parts():
+    with pytest.raises(ValueError, match="header"):
+        LinearCode.from_text("")
+    with pytest.raises(ValueError, match="generator rows"):
+        LinearCode.from_text("2 3 2\n1 0 1\n")
 
 
 def test_cyclic_requires_divisor():

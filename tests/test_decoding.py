@@ -407,6 +407,10 @@ def test_sim_config_validation(dec1):
         SimConfig(dec1.grc, Bsc(0.1), frames=0, seed=1, max_depth=4)
     with pytest.raises(ValueError):
         SimConfig(dec1.grc, Bsc(0.1), frames=5, seed=1, max_depth=9)
+    # a CRC of degree >= k leaves no payload bits
+    with pytest.raises(ValueError, match="CRC"):
+        SimConfig(dec1.grc, Bsc(0.1), frames=5, seed=1, max_depth=4,
+                  crc=Poly.parse(GF2, "x^13+x+1"))
 
 
 def test_type2_grc_decoding_11_4(gf2):

@@ -362,3 +362,13 @@ def test_grc_roundtrip_detects_tampering(golay_shift4):
     lines[1] = " ".join(row)
     with pytest.raises(ValueError, match="disagrees"):
         grc_from_text("\n".join(lines))
+
+
+def test_grc_text_names_missing_parts(golay_shift4):
+    lines = grc_to_text(golay_shift4).splitlines()
+    with pytest.raises(ValueError, match="header"):
+        grc_from_text("")
+    with pytest.raises(ValueError, match="generator rows"):
+        grc_from_text("\n".join(lines[:3]))
+    with pytest.raises(ValueError, match="variant"):
+        grc_from_text("\n".join(lines[: 1 + golay_shift4.k]))
