@@ -9,7 +9,7 @@ exhaustive enumeration of the q^k codewords (dimension-capped).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -163,8 +163,7 @@ class LinearCode:
         if k < 1:
             raise ValueError("trivial cyclic code")
         rows = [[g.coeff(j - i) if 0 <= j - i else 0 for j in range(n)] for i in range(k)]
-        code = cls.from_rows(field, rows)
-        return replace(code, cyclic_gen=g)
+        return cls(field, n, k, Matrix.from_rows(field, rows), cyclic_gen=g)
 
     # -- basics ---------------------------------------------------------------
 

@@ -208,14 +208,9 @@ def from_qc_generators(n: int, gens: Sequence[Poly]) -> GrcCode:
     cofactors = tuple((gi // g) for gi in gens)
     m = len(gens)
 
-    rows = []
-    for i in range(k):
-        xi = Poly.monomial(field, i)
-        row: list[int] = []
-        for gi in gens:
-            r = (xi * gi) % xn1
-            row.extend(r.coeff(j) for j in range(n))
-        rows.append(row)
+    # x^i g_j mod x^n - 1 is the coefficient vector of g_j rotated right by i
+    vecs = [[gi.coeff(j) for j in range(n)] for gi in gens]
+    rows = [[c for v in vecs for c in v[n - i :] + v[: n - i]] for i in range(k)]
     gen = Matrix.from_rows(field, rows)
 
     base = LinearCode.cyclic(field, n, g)

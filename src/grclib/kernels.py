@@ -7,15 +7,27 @@ Everything distance-related funnels through one engine here:
   into uint64 words and combine by XOR; rows over other fields hold int16
   symbols and combine through the field's add/multiply tables.
 - ``_chunks`` splits the q^k messages into chunks: the span of the low rows,
-  built once, plus one combination of the high rows per chunk.
-- ``_sweep`` turns each chunk into per-block support masks of shape
-  (C, m, Wb) uint64, bit j of word w set when symbol 64*w + j of the block
-  is nonzero.  Over GF(2) these are the packed codewords themselves.  A
-  block may span several words, so block length is not limited.
+  built once and transposed so each word or symbol is one contiguous row,
+  plus one combination of the high rows per chunk.
+- ``_sweep`` turns each chunk into block-major support masks of shape
+  (m, W, C): C codewords, W words per block, bit j of word w set when
+  symbol b*w + j of the block is nonzero, for words of b bits.  Each
+  (block, word) row is contiguous over the codewords, so every ufunc runs
+  its inner loop over a whole chunk.  Over GF(2) the words are the packed
+  codewords themselves: uint64, or the narrowest unsigned dtype that holds
+  a block of at most 64 symbols.  Over other fields they are uint8 bytes.
+  A block may span several words, so block length is not limited.
+
+Buffer contract: ``_sweep`` writes every chunk into buffers it allocates
+once per sweep and yields the same array each time, so a consumer
+finishes with one chunk before it asks for the next.  Buffers belong to
+one sweep, never to the module, so concurrent sweeps share nothing.
 
 Two reducers consume the masks: the per-subset fold behind the distance
 profiles, and the union over all blocks behind single-metric distances and
-weight histograms.  Reductions are deterministic and independent of chunk
+weight histograms.  Both count weights in the smallest unsigned dtype that
+holds them, and take minima over nonzero codewords by wrap-around (see
+``_min_nonzero``).  Reductions are deterministic and independent of chunk
 boundaries.
 """
 
@@ -40,8 +52,9 @@ __all__ = [
 
 DEFAULT_CAP = 28
 _INF = np.iinfo(np.int64).max
-_INF32 = np.iinfo(np.int32).max
-_CHUNK_BUDGET = 1 << 22  # target mask words resident per chunk, across all subsets
+# mask words per chunk, a few MB of working set: long enough numpy calls
+# that concurrent sweeps do not queue on the interpreter lock between them.
+_CHUNK_BUDGET = 1 << 20
 
 
 class DimensionCapError(Exception):
@@ -54,30 +67,6 @@ def check_cap(k: int, cap: int | None) -> None:
         raise DimensionCapError(
             f"dimension {k} above enumeration cap {limit}; raise cap explicitly"
         )
-
-
-# ---------------------------------------------------------------------------
-# popcount
-
-if hasattr(np, "bitwise_count"):
-
-    def popcount_u64(a: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(a)
-
-else:  # numpy < 2.0
-    _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-    def popcount_u64(a: np.ndarray) -> np.ndarray:
-        b = np.ascontiguousarray(a).view(np.uint8).reshape(a.shape + (8,))
-        return _POP8[b].sum(axis=-1, dtype=np.uint8)
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits across the last (word) axis, as int32."""
-    total = popcount_u64(words[..., 0]).astype(np.int32)
-    for j in range(1, words.shape[-1]):
-        total += popcount_u64(words[..., j])
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -132,46 +121,84 @@ def _span(field: Field, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunks(
-    field: Field, rows: np.ndarray, chunk_rows: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(low, high) per chunk: chunk t's codewords are low + high.
+def _chunks(field: Field, rows: np.ndarray, chunk_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(low, highs): chunk t's codewords are low + highs[t].
 
     ``low`` is the span of the first lo rows, with q^lo <= max(q, chunk_rows),
-    and is the same array for every chunk.  ``high`` is the combination of
-    the remaining rows selected by the high digits of t, so chunk t covers
-    message indices [t * q^lo, (t+1) * q^lo).
+    transposed to (width, q^lo) so that each word or symbol is one
+    contiguous row.  ``highs`` holds the combinations of the remaining rows,
+    one per chunk, so chunk t covers message indices [t * q^lo, (t+1) * q^lo).
     """
     q = field.q
     k = len(rows)
     lo = 1
     while lo < k and q ** (lo + 1) <= chunk_rows:
         lo += 1
-    low = _span(field, rows[:lo])
-    for high in _span(field, rows[lo:]):
-        yield low, high
+    low = np.ascontiguousarray(_span(field, rows[:lo]).T)
+    return low, _span(field, rows[lo:])
 
 
 def _sweep(field: Field, rows: Sequence[Sequence[int]], m: int) -> Iterator[np.ndarray]:
-    """Per-block support masks (C, m, Wb) uint64 of all q^k codewords.
+    """Block-major support masks (m, W, C) of all q^k codewords, per chunk.
 
-    Chunks are sized for the largest consumer, the subset fold, which keeps
-    a union of Wb words per row for each of the 2^m subsets.
+    The same buffer is yielded for every chunk.  Over GF(2) the words are
+    the packed codewords, in the narrowest unsigned dtype that holds a block
+    when one word does.  Over other fields, ``low + high`` is nonzero exactly
+    where ``low`` differs from ``-high``, and the 0/1 bytes of that test are
+    shifted into bits eight codewords at a time, through uint64 views of
+    rows padded to a multiple of 8 codewords.
     """
     blocks = _rows_to_blocks(rows, m)
     k, _, nb = blocks.shape
-    wb = (nb + 63) // 64
-    chunk_rows = _CHUNK_BUDGET // ((1 << m) * wb)
     if field.q == 2:
-        packed = _pack_bits(blocks).reshape(k, m * wb)
-        for low, high in _chunks(field, packed, chunk_rows):
-            yield (low ^ high).reshape(-1, m, wb)
+        packed = _pack_bits(blocks).reshape(k, -1)
+        if packed.shape[1] == m:
+            packed = packed.astype(np.min_scalar_type((1 << nb) - 1))
+        low, highs = _chunks(field, packed, _CHUNK_BUDGET // packed.shape[1])
+        masks = np.empty_like(low)
+        for high in highs:
+            np.bitwise_xor(low, high[:, None], out=masks)
+            yield masks.reshape(m, -1, masks.shape[1])
         return
     _, mul = field.tables()
     neg = mul[field.neg(1)]
-    for low, high in _chunks(field, blocks.reshape(k, m * nb), chunk_rows):
-        # low + high is nonzero exactly where low differs from -high
-        yield _pack_bits((low != neg[high]).reshape(-1, m, nb))
+    nw = (nb + 7) // 8
+    low, highs = _chunks(field, blocks.reshape(k, m * nb), _CHUNK_BUDGET // (m * nw))
+    c = low.shape[1]
+    low = low.reshape(m, nb, c)
+    c8 = -(-c // 8)
+    nonzero = np.zeros((m, 8 * nw, 8 * c8), dtype=bool)  # padding stays False
+    # bits[:, w, j] holds symbol 8*w + j of eight codewords per uint64
+    bits = nonzero.view(np.uint64).reshape(m, nw, 8, c8)
+    masks = np.empty((m, nw, 8 * c8), dtype=np.uint8)
+    words, shifted = masks.view(np.uint64), np.empty((m, nw, c8), dtype=np.uint64)
+    for high in highs:
+        np.not_equal(low, neg[high].reshape(m, nb, 1), out=nonzero[:, :nb, :c])
+        np.copyto(words, bits[:, :, 0])
+        for j in range(1, min(8, nb)):
+            np.left_shift(bits[:, :, j], j, out=shifted)
+            words |= shifted
+        yield masks[:, :, :c]
+
+
+def _weights(words: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Set bits of (W, C) words, summed over W into ``out`` (C,)."""
+    np.bitwise_count(words[0], out=out)
+    for row in words[1:]:
+        np.bitwise_count(row, out=tmp)
+        out += tmp
+    return out
+
+
+def _min_nonzero(w: np.ndarray, out: np.ndarray) -> int:
+    """Least nonzero entry of the unsigned weights ``w``, _INF if none.
+
+    ``w - 1`` (written to ``out``) wraps 0 to the dtype's maximum.  Weights
+    are counted in a dtype that holds the largest one, so no nonzero weight
+    minus 1 reaches that maximum, and a plain ``min`` skips the zeros.
+    """
+    least = int(np.subtract(w, 1, out=out).min())
+    return _INF if least == (1 << 8 * w.itemsize) - 1 else least + 1
 
 
 # ---------------------------------------------------------------------------
@@ -196,42 +223,64 @@ def subset_minima(
     check_cap(len(rows), cap)
     block_min = np.full(1 << m, _INF, dtype=np.int64)
     ham_min = np.full(1 << m, _INF, dtype=np.int64)
-    for masks in _sweep(field, rows, m):
-        _fold_subsets(masks, block_min, ham_min)
+    _fold_subsets(_sweep(field, rows, m), np.min_scalar_type(len(rows[0])), block_min, ham_min)
     return block_min, ham_min
 
 
-def _fold_subsets(masks: np.ndarray, block_min: np.ndarray, ham_min: np.ndarray) -> None:
-    """Fold one chunk of masks (C, m, Wb) into the per-subset minima.
+def _fold_subsets(
+    chunks: Iterator[np.ndarray], dtype: np.dtype, block_min: np.ndarray, ham_min: np.ndarray
+) -> None:
+    """Fold the masks (m, W, C) of every chunk into the per-subset minima.
 
-    Subset t extends t minus its lowest block, so each subset costs one OR
-    of unions and one add of Hamming weights.  Kept apart from the sweep so
-    that a chunk's temporaries are freed before the next chunk is built.
+    Subsets are visited depth first, in lexicographic order of their block
+    lists, so a subset of d + 1 blocks extends the subset visited last at
+    depth d by its highest block i.  One union (W, C) and one Hamming weight
+    (C,) per depth are live, and each subset costs one OR, one popcount and
+    one add.  A subset's Hamming weight is zero exactly where its union is,
+    so both minima skip zero codewords the same way.
     """
-    m = masks.shape[1]
-    bw = _popcount(masks)  # (C, m): Hamming weight of each block
-    unions: list = [None] * (1 << m)
-    hams: list = [None] * (1 << m)
-    for t in range(1, 1 << m):
-        i = (t & -t).bit_length() - 1
-        rest = t ^ (1 << i)
-        if rest:
-            unions[t] = unions[rest] | masks[:, i]
-            hams[t] = hams[rest] + bw[:, i]
-            w = _popcount(unions[t])
-        else:  # single block: block weight = Hamming weight
-            unions[t] = masks[:, i]
-            hams[t] = w = bw[:, i]
-        nonzero = w != 0
-        bm = int(np.min(w, where=nonzero, initial=_INF32))
-        if bm != _INF32:  # some codeword has a nonzero projection onto t
-            block_min[t] = min(int(block_min[t]), bm)
-            hm = int(np.min(hams[t], where=nonzero, initial=_INF32))
-            ham_min[t] = min(int(ham_min[t]), hm)
+    bw = None
+    for masks in chunks:
+        m, nw, c = masks.shape
+        if bw is None:
+            order = sorted(range(1, 1 << m), key=lambda t: [i for i in range(m) if t >> i & 1])
+            bw = np.empty((m, c), dtype)  # Hamming weight of each block
+            union_bufs = np.empty((m - 1, nw, c), masks.dtype)
+            ham_bufs = np.empty((m - 1, c), dtype)
+            w, tmp = np.empty((2, c), dtype)
+        for i in range(m):
+            _weights(masks[i], bw[i], tmp)
+        unions: list = [None] * m  # union and Hamming weight of the last subset at each depth
+        hams: list = [None] * m
+        for t in order:
+            i, d = t.bit_length() - 1, t.bit_count() - 1
+            if d == 0:  # single block: block weight = Hamming weight
+                unions[0], hams[0] = masks[i], bw[i]
+                block = ham = _min_nonzero(bw[i], w)
+            else:
+                unions[d] = np.bitwise_or(unions[d - 1], masks[i], out=union_bufs[d - 1])
+                hams[d] = np.add(hams[d - 1], bw[i], out=ham_bufs[d - 1])
+                block = _min_nonzero(_weights(unions[d], w, tmp), w)
+                ham = _min_nonzero(hams[d], tmp)
+            block_min[t] = min(int(block_min[t]), block)
+            ham_min[t] = min(int(ham_min[t]), ham)
 
 
 # ---------------------------------------------------------------------------
 # single-metric sweeps: the union over all blocks
+
+
+def _block_weights(field: Field, rows: Sequence[Sequence[int]], m: int) -> Iterator[np.ndarray]:
+    """Block weight (C,) of every codeword, per chunk, in one reused buffer."""
+    dtype = np.min_scalar_type(len(rows[0]) // m)
+    w = None
+    for masks in _sweep(field, rows, m):
+        if w is None:
+            union = np.empty(masks.shape[1:], masks.dtype)
+            w, tmp = np.empty((2, masks.shape[2]), dtype)
+        if m > 1:
+            np.bitwise_or.reduce(masks, axis=0, out=union)
+        yield _weights(union if m > 1 else masks[0], w, tmp)
 
 
 def min_block_distance(
@@ -243,11 +292,10 @@ def min_block_distance(
 ) -> int:
     """Minimum block weight over nonzero codewords (m = 1: Hamming)."""
     check_cap(len(rows), cap)
-    best = _INF32
-    for masks in _sweep(field, rows, m):
-        w = _popcount(np.bitwise_or.reduce(masks, axis=1))
-        best = min(best, int(np.min(w, where=w != 0, initial=_INF32)))
-    if best == _INF32:
+    best = _INF
+    for w in _block_weights(field, rows, m):
+        best = min(best, _min_nonzero(w, w))
+    if best == _INF:
         raise ValueError("degenerate zero code has no minimum distance")
     return best
 
@@ -263,8 +311,7 @@ def weight_histogram(
     check_cap(len(rows), cap)
     nb_cols = len(rows[0]) // m
     counts = np.zeros(nb_cols + 1, dtype=np.int64)
-    for masks in _sweep(field, rows, m):
-        w = _popcount(np.bitwise_or.reduce(masks, axis=1))
+    for w in _block_weights(field, rows, m):
         counts += np.bincount(w, minlength=nb_cols + 1)
     return counts
 
@@ -344,7 +391,7 @@ def hamming_distances(table: CodewordTable, received: np.ndarray, blocks: Sequen
     idx = list(blocks)
     if table.packed is not None:
         diff = table.packed[:, idx, :] ^ received[idx, :][None, :, :]
-        return popcount_u64(diff).sum(axis=(1, 2), dtype=np.int64)
+        return np.bitwise_count(diff).sum(axis=(1, 2), dtype=np.int64)
     diff = table.values[:, idx, :] != received[idx, :][None, :, :]
     return diff.sum(axis=(1, 2), dtype=np.int64)
 
@@ -355,6 +402,6 @@ def block_distances(table: CodewordTable, received: np.ndarray, blocks: Sequence
     if table.packed is not None:
         diff = table.packed[:, idx, :] ^ received[idx, :][None, :, :]
         union = np.bitwise_or.reduce(diff, axis=1)
-        return popcount_u64(union).sum(axis=-1, dtype=np.int64)
+        return np.bitwise_count(union).sum(axis=-1, dtype=np.int64)
     diff = table.values[:, idx, :] != received[idx, :][None, :, :]
     return diff.any(axis=1).sum(axis=-1, dtype=np.int64)

@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -202,6 +204,54 @@ def test_profile_of_blocks_longer_than_64():
     g = Poly.xn_minus_1(GF2, 65) // Poly.parse(GF2, "x+1")
     prof = distance_profile(from_qc_generators(65, [g, g]))
     assert (prof.sbdh, prof.shdh) == ((65, 65), (65, 130))
+
+
+def test_weights_at_and_past_the_uint8_boundary():
+    """Weights of 255 and more, where the reducers' counting dtype widens."""
+    inf = np.iinfo(np.int64).max
+    # one all-ones row, 3 blocks of 85: subset t has block weight 85 and
+    # Hamming weight 85 |t|, up to 255 for the full subset
+    block_min, ham_min = kernels.subset_minima(GF2, [[1] * 255], 3)
+    assert block_min.tolist() == [inf] + [85] * 7
+    assert ham_min.tolist() == [inf] + [85 * bin(t).count("1") for t in range(1, 8)]
+    # codewords of Hamming weight 258, 129 and 129, in 3 blocks of 86
+    rows = [[1] * 258, [1] * 129 + [0] * 129]
+    block_min, ham_min = kernels.subset_minima(GF2, rows, 3)
+    assert (int(block_min[7]), int(ham_min[7])) == (86, 129)
+    want_block, want_ham = _oracle_subset_minima(GF2, rows, 3)
+    assert block_min[1:].tolist() == want_block[1:]
+    assert ham_min[1:].tolist() == want_ham[1:]
+    # one block of 300 symbols
+    for field in (GF2, GF3):
+        assert kernels.min_block_distance(field, [[1] * 300], 1) == 300
+        hist = kernels.weight_histogram(field, [[1] * 300], 1)
+        assert (hist[0], hist[300], hist.sum()) == (1, field.q - 1, field.q)
+
+
+def test_concurrent_sweeps_share_no_state():
+    """Sweeps reuse their chunk buffers; threads must not see each other's."""
+    rng = random.Random(11)
+    codes = []
+    for field, k, m, nb in [(GF2, 14, 2, 31), (GF2, 13, 4, 20), (GF3, 8, 2, 11), (GF2, 12, 3, 70)]:
+        while True:
+            rows = [[rng.randrange(field.q) for _ in range(m * nb)] for _ in range(k)]
+            if Matrix.from_rows(field, rows).rank() == k:
+                break
+        codes.append((field, rows, m))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_CHUNK_BUDGET", 1 << 8)  # many chunks per sweep
+        serial = [kernels.subset_minima(*code) for code in codes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(kernels.subset_minima, *code) for code in codes * 2]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+    for got, want in zip(results, serial * 2):
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
 
 
 def test_block1_equals_hamming(golay):

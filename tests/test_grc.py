@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from grclib.codes import LinearCode
+from grclib.codetable import _interpretations, load_table
 from grclib.fields import field_create
 from grclib.grc import (
     as_blocked,
@@ -135,6 +136,22 @@ def test_from_qc_derives_dimension():
     assert grc.dim == 12
     assert grc.qc.g == g.monic()
     assert [str(c) for c in grc.qc.cofactors] == ["1", "x", "x^2", "x^3"]
+
+
+def test_from_qc_generator_rows_match_polynomial_products():
+    """Row i of block j is x^i g_j mod x^n - 1, for every catalog reading."""
+    gf2 = field_create(2)
+    for entry in load_table():
+        if entry.k > 26:
+            continue
+        xn1 = Poly.xn_minus_1(gf2, entry.n)
+        for _, _, a, b in _interpretations(entry, gf2):
+            grc = from_qc_generators(entry.n, [a, b])
+            want = []
+            for i in range(grc.k):
+                products = [(Poly.monomial(gf2, i) * g) % xn1 for g in (a, b)]
+                want.append([p.coeff(j) for p in products for j in range(entry.n)])
+            assert [list(r) for r in grc.gen.rows()] == want
 
 
 def test_from_qc_rejects_zero():
