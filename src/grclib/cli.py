@@ -180,11 +180,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError("frames must be >= 1")
     grc = _load_any(cfgmap["code"], None)
     crc = None
-    verifier = cfgmap.get("verifier", "genie")
-    if verifier.startswith("crc"):
-        crc = Poly.parse(grc.field, verifier.split(None, 1)[1])
-    elif verifier != "genie":
+    verifier = cfgmap.get("verifier", "genie").split(None, 1)
+    if len(verifier) == 2 and verifier[0] == "crc":
+        crc = Poly.parse(grc.field, verifier[1])
+    elif verifier != ["genie"]:
         raise UsageError("verifier must be 'genie' or 'crc POLY'")
+    combining = cfgmap.get("combining", "on")
+    if combining not in ("on", "off"):
+        raise UsageError("combining must be 'on' or 'off'")
     cfg = SimConfig(
         grc=grc,
         channel=_parse_channel(cfgmap["channel"]),
@@ -192,7 +195,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=int(cfgmap["seed"]),
         max_depth=int(cfgmap["max_depth"]),
         scheme=cfgmap.get("scheme", "multiround"),
-        combining=cfgmap.get("combining", "on") != "off",
+        combining=combining == "on",
         crc=crc,
         threads=args.threads,
         code_id=cfgmap.get("code_id", Path(cfgmap["code"]).stem),

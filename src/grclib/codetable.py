@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 VERIFY_CAP = 26
+_COLUMNS = ("no", "n", "k", "g1_hex", "g2_hex", "d1", "d2", "ud2")
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,14 @@ def load_table(path: str | None = None) -> list[CodeTableEntry]:
     else:
         with open(path) as f:
             text = f.read()
+    reader = csv.DictReader(text.splitlines())
+    missing = [c for c in _COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"table CSV has no column {', '.join(missing)}")
     out = []
-    for rec in csv.DictReader(text.splitlines()):
+    for rec in reader:
+        if any(rec[c] is None for c in _COLUMNS):
+            raise ValueError(f"table CSV line {reader.line_num} has too few fields")
         out.append(
             CodeTableEntry(
                 no=int(rec["no"]),

@@ -3,8 +3,15 @@ decoding, and Monte-Carlo frame-error-rate estimation.
 
 Decoding is hard-decision throughout: the AWGN/BPSK channel is reduced to
 its induced binary symmetric channel, under which maximum-likelihood
-decoding is exact nearest-codeword search in the relevant metric.  All
-randomness flows from a master seed; the stream for frame f, block b is
+decoding is exact nearest-codeword search in the relevant metric.
+
+One decoding path: a ``GrcDecoder`` holds one codeword table, of the full
+code, and each candidate, like ``md_decode``, is a nearest-codeword search
+in it on a block subset.  A Chase candidate votes the Type-I copies aligned
+onto block 1 and decodes the result in block 1 of that table, so its message
+is numbered like every other.  The simulator runs ``multi_round_decode``.
+
+All randomness flows from a master seed; the stream for frame f, block b is
 derived with an independent spawn key, so results are bit-reproducible and
 independent of how frames are partitioned across workers.
 """
@@ -20,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import kernels
-from .codes import Hamming, LinearCode, Metric
+from .codes import Hamming, LinearCode, Metric, _metric_blocks
 from .fields import Field
 from .grc import GrcCode, TypeI, TypeII
 from .perms import Permutation
@@ -175,36 +182,23 @@ class DecodeResult:
     distance: int
 
 
-class _TableDecoder:
-    """Nearest-codeword search over a cached full codeword table.
+def _nearest(
+    table: kernels.CodewordTable, received: Sequence[int], blocks: Sequence[int], metric: str
+) -> tuple[int, int]:
+    """(message index, distance) of the codeword nearest to ``received`` on
+    the 0-based ``blocks``, in the 'hamming' or 'block' metric.
 
+    ``received`` holds whole blocks, at least up to the last one decoded.
     Ties resolve to the smallest message index (message digits little-endian
     in base q), which is the first argmin in table order.
     """
-
-    def __init__(self, field: Field, rows: Sequence[Sequence[int]], m: int):
-        self.field = field
-        self.m = m
-        self.table = kernels.build_table(field, rows, m)
-
-    def pack(self, vec: Sequence[int]) -> np.ndarray:
-        if self.table.packed is not None:
-            return kernels.pack_received_gf2(vec, self.m)
-        return np.array(vec, dtype=np.int16).reshape(self.m, -1)
-
-    def decode_packed(
-        self, received: np.ndarray, blocks: Sequence[int], metric: str
-    ) -> tuple[int, int]:
-        if metric == "hamming":
-            dist = kernels.hamming_distances(self.table, received, blocks)
-        else:
-            dist = kernels.block_distances(self.table, received, blocks)
-        idx = int(np.argmin(dist))
-        return idx, int(dist[idx])
-
-    def decode(self, vec: Sequence[int], blocks: Sequence[int], metric: str) -> DecodeResult:
-        idx, dist = self.decode_packed(self.pack(vec), blocks, metric)
-        return DecodeResult(self.table.message(idx), self.table.codeword(idx), dist)
+    packed = table.pack(received)
+    if metric == "hamming":
+        dist = kernels.hamming_distances(table, packed, blocks)
+    else:
+        dist = kernels.block_distances(table, packed, blocks)
+    idx = int(np.argmin(dist))
+    return idx, int(dist[idx])
 
 
 def md_decode(
@@ -216,14 +210,13 @@ def md_decode(
 ) -> DecodeResult:
     """Exhaustive nearest-codeword decoding in the given metric."""
     kernels.check_cap(code.k, cap)
-    m = 1 if isinstance(metric, Hamming) else metric.m
     if len(received) != code.n:
         raise ValueError("received length does not match code length")
-    if code.n % m:
-        raise ValueError("length not divisible by block count")
-    dec = _TableDecoder(code.field, code.gen.rows(), m)
+    m = _metric_blocks(metric, code.n)
+    table = kernels.build_table(code.field, code.gen.rows(), m)
     kind = "hamming" if isinstance(metric, Hamming) else "block"
-    return dec.decode(received, range(m), kind)
+    idx, dist = _nearest(table, received, range(m), kind)
+    return DecodeResult(table.message(idx), table.codeword(idx), dist)
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +337,12 @@ class MultiRoundResult:
 
 
 class GrcDecoder:
-    """Caches the codeword tables needed to run multi-round decoding."""
+    """The codeword table of a GRC, and the candidate decodes run over it."""
 
     def __init__(self, grc: GrcCode):
         self.grc = grc
         self.full_code = grc.full_code()
-        self.full = _TableDecoder(grc.field, grc.gen.rows(), grc.m)
-        self.base = _TableDecoder(grc.field, grc.base.gen.rows(), 1)
+        self.table = kernels.build_table(grc.field, grc.gen.rows(), grc.m)
 
     def split(self, received: Sequence[int]) -> list[tuple[int, ...]]:
         n = self.grc.n
@@ -365,7 +357,7 @@ class GrcDecoder:
         rng: np.random.Generator | None = None,
     ) -> tuple[int, ...]:
         if cand.kind == "chase":
-            # Chase candidates always combine the prefix of blocks 1..r
+            # blocks 1..r, aligned onto block 1 and voted, decode in block 1
             r = len(cand.blocks)
             combined = chase_combine(
                 self.split(received)[:r],
@@ -374,10 +366,10 @@ class GrcDecoder:
                 tie_policy=tie_policy,
                 rng=rng,
             )
-            return self.base.decode(combined, [0], "hamming").message
-        packed = self.full.pack(received)
-        idx, _ = self.full.decode_packed(packed, [b - 1 for b in cand.blocks], cand.kind)
-        return self.full.table.message(idx)
+            idx, _ = _nearest(self.table, combined, [0], "hamming")
+        else:
+            idx, _ = _nearest(self.table, received, [b - 1 for b in cand.blocks], cand.kind)
+        return self.table.message(idx)
 
 
 def multi_round_decode(
@@ -426,6 +418,8 @@ class SimConfig:
             raise ValueError("frames must be >= 1")
         if not 1 <= self.max_depth <= self.grc.m:
             raise ValueError("max_depth must be in [1, m]")
+        if self.crc is not None and self.crc.degree < 1:
+            raise ValueError("CRC generator must have degree >= 1")
         if self.crc is not None and self.crc.degree >= self.grc.dim:
             raise ValueError(
                 f"CRC degree {self.crc.degree} leaves no payload in a message of"
@@ -479,21 +473,22 @@ def _simulate_frame(
         message = tuple(int(x) for x in msg_rng.integers(0, field.q, size=k))
         verifier: Verifier = GenieVerifier(message)
     else:
-        crc = CrcVerifier(cfg.crc)
-        payload = tuple(int(x) for x in msg_rng.integers(0, field.q, size=k - crc.ncheck))
-        message = crc.attach(payload)
         verifier = CrcVerifier(cfg.crc)
+        payload = tuple(int(x) for x in msg_rng.integers(0, field.q, size=k - verifier.ncheck))
+        message = verifier.attach(payload)
     codeword = dec.full_code.encode(message)
     n = grc.n
     received: list[int] = []
     for b in range(m):
         block = codeword[b * n : (b + 1) * n]
         received.extend(transmit(block, cfg.channel, rng_for(cfg.seed, frame, b), field))
-    for cand in iter_candidates(grc, cfg.max_depth, scheme=cfg.scheme, combining=cfg.combining):
-        msg = dec.candidate_message(received, cand)
-        if verifier.accepts(msg):
-            return cand.round, msg == message
-    return m + 1, False
+    res = multi_round_decode(
+        grc, received, cfg.max_depth, verifier,
+        decoder=dec, scheme=cfg.scheme, combining=cfg.combining,
+    )
+    if res.message is None:
+        return m + 1, False
+    return res.rounds_used, res.message == message
 
 
 def fer_simulate(cfg: SimConfig) -> SimResult:

@@ -79,13 +79,6 @@ def _tup_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple(a)
 
 
-def _tup_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    a, b = _tup_trim(a), _tup_trim(b)
-    while b:
-        a, b = b, _tup_mod(a, b, p)
-    return a
-
-
 def _tup_is_irreducible(f: Sequence[int], p: int) -> bool:
     """Trial division by all monic polynomials of degree <= deg(f)/2."""
     f = _tup_trim(f)
@@ -126,7 +119,7 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
 class Field:
     """Finite field of order q = p^e.  Immutable; safe to share."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_add_table", "_mul_table", "_inv_table")
+    __slots__ = ("p", "e", "q", "modulus", "_add_table", "_mul_table")
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
         if not is_prime(p):
@@ -154,7 +147,6 @@ class Field:
         self.modulus = mod
         self._add_table: np.ndarray | None = None
         self._mul_table: np.ndarray | None = None
-        self._inv_table: list[int] | None = None
 
     # -- identity -----------------------------------------------------------
 
@@ -277,11 +269,6 @@ class Field:
             self._add_table = add
             self._mul_table = mul
         return self._add_table, self._mul_table
-
-    def inv_list(self) -> list[int]:
-        if self._inv_table is None:
-            self._inv_table = [0] + [self.inv(a) for a in range(1, self.q)]
-        return self._inv_table
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,9 @@ weight histograms.  Both count weights in the smallest unsigned dtype that
 holds them, and take minima over nonzero codewords by wrap-around (see
 ``_min_nonzero``).  Reductions are deterministic and independent of chunk
 boundaries.
+
+Decoding tables (``build_table``) keep their layout here too: a received
+word enters it through ``CodewordTable.pack``.
 """
 
 from __future__ import annotations
@@ -352,13 +355,18 @@ class CodewordTable:
 
     def codeword(self, index: int) -> tuple[int, ...]:
         if self.values is not None:
-            return tuple(int(x) for x in self.values[index].reshape(-1))
-        words = self.packed[index]  # (m, Wb)
-        bits: list[int] = []
-        for b in range(self.m):
-            for j in range(self.nb):
-                bits.append(int(words[b, j // 64] >> np.uint64(j % 64)) & 1)
-        return tuple(bits)
+            return tuple(self.values[index].reshape(-1).tolist())
+        words = self.packed[index].view(np.uint8)  # (m, 8 Wb), little-endian bits
+        bits = np.unpackbits(words, axis=-1, count=self.nb, bitorder="little")
+        return tuple(bits.reshape(-1).tolist())
+
+    def pack(self, vec: Sequence[int]) -> np.ndarray:
+        """Whole blocks of a received word in the table's layout, one row per
+        block, for the distance kernels: (len(vec) / nb, Wb) uint64 over
+        GF(2), (len(vec) / nb, nb) int16 otherwise."""
+        if self.values is not None:
+            return np.array(vec, dtype=np.int16).reshape(-1, self.nb)
+        return _pack_bits(np.array(vec, dtype=np.uint8).reshape(-1, self.nb))
 
 
 def build_table(field: Field, rows: Sequence[Sequence[int]], m: int) -> CodewordTable:
@@ -377,16 +385,10 @@ def build_table(field: Field, rows: Sequence[Sequence[int]], m: int) -> Codeword
     return CodewordTable(field, k, m, nb, None, table.reshape(-1, m, nb))
 
 
-def pack_received_gf2(vec: Sequence[int], m: int) -> np.ndarray:
-    """Pack one received word into (m, Wb) uint64 for the decode kernels."""
-    arr = np.array(vec, dtype=np.uint8).reshape(m, -1)
-    return _pack_bits(arr)
-
-
 def hamming_distances(table: CodewordTable, received: np.ndarray, blocks: Sequence[int]) -> np.ndarray:
     """Distance from ``received`` to every codeword, restricted to ``blocks``.
 
-    received: (m, Wb) uint64 (GF(2)) or (m, nb) int16.  Returns (q^k,) int64.
+    received: rows from ``CodewordTable.pack``.  Returns (q^k,) int64.
     """
     idx = list(blocks)
     if table.packed is not None:

@@ -55,11 +55,11 @@ def type1_class4(dec: GrcDecoder) -> bool:
     return direct and ladder
 
 
-def type1_class5(dec: GrcDecoder) -> bool:
-    """all partial column-errors plus three majority column-errors (chase)."""
-    grc = dec.grc
+def chase_frame(dec: GrcDecoder) -> list[tuple[int, ...]]:
+    """The four received blocks of class 5 on a Type-I code of length 23 and
+    m = 4: after alignment onto block 1, three columns are wrong in 3 of 4
+    copies (the majority) and ten columns in 1 of 4 (partial)."""
     base = dec.split(dec.full_code.encode(MSG))[0]
-    perms = grc.variant.perms
     aligned_errors = [[0] * 23 for _ in range(4)]
     for c in (0, 1, 2):  # three majority columns: 3 of 4 copies wrong
         for r in (0, 1, 2):
@@ -67,9 +67,17 @@ def type1_class5(dec: GrcDecoder) -> bool:
     for i, c in enumerate(range(5, 15)):  # ten partial columns: 1 of 4 wrong
         aligned_errors[i % 4][c] = 1
     zs = [tuple(b ^ e for b, e in zip(base, aligned_errors[0]))]
-    for p, err in zip(perms, aligned_errors[1:]):
+    for p, err in zip(dec.grc.variant.perms, aligned_errors[1:]):
         zs.append(p.apply(tuple(b ^ e for b, e in zip(base, err))))
-    combined = chase_combine(zs, perms, field=grc.field)
+    return zs
+
+
+def type1_class5(dec: GrcDecoder) -> bool:
+    """all partial column-errors plus three majority column-errors (chase)."""
+    grc = dec.grc
+    zs = chase_frame(dec)
+    base = dec.split(dec.full_code.encode(MSG))[0]
+    combined = chase_combine(zs, grc.variant.perms, field=grc.field)
     vote_ok = sum(a != b for a, b in zip(combined, base)) == 3
     decode_ok = md_decode(grc.base, combined).message == MSG
     rec = tuple(x for z in zs for x in z)

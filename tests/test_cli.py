@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from grclib.cli import main
+from grclib.decoding import Bsc, SimConfig, fer_simulate
 from grclib.grc import grc_to_text
 from grclib import presets
 
@@ -115,6 +116,23 @@ def test_verify_table_mismatch_exit_code(tmp_path, capsys):
     assert "attempted" in out
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("no,n,k,g1_hex,d1,d2,ud2\n1,31,6,263CADD,15,23,30\n", "g2_hex"),
+        ("", "no, n, k"),
+        ("no,n,k,g1_hex,g2_hex,d1,d2,ud2\n1,31,6\n", "line 2"),
+    ],
+    ids=["missing-column", "empty", "short-row"],
+)
+def test_verify_table_malformed_file_is_error(tmp_path, capsys, text, named):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    code, out, err = run_cli(["verify-table", "--file", str(bad)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and named in err
+
+
 def test_simulate_requires_seed(tmp_path, mixed_file, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(f"code = {mixed_file}\nchannel = bsc 0.1\nframes = 5\nmax_depth = 2\n")
@@ -173,6 +191,39 @@ def test_simulate_with_crc_verifier(tmp_path, mixed_file, capsys):
     # false-accept column is populated (possibly zero, but parseable)
     for line in out.splitlines()[1:]:
         assert line.split(",")[7].isdigit()
+
+
+@pytest.mark.parametrize(
+    "line, prefix",
+    [
+        ("verifier = crc", "usage error:"),  # no polynomial
+        ("verifier = crc 0", "error:"),  # the zero polynomial divides nothing
+        ("combining = maybe", "usage error:"),
+    ],
+)
+def test_simulate_rejects_bad_config_values(tmp_path, shift_file, capsys, line, prefix):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        f"code = {shift_file}\nchannel = bsc 0.1\nframes = 5\nseed = 1\nmax_depth = 4\n{line}\n"
+    )
+    code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(prefix)
+
+
+def test_simulate_combining_off(tmp_path, shift_file, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        f"code = {shift_file}\nchannel = bsc 0.2\nframes = 30\nseed = 4\nmax_depth = 4\n"
+        "combining = off\ncode_id = shift\n"
+    )
+    code, out, _ = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert code == 0
+    want = fer_simulate(
+        SimConfig(presets.golay_type1_shift(4), Bsc(0.2), frames=30, seed=4, max_depth=4,
+                  combining=False, code_id="shift")
+    )
+    assert out.splitlines()[1:] == want.csv_rows()
 
 
 def test_search_command(capsys):

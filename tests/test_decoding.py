@@ -20,7 +20,7 @@ from grclib.decoding import (
     transmit,
 )
 from grclib.fields import field_create
-from grclib.grc import type2
+from grclib.grc import from_qc_generators, type1_regular, type2
 from grclib.perms import Permutation
 from grclib.poly import Poly, companion_matrix
 from grclib import presets
@@ -301,7 +301,7 @@ def test_candidate_schemes(dec1):
 # ---------------------------------------------------------------------------
 # the nine deterministic correctable-pattern classes (shared scenarios)
 
-from pattern_classes import TYPE1_CLASSES, TYPE2_CLASSES
+from pattern_classes import TYPE1_CLASSES, TYPE2_CLASSES, chase_frame
 
 
 @pytest.mark.parametrize("scenario", TYPE1_CLASSES, ids=lambda f: f.__name__)
@@ -312,6 +312,92 @@ def test_type1_pattern_classes(dec1, scenario):
 @pytest.mark.parametrize("scenario", TYPE2_CLASSES, ids=lambda f: f.__name__)
 def test_type2_pattern_classes(dec2, scenario):
     assert scenario(dec2)
+
+
+# ---------------------------------------------------------------------------
+# Chase candidates decode in block 1 of the full code's table
+
+
+@pytest.fixture(scope="module")
+def dec_shifted():
+    """QC Type-I code whose block 1 is generated by x g, not by the base g."""
+    g = Poly.parse(GF2, presets.GOLAY_GEN)
+    gens = [Poly.monomial(GF2, t) * g for t in (1, 2, 3, 4)]
+    return GrcDecoder(from_qc_generators(23, gens))
+
+
+def test_chase_message_on_shifted_qc_code(dec_shifted):
+    chase = Candidate(4, (1, 2, 3, 4), "chase")
+    cw = dec_shifted.full_code.encode(MSG)
+    assert dec_shifted.candidate_message(cw, chase) == MSG
+    # pattern class 5: the vote leaves three wrong columns, within radius 3
+    rec = [x for z in chase_frame(dec_shifted) for x in z]
+    assert dec_shifted.candidate_message(rec, chase) == MSG
+    res = multi_round_decode(dec_shifted.grc, rec, 4, GenieVerifier(MSG), decoder=dec_shifted)
+    assert res.message == MSG
+
+
+# ---------------------------------------------------------------------------
+# q-ary decoding against a brute-force nearest-codeword oracle
+
+GF4 = field_create(2, 2)
+HEXACODE = [[1, 0, 0, 1, 2, 2], [0, 1, 0, 2, 1, 2], [0, 0, 1, 2, 2, 1]]  # 2 = alpha
+
+
+def _qary_codes():
+    yield type1_regular(presets.ternary_golay(), Permutation.cyclic_shift(11), 3)
+    yield type1_regular(LinearCode.from_rows(GF4, HEXACODE), Permutation.cyclic_shift(6), 3)
+
+
+def _oracle(codewords, n, received, blocks, metric):
+    """(message index, distance) of the first nearest codeword on ``blocks``
+    (0-based) of ``received``, which holds whole blocks of length n."""
+    best = None
+    for index, cw in enumerate(codewords):
+        cols = [
+            [cw[b * n + j] != received[b * n + j] for b in blocks] for j in range(n)
+        ]
+        dist = sum(map(sum, cols)) if metric == "hamming" else sum(map(any, cols))
+        if best is None or dist < best[1]:
+            best = (index, dist)
+    return best
+
+
+@pytest.mark.parametrize("grc", _qary_codes(), ids=lambda g: f"gf{g.field.q}")
+def test_qary_decoding_matches_oracle(grc):
+    q, k, m, n = grc.field.q, grc.dim, grc.m, grc.n
+    dec = GrcDecoder(grc)
+    messages = [tuple(i // q**j % q for j in range(k)) for i in range(q**k)]
+    codewords = [dec.full_code.encode(msg) for msg in messages]
+    rng = random.Random(q)
+    words = [[rng.randrange(q) for _ in range(m * n)] for _ in range(4)]
+    for _ in range(4):  # codewords with a few symbol errors
+        word = list(rng.choice(codewords))
+        for pos in rng.sample(range(m * n), 2 * m):
+            word[pos] = (word[pos] + rng.randrange(1, q)) % q
+        words.append(word)
+    for rec in words:
+        for metric, nb, blocks, kind in (
+            (Hamming(), m * n, [0], "hamming"),
+            (Block(m), n, range(m), "block"),
+        ):
+            res = md_decode(dec.full_code, rec, metric)
+            index, dist = _oracle(codewords, nb, rec, blocks, kind)
+            assert (res.message, res.codeword, res.distance) == (
+                messages[index], codewords[index], dist
+            )
+        # the repetition scheme adds Chase candidates on prefixes shorter than m
+        for cand in [*iter_candidates(grc, m), *iter_candidates(grc, m, scheme="repetition")]:
+            got = dec.candidate_message(rec, cand)
+            if cand.kind == "chase":
+                r = len(cand.blocks)
+                combined = chase_combine(
+                    dec.split(rec)[:r], grc.variant.perms[: r - 1], field=grc.field
+                )
+                index, _ = _oracle(codewords, n, combined, [0], "hamming")
+            else:
+                index, _ = _oracle(codewords, n, rec, [b - 1 for b in cand.blocks], cand.kind)
+            assert got == messages[index], cand
 
 
 # ---------------------------------------------------------------------------
