@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .bounds import BoundReport
 from .codes import LinearCode, _field_of_order
-from .codetable import load_table, search_qc_type2, verify_table
+from .codetable import EntryReport, hex_encode, load_table, search_qc_type2, verify_table
 from .decoding import AwgnBpskHard, Bsc, SimConfig, SimResult, fer_simulate
 from .grc import (
     GrcCode,
@@ -154,8 +154,6 @@ def _cmd_verify_table(args: argparse.Namespace) -> int:
         entries = [e for e in entries if e.no in wanted]
     cap = None if args.long_run else args.cap
     reports = verify_table(entries, cap=cap, threads=args.threads)
-    from .codetable import EntryReport
-
     print(EntryReport.CSV_HEADER)
     bad = False
     for rep in reports:
@@ -221,8 +219,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     print("n,k,g_hex,cofactor_hexes,sbdh,shdh")
     for c in cands:
-        from .codetable import hex_encode
-
         sb = "|".join(map(str, c.sbdh))
         sh = "|".join(map(str, c.shdh))
         cof = ";".join(hex_encode(f) for f in c.cofactors)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -174,12 +174,6 @@ class LinearCode:
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         return vec_mat_mul(message, self.gen)
 
-    def codewords(self) -> Iterator[tuple[int, ...]]:
-        """All q^k codewords in message-index order (small codes only)."""
-        table = kernels.build_table(self.field, self.gen.rows(), 1)
-        for i in range(table.size):
-            yield table.codeword(i)
-
     def is_cyclic(self) -> bool:
         shift = Permutation.cyclic_shift(self.n)
         shifted = Matrix.from_rows(self.field, [shift.apply(r) for r in self.gen.rows()])
@@ -284,21 +278,8 @@ class LinearCode:
 
     @classmethod
     def from_text(cls, text: str) -> tuple["LinearCode", int | None]:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("missing code header 'q n k [m]'; the text is empty")
-        head = lines[0].split()
-        if len(head) not in (3, 4):
-            raise ValueError("bad code header; expected 'q n k [m]'")
-        q, n, k = int(head[0]), int(head[1]), int(head[2])
-        m = int(head[3]) if len(head) == 4 else None
-        field = _field_of_order(q)
-        rows = [[int(x) for x in ln.split()] for ln in lines[1 : 1 + k]]
-        if len(rows) != k:
-            raise ValueError(f"missing generator rows: header gives k={k}, found {len(rows)}")
-        if any(len(r) != n for r in rows):
-            raise ValueError("generator rows do not match header")
-        return cls.from_rows(field, rows), m
+        head, field, rows, _ = _read_code_text(text, "code", "q n k [m]", (3, 4))
+        return cls.from_rows(field, rows), head[3] if len(head) == 4 else None
 
     def __repr__(self) -> str:
         return f"LinearCode[{self.n},{self.k}]_{self.q}"
@@ -318,3 +299,25 @@ def _field_of_order(q: int) -> Field:
                 raise ValueError(f"{q} is not a prime power")
             break
     return field_create(p, e)
+
+
+def _read_code_text(
+    text: str, kind: str, layout: str, sizes: tuple[int, ...]
+) -> tuple[list[int], Field, list[list[int]], list[str]]:
+    """(header, field, generator rows, the nonblank lines after the rows) of
+    a code file whose header is ``layout`` ('q n k ...') with one of
+    ``sizes`` values; ``kind`` names the file in error messages."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"missing {kind} header '{layout}'; the text is empty")
+    if len(lines[0].split()) not in sizes:
+        raise ValueError(f"bad {kind} header; expected '{layout}'")
+    head = [int(x) for x in lines[0].split()]
+    q, n, k = head[:3]
+    field = _field_of_order(q)
+    rows = [[int(x) for x in ln.split()] for ln in lines[1 : 1 + k]]
+    if len(rows) != k:
+        raise ValueError(f"missing generator rows: header gives k={k}, found {len(rows)}")
+    if any(len(r) != n for r in rows):
+        raise ValueError("generator rows do not match header")
+    return head, field, rows, lines[1 + k :]

@@ -118,11 +118,8 @@ def transmit(
         arr[hit] ^= 1
         return tuple(int(x) for x in arr)
     shift = rng.integers(1, field.q, size=len(arr))
-    if field.e == 1:
-        arr[hit] = (arr[hit] + shift[hit]) % field.q
-    else:
-        for i in np.nonzero(hit)[0]:
-            arr[i] = field.add(int(arr[i]), int(shift[i]))
+    add, _ = field.tables()
+    arr[hit] = add[arr[hit], shift[hit]]
     return tuple(int(x) for x in arr)
 
 
@@ -185,18 +182,16 @@ class DecodeResult:
 def _nearest(
     table: kernels.CodewordTable, received: Sequence[int], blocks: Sequence[int], metric: str
 ) -> tuple[int, int]:
-    """(message index, distance) of the codeword nearest to ``received`` on
-    the 0-based ``blocks``, in the 'hamming' or 'block' metric.
+    """(message index, distance) of the codeword nearest to ``received`` (all
+    m blocks) on the 0-based ``blocks``, in the 'hamming' or 'block' metric.
 
-    ``received`` holds whole blocks, at least up to the last one decoded.
     Ties resolve to the smallest message index (message digits little-endian
     in base q), which is the first argmin in table order.
     """
-    packed = table.pack(received)
     if metric == "hamming":
-        dist = kernels.hamming_distances(table, packed, blocks)
+        dist = kernels.hamming_distances(table, received, blocks)
     else:
-        dist = kernels.block_distances(table, packed, blocks)
+        dist = kernels.block_distances(table, received, blocks)
     idx = int(np.argmin(dist))
     return idx, int(dist[idx])
 
@@ -209,14 +204,14 @@ def md_decode(
     cap: int | None = None,
 ) -> DecodeResult:
     """Exhaustive nearest-codeword decoding in the given metric."""
-    kernels.check_cap(code.k, cap)
     if len(received) != code.n:
         raise ValueError("received length does not match code length")
     m = _metric_blocks(metric, code.n)
-    table = kernels.build_table(code.field, code.gen.rows(), m)
+    table = kernels.build_table(code.field, code.gen.rows(), m, cap=cap)
     kind = "hamming" if isinstance(metric, Hamming) else "block"
     idx, dist = _nearest(table, received, range(m), kind)
-    return DecodeResult(table.message(idx), table.codeword(idx), dist)
+    message = table.message(idx)
+    return DecodeResult(message, code.encode(message), dist)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +361,8 @@ class GrcDecoder:
                 tie_policy=tie_policy,
                 rng=rng,
             )
-            idx, _ = _nearest(self.table, combined, [0], "hamming")
+            padded = combined + (0,) * (len(received) - len(combined))
+            idx, _ = _nearest(self.table, padded, [0], "hamming")
         else:
             idx, _ = _nearest(self.table, received, [b - 1 for b in cand.blocks], cand.kind)
         return self.table.message(idx)

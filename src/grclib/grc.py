@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .bounds import griesmer_g
-from .codes import LinearCode
+from .codes import LinearCode, _read_code_text
 from .fields import Field
 from .matrices import Matrix
 from .perms import Permutation
@@ -446,29 +446,14 @@ def grc_to_text(grc: GrcCode) -> str:
 
 
 def grc_from_text(text: str) -> GrcCode:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("missing GRC header 'q n k m'; the text is empty")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise ValueError("bad GRC header; expected 'q n k m'")
-    q, total_n, k, m = (int(x) for x in head)
-    from .codes import _field_of_order
-
-    field = _field_of_order(q)
-    rows = [[int(x) for x in ln.split()] for ln in lines[1 : 1 + k]]
-    if len(rows) != k:
-        raise ValueError(f"missing generator rows: header gives k={k}, found {len(rows)}")
-    if any(len(r) != total_n for r in rows):
-        raise ValueError("generator rows do not match header")
+    (_, total_n, k, m), field, rows, lines = _read_code_text(text, "GRC", "q n k m", (4,))
     gen = Matrix.from_rows(field, rows)
-    idx = 1 + k
-    tag = lines[idx].split() if idx < len(lines) else []
+    tag = lines[0].split() if lines else []
     if tag[:1] != ["variant"] or len(tag) < 2:
         raise ValueError("missing variant line 'variant type1|type2|none'")
     variant_name = tag[1]
-    idx += 1
-    qc_lines = [ln for ln in lines[idx:] if ln.startswith("qc-")]
+    lines = lines[1:]
+    qc_lines = [ln for ln in lines if ln.startswith("qc-")]
     if qc_lines:
         n = int(qc_lines[0].split()[1])
         gens = [Poly.parse(field, ln.split(None, 1)[1]) for ln in qc_lines[1:]]
@@ -482,14 +467,14 @@ def grc_from_text(text: str) -> GrcCode:
         base = LinearCode(field, n, k, block1)
         perms = [
             Permutation(tuple(int(x) for x in ln.split()[1:]))
-            for ln in lines[idx:]
+            for ln in lines
             if ln.startswith("perm ")
         ]
         rebuilt = type1(base, perms)
     elif variant_name == "type2":
         base = LinearCode(field, n, k, block1)
         transforms = []
-        for ln in lines[idx:]:
+        for ln in lines:
             if not ln.startswith("transform "):
                 continue
             vals = [int(x) for x in ln.split()[1:]]

@@ -1,43 +1,46 @@
 """Vectorized exhaustive-enumeration kernels.
 
-Everything distance-related funnels through one engine here:
+Everything distance-related funnels through one engine and one codeword
+layout here:
 
 - ``_span`` builds all q^r combinations of r generator rows in message-index
   order.  It is the only place codewords are built.  GF(2) rows are packed
-  into uint64 words and combine by XOR; rows over other fields hold int16
-  symbols and combine through the field's add/multiply tables.
-- ``_chunks`` splits the q^k messages into chunks: the span of the low rows,
-  built once and transposed so each word or symbol is one contiguous row,
-  plus one combination of the high rows per chunk.
+  into words and combine by XOR; rows over other fields hold int16 symbols
+  and combine through the field's add/multiply tables.
+- ``build_table`` lays the q^k codewords out in chunks, as a
+  ``CodewordTable``: the span of the low rows, built once and transposed so
+  each (block, word) or (block, symbol) is one contiguous row, plus one
+  combination of the high rows per chunk.  Over GF(2) the words are uint64,
+  or the narrowest unsigned dtype that holds a block of at most 64 symbols.
 - ``_sweep`` turns each chunk into block-major support masks of shape
   (m, W, C): C codewords, W words per block, bit j of word w set when
   symbol b*w + j of the block is nonzero, for words of b bits.  Each
   (block, word) row is contiguous over the codewords, so every ufunc runs
-  its inner loop over a whole chunk.  Over GF(2) the words are the packed
-  codewords themselves: uint64, or the narrowest unsigned dtype that holds
-  a block of at most 64 symbols.  Over other fields they are uint8 bytes.
-  A block may span several words, so block length is not limited.
+  its inner loop over a whole chunk.  Over GF(2) the masks are the packed
+  codewords themselves; over other fields they are uint8 bytes.  A block
+  may span several words, so block length is not limited.
+
+Decoding sweeps the same table.  The distances from a received word r are
+the weights of the coset c - r, and r, packed like one more generator row,
+is subtracted from the high combinations before the sweep starts.
 
 Buffer contract: ``_sweep`` writes every chunk into buffers it allocates
 once per sweep and yields the same array each time, so a consumer
 finishes with one chunk before it asks for the next.  Buffers belong to
-one sweep, never to the module, so concurrent sweeps share nothing.
+one sweep, never to the module or to a table, so concurrent sweeps,
+decoding sweeps of one shared table included, share nothing they write.
 
-Two reducers consume the masks: the per-subset fold behind the distance
-profiles, and the union over all blocks behind single-metric distances and
-weight histograms.  Both count weights in the smallest unsigned dtype that
-holds them, and take minima over nonzero codewords by wrap-around (see
-``_min_nonzero``).  Reductions are deterministic and independent of chunk
-boundaries.
-
-Decoding tables (``build_table``) keep their layout here too: a received
-word enters it through ``CodewordTable.pack``.
+Three reducers consume the masks: the per-subset fold behind the distance
+profiles, the union over all blocks behind single-metric distances and
+weight histograms, and the per-codeword distances of a decode.  All count
+weights in the smallest unsigned dtype that holds them; minima over nonzero
+codewords are taken by wrap-around (see ``_min_nonzero``).  Reductions are
+deterministic and independent of chunk boundaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,16 +91,52 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     return padded.view(np.uint64)
 
 
-def _rows_to_blocks(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
+def _pack_rows(field: Field, rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
+    """Rows of m blocks each as (r, m, W): packed words over GF(2), in the
+    narrowest unsigned dtype that holds a block when one word does; int16
+    symbols (W = block length) over other fields."""
     arr = np.array(rows, dtype=np.int16)
-    k, length = arr.shape
+    r, length = arr.shape
     if length % m:
         raise ValueError(f"length {length} not divisible by block count {m}")
-    return arr.reshape(k, m, length // m)
+    blocks = arr.reshape(r, m, length // m)
+    if field.q != 2:
+        return blocks
+    packed = _pack_bits(blocks)
+    if packed.shape[2] == 1:
+        return packed.astype(np.min_scalar_type((1 << blocks.shape[2]) - 1))
+    return packed
 
 
 # ---------------------------------------------------------------------------
 # the enumeration engine
+
+
+class CodewordTable(NamedTuple):
+    """All q^k codewords of a blocked code, in chunks of message indices.
+
+    Chunk t holds the codewords ``low + highs[t]``, the message indices
+    [t * C, (t + 1) * C).  ``low`` (m, W, C) is the span of the low rows,
+    each (block, word) row contiguous over the C codewords; ``highs``
+    (q^k / C, m, W) holds the combinations of the high rows.  Message index
+    digits in base q (little-endian) are the message symbols.
+    """
+
+    field: Field
+    low: np.ndarray
+    highs: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.low.shape[2] * len(self.highs)
+
+    def message(self, index: int) -> tuple[int, ...]:
+        q, size, span, out = self.field.q, self.size, 1, []
+        while span < size:
+            out.append(index % q)
+            index //= q
+            span *= q
+        return tuple(out)
 
 
 def _span(field: Field, rows: np.ndarray) -> np.ndarray:
@@ -124,51 +163,43 @@ def _span(field: Field, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunks(field: Field, rows: np.ndarray, chunk_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(low, highs): chunk t's codewords are low + highs[t].
-
-    ``low`` is the span of the first lo rows, with q^lo <= max(q, chunk_rows),
-    transposed to (width, q^lo) so that each word or symbol is one
-    contiguous row.  ``highs`` holds the combinations of the remaining rows,
-    one per chunk, so chunk t covers message indices [t * q^lo, (t+1) * q^lo).
-    """
-    q = field.q
-    k = len(rows)
+def build_table(
+    field: Field, rows: Sequence[Sequence[int]], m: int, *, cap: int | None = None
+) -> CodewordTable:
+    """The codewords of ``rows``, read as m blocks, in chunks of at most
+    ``_CHUNK_BUDGET`` mask words: the low rows are the first lo, with
+    q^lo <= max(q, codewords per chunk)."""
+    check_cap(len(rows), cap)
+    packed = _pack_rows(field, rows, m)
+    k, _, width = packed.shape
+    words = width if field.q == 2 else (width + 7) // 8  # mask words per block
     lo = 1
-    while lo < k and q ** (lo + 1) <= chunk_rows:
+    while lo < k and field.q ** (lo + 1) <= _CHUNK_BUDGET // (m * words):
         lo += 1
-    low = np.ascontiguousarray(_span(field, rows[:lo]).T)
-    return low, _span(field, rows[lo:])
+    flat = packed.reshape(k, m * width)
+    low = np.ascontiguousarray(_span(field, flat[:lo]).T).reshape(m, width, -1)
+    return CodewordTable(field, low, _span(field, flat[lo:]).reshape(-1, m, width))
 
 
-def _sweep(field: Field, rows: Sequence[Sequence[int]], m: int) -> Iterator[np.ndarray]:
-    """Block-major support masks (m, W, C) of all q^k codewords, per chunk.
+def _sweep(field: Field, low: np.ndarray, highs: np.ndarray) -> Iterator[np.ndarray]:
+    """Block-major support masks (m, W, C) of ``low + high`` for each high.
 
-    The same buffer is yielded for every chunk.  Over GF(2) the words are
-    the packed codewords, in the narrowest unsigned dtype that holds a block
-    when one word does.  Over other fields, ``low + high`` is nonzero exactly
+    The same buffer is yielded for every chunk.  Over GF(2) the masks are
+    the packed words.  Over other fields, ``low + high`` is nonzero exactly
     where ``low`` differs from ``-high``, and the 0/1 bytes of that test are
     shifted into bits eight codewords at a time, through uint64 views of
     rows padded to a multiple of 8 codewords.
     """
-    blocks = _rows_to_blocks(rows, m)
-    k, _, nb = blocks.shape
+    m, nb, c = low.shape
     if field.q == 2:
-        packed = _pack_bits(blocks).reshape(k, -1)
-        if packed.shape[1] == m:
-            packed = packed.astype(np.min_scalar_type((1 << nb) - 1))
-        low, highs = _chunks(field, packed, _CHUNK_BUDGET // packed.shape[1])
         masks = np.empty_like(low)
         for high in highs:
-            np.bitwise_xor(low, high[:, None], out=masks)
-            yield masks.reshape(m, -1, masks.shape[1])
+            np.bitwise_xor(low, high[:, :, None], out=masks)
+            yield masks
         return
     _, mul = field.tables()
     neg = mul[field.neg(1)]
     nw = (nb + 7) // 8
-    low, highs = _chunks(field, blocks.reshape(k, m * nb), _CHUNK_BUDGET // (m * nw))
-    c = low.shape[1]
-    low = low.reshape(m, nb, c)
     c8 = -(-c // 8)
     nonzero = np.zeros((m, 8 * nw, 8 * c8), dtype=bool)  # padding stays False
     # bits[:, w, j] holds symbol 8*w + j of eight codewords per uint64
@@ -176,7 +207,7 @@ def _sweep(field: Field, rows: Sequence[Sequence[int]], m: int) -> Iterator[np.n
     masks = np.empty((m, nw, 8 * c8), dtype=np.uint8)
     words, shifted = masks.view(np.uint64), np.empty((m, nw, c8), dtype=np.uint64)
     for high in highs:
-        np.not_equal(low, neg[high].reshape(m, nb, 1), out=nonzero[:, :nb, :c])
+        np.not_equal(low, neg[high][:, :, None], out=nonzero[:, :nb, :c])
         np.copyto(words, bits[:, :, 0])
         for j in range(1, min(8, nb)):
             np.left_shift(bits[:, :, j], j, out=shifted)
@@ -184,8 +215,8 @@ def _sweep(field: Field, rows: Sequence[Sequence[int]], m: int) -> Iterator[np.n
         yield masks[:, :, :c]
 
 
-def _weights(words: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Set bits of (W, C) words, summed over W into ``out`` (C,)."""
+def _weights(words: Sequence[np.ndarray], out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Set bits of W rows of C words, summed over W into ``out`` (C,)."""
     np.bitwise_count(words[0], out=out)
     for row in words[1:]:
         np.bitwise_count(row, out=tmp)
@@ -223,10 +254,10 @@ def subset_minima(
     """
     if m > 16:
         raise ValueError("block count above 16 not supported for profiles")
-    check_cap(len(rows), cap)
     block_min = np.full(1 << m, _INF, dtype=np.int64)
     ham_min = np.full(1 << m, _INF, dtype=np.int64)
-    _fold_subsets(_sweep(field, rows, m), np.min_scalar_type(len(rows[0])), block_min, ham_min)
+    chunks = _sweep(*build_table(field, rows, m, cap=cap))
+    _fold_subsets(chunks, np.min_scalar_type(len(rows[0])), block_min, ham_min)
     return block_min, ham_min
 
 
@@ -273,11 +304,13 @@ def _fold_subsets(
 # single-metric sweeps: the union over all blocks
 
 
-def _block_weights(field: Field, rows: Sequence[Sequence[int]], m: int) -> Iterator[np.ndarray]:
+def _block_weights(
+    field: Field, rows: Sequence[Sequence[int]], m: int, cap: int | None
+) -> Iterator[np.ndarray]:
     """Block weight (C,) of every codeword, per chunk, in one reused buffer."""
     dtype = np.min_scalar_type(len(rows[0]) // m)
     w = None
-    for masks in _sweep(field, rows, m):
+    for masks in _sweep(*build_table(field, rows, m, cap=cap)):
         if w is None:
             union = np.empty(masks.shape[1:], masks.dtype)
             w, tmp = np.empty((2, masks.shape[2]), dtype)
@@ -294,9 +327,8 @@ def min_block_distance(
     cap: int | None = None,
 ) -> int:
     """Minimum block weight over nonzero codewords (m = 1: Hamming)."""
-    check_cap(len(rows), cap)
     best = _INF
-    for w in _block_weights(field, rows, m):
+    for w in _block_weights(field, rows, m, cap):
         best = min(best, _min_nonzero(w, w))
     if best == _INF:
         raise ValueError("degenerate zero code has no minimum distance")
@@ -311,99 +343,60 @@ def weight_histogram(
     cap: int | None = None,
 ) -> np.ndarray:
     """Counts of codewords by block weight, length (n_blocks + 1)."""
-    check_cap(len(rows), cap)
     nb_cols = len(rows[0]) // m
     counts = np.zeros(nb_cols + 1, dtype=np.int64)
-    for w in _block_weights(field, rows, m):
+    for w in _block_weights(field, rows, m, cap):
         counts += np.bincount(w, minlength=nb_cols + 1)
     return counts
 
 
 # ---------------------------------------------------------------------------
-# full codeword tables (decoding support)
-
-_TABLE_BUDGET = 1 << 24  # max resident elements for a decode table
+# decoding: distances from a received word to every codeword
 
 
-@dataclass
-class CodewordTable:
-    """All q^k codewords of a blocked code, message-indexed.
+def _distances(
+    table: CodewordTable, received: Sequence[int], blocks: Sequence[int], union: bool
+) -> np.ndarray:
+    """Weights of c - r on the 0-based ``blocks`` for every codeword c, in
+    message-index order: summed over the blocks, or of their union.
 
-    GF(2): ``packed`` has shape (2^k, m, Wb) uint64.  Other fields:
-    ``values`` has shape (q^k, m, nb) int16.  Message index digits in base q
-    (little-endian) are the message symbols.
+    Only blocks min(blocks)..max(blocks) are swept.  ``received`` holds all
+    m blocks; subtracting it from the high combinations makes every chunk
+    a chunk of the coset c - r.
     """
-
-    field: Field
-    k: int
-    m: int
-    nb: int
-    packed: np.ndarray | None
-    values: np.ndarray | None
-
-    @property
-    def size(self) -> int:
-        return self.field.q**self.k
-
-    def message(self, index: int) -> tuple[int, ...]:
-        q = self.field.q
-        out = []
-        for _ in range(self.k):
-            out.append(index % q)
-            index //= q
-        return tuple(out)
-
-    def codeword(self, index: int) -> tuple[int, ...]:
-        if self.values is not None:
-            return tuple(self.values[index].reshape(-1).tolist())
-        words = self.packed[index].view(np.uint8)  # (m, 8 Wb), little-endian bits
-        bits = np.unpackbits(words, axis=-1, count=self.nb, bitorder="little")
-        return tuple(bits.reshape(-1).tolist())
-
-    def pack(self, vec: Sequence[int]) -> np.ndarray:
-        """Whole blocks of a received word in the table's layout, one row per
-        block, for the distance kernels: (len(vec) / nb, Wb) uint64 over
-        GF(2), (len(vec) / nb, nb) int16 otherwise."""
-        if self.values is not None:
-            return np.array(vec, dtype=np.int16).reshape(-1, self.nb)
-        return _pack_bits(np.array(vec, dtype=np.uint8).reshape(-1, self.nb))
-
-
-def build_table(field: Field, rows: Sequence[Sequence[int]], m: int) -> CodewordTable:
-    k = len(rows)
-    length = len(rows[0])
-    nb = length // m
-    if field.q**k * length > _TABLE_BUDGET * 4:
-        raise DimensionCapError(f"codeword table too large for k={k}, q={field.q}")
-    blocks = _rows_to_blocks(rows, m)
+    field, low, highs = table
+    first, last = min(blocks), max(blocks) + 1
+    r = _pack_rows(field, [received], low.shape[0])[0, first:last]
     if field.q == 2:
-        packed = _pack_bits(blocks)
-        wb = packed.shape[-1]
-        table = _span(field, packed.reshape(k, m * wb))
-        return CodewordTable(field, k, m, nb, table.reshape(-1, m, wb), None)
-    table = _span(field, blocks.reshape(k, length))
-    return CodewordTable(field, k, m, nb, None, table.reshape(-1, m, nb))
+        shifted = highs[:, first:last] ^ r
+    else:
+        add, mul = field.tables()
+        shifted = add[highs[:, first:last], mul[field.neg(1)][r]]
+    c = low.shape[2]
+    dist = None
+    for t, masks in enumerate(_sweep(field, low[first:last], shifted)):
+        picked = [masks[b - first] for b in blocks]
+        if dist is None:
+            bits = masks.shape[1] * 8 * masks.itemsize * (1 if union else len(picked))
+            dist = np.empty(table.size, np.min_scalar_type(bits))
+            tmp = np.empty(c, dist.dtype)
+            either = np.empty(masks.shape[1:], masks.dtype)
+        if union and len(picked) > 1:
+            np.bitwise_or(picked[0], picked[1], out=either)
+            for block in picked[2:]:
+                either |= block
+            picked = [either]
+        _weights([row for block in picked for row in block], dist[t * c : (t + 1) * c], tmp)
+    return dist
 
 
-def hamming_distances(table: CodewordTable, received: np.ndarray, blocks: Sequence[int]) -> np.ndarray:
-    """Distance from ``received`` to every codeword, restricted to ``blocks``.
-
-    received: rows from ``CodewordTable.pack``.  Returns (q^k,) int64.
-    """
-    idx = list(blocks)
-    if table.packed is not None:
-        diff = table.packed[:, idx, :] ^ received[idx, :][None, :, :]
-        return np.bitwise_count(diff).sum(axis=(1, 2), dtype=np.int64)
-    diff = table.values[:, idx, :] != received[idx, :][None, :, :]
-    return diff.sum(axis=(1, 2), dtype=np.int64)
+def hamming_distances(table: CodewordTable, received: Sequence[int], blocks: Sequence[int]) -> np.ndarray:
+    """Hamming distance from ``received`` (all m blocks) to every codeword,
+    on the 0-based ``blocks``, in the smallest unsigned dtype that holds it."""
+    return _distances(table, received, blocks, union=False)
 
 
-def block_distances(table: CodewordTable, received: np.ndarray, blocks: Sequence[int]) -> np.ndarray:
-    """Block-metric distances restricted to ``blocks`` (columns that differ)."""
-    idx = list(blocks)
-    if table.packed is not None:
-        diff = table.packed[:, idx, :] ^ received[idx, :][None, :, :]
-        union = np.bitwise_or.reduce(diff, axis=1)
-        return np.bitwise_count(union).sum(axis=-1, dtype=np.int64)
-    diff = table.values[:, idx, :] != received[idx, :][None, :, :]
-    return diff.any(axis=1).sum(axis=-1, dtype=np.int64)
+def block_distances(table: CodewordTable, received: Sequence[int], blocks: Sequence[int]) -> np.ndarray:
+    """Block-metric distances on ``blocks``: the columns where some chosen
+    block of the codeword differs from ``received``."""
+    return _distances(table, received, blocks, union=True)

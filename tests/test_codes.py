@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grclib import kernels
+from grclib import decoding, kernels
 from grclib.codes import (
     Block,
     BlockView,
@@ -173,19 +173,22 @@ def _small_codes(draw):
     return field, rows, m
 
 
-@given(_small_codes())
+@given(_small_codes(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_kernels_match_oracle_across_chunks(code):
+def test_kernels_match_oracle_across_chunks(code, data):
     field, rows, m = code
-    nb = len(rows[0]) // m
+    q, k, n = field.q, len(rows), len(rows[0])
+    nb = n // m
     inf = np.iinfo(np.int64).max
     oracle = dict(_oracle_codewords(field, rows))
+    received = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
     with pytest.MonkeyPatch.context() as mp:
         # chunks of q messages: every code with k >= 2 spans several chunks
         mp.setattr(kernels, "_CHUNK_BUDGET", 1)
         block_min, ham_min = kernels.subset_minima(field, rows, m)
         dist = kernels.min_block_distance(field, rows, m)
         hist = kernels.weight_histogram(field, rows, m)
+        table = kernels.build_table(field, rows, m)
     want_block, want_ham = _oracle_subset_minima(field, rows, m)
     assert [None if b == inf else int(b) for b in block_min[1:]] == want_block[1:]
     assert [None if h == inf else int(h) for h in ham_min[1:]] == want_ham[1:]
@@ -194,10 +197,21 @@ def test_kernels_match_oracle_across_chunks(code):
     for cw in oracle.values():
         want_hist[_oracle_block_weight(cw, m)] += 1
     assert hist.tolist() == want_hist
-    table = kernels.build_table(field, rows, m)
+    # decoding: distances from a received word on every block subset, in
+    # message-index order (digits little-endian), and the first argmin
     assert table.size == len(oracle)
-    for i in range(table.size):
-        assert table.codeword(i) == oracle[table.message(i)]
+    words = [oracle[tuple(i // q**j % q for j in range(k))] for i in range(q**k)]
+    for t in range(1, 1 << m):
+        blocks = [b for b in range(m) if t >> b & 1]
+        differs = [[[cw[b * nb + j] != received[b * nb + j] for j in range(nb)] for b in blocks]
+                   for cw in words]
+        want = {"hamming": [sum(map(sum, d)) for d in differs],
+                "block": [sum(map(any, zip(*d))) for d in differs]}
+        assert kernels.hamming_distances(table, received, blocks).tolist() == want["hamming"]
+        assert kernels.block_distances(table, received, blocks).tolist() == want["block"]
+        for metric, dists in want.items():
+            best = min(dists)
+            assert decoding._nearest(table, received, blocks, metric) == (dists.index(best), best)
 
 
 def test_profile_of_blocks_longer_than_64():

@@ -337,6 +337,22 @@ def test_chase_message_on_shifted_qc_code(dec_shifted):
     assert res.message == MSG
 
 
+def test_chase_candidate_accepts_inside_the_ladder(dec1):
+    """Five errors per block, on aligned columns disjoint across the blocks:
+    every Hamming and block candidate of the ladder fails, and the vote of
+    the aligned copies removes every error.  The columns come from a seeded
+    search over random disjoint choices (3 such frames in 3,000)."""
+    groups = [(6, 10, 11, 12, 19), (0, 1, 3, 8, 9), (16, 18, 20, 21, 22), (2, 5, 7, 13, 14)]
+    base = dec1.split(dec1.full_code.encode(MSG))[0]
+    rec = []
+    for b, cols in enumerate(groups):
+        z = tuple(x ^ (j in cols) for j, x in enumerate(base))
+        rec += z if b == 0 else dec1.grc.variant.perms[b - 1].apply(z)
+    res = multi_round_decode(dec1.grc, rec, 4, GenieVerifier(MSG), decoder=dec1)
+    assert res.accepted_by == Candidate(4, (1, 2, 3, 4), "chase")
+    assert res.message == MSG
+
+
 # ---------------------------------------------------------------------------
 # q-ary decoding against a brute-force nearest-codeword oracle
 
