@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from . import kernels
 from .fields import Field, field_create
-from .grc import distance_profile, from_qc_generators
+from .grc import GrcCode, distance_profile, from_qc_generators
 from .poly import Poly, factor_xn_minus_1, poly_gcd, poly_gcd_many
 
 __all__ = [
@@ -178,6 +178,18 @@ def hex_encode(poly: Poly) -> str:
 
 @dataclass(frozen=True)
 class EntryReport:
+    """Verdict on one catalog row.
+
+    ``attempted`` holds one line per hex interpretation tried, in order,
+    ``"<tag> pads <p1>/<p2>: <values>"``.  Values are exact distances,
+    ``d1=15 d2=23 ud2=31``, when the interpretation was swept in full.  An
+    interpretation whose sweep stopped at a codeword below a listed distance
+    names that witness instead, as an upper bound and the listed value:
+    ``d2<=13 (listed 14)``, with several joined by ``", "``.  Only a
+    verified row keeps such lines; on a mismatch or undecodable row every
+    line is exact.
+    """
+
     entry: CodeTableEntry
     status: str  # verified | mismatch | undecodable | skipped
     computed_d1: int | None = None
@@ -269,11 +281,45 @@ def _interpretations(entry: CodeTableEntry, field: Field):
                 yield tag, pads, a, b
 
 
+def _triple(
+    grc: GrcCode, cap: int | None, listed: tuple[int, int, int] | None = None
+) -> tuple[int, int, int]:
+    """(d1, d2, ud2) of a two-block code.  Given the ``listed`` triple, the
+    sweep stops at the first codeword below a listed value, so a triple with
+    some value below ``listed`` is an upper bound; any other is exact."""
+    floor = None
+    if listed is not None:
+        d1, d2, ud2 = listed
+        floor = ([0, d1, d1, d2], [0, d1, d1, ud2])
+    bm, hm = kernels.subset_minima(grc.field, grc.gen.rows(), grc.m, cap=cap, floor=floor)
+    return min(int(bm[1]), int(bm[2])), int(bm[3]), int(hm[3])
+
+
+def _witnesses(triple: tuple[int, int, int], listed: tuple[int, int, int]) -> list[str]:
+    """The values of a floored ``_triple`` below their listed ones, as
+    bounds; the sweep ran to the end, and ``triple`` is exact, iff none."""
+    return [
+        f"{name}<={v} (listed {want})"
+        for name, v, want in zip(("d1", "d2", "ud2"), triple, listed)
+        if v < want
+    ]
+
+
+def _attempt_line(tag: str, pads: tuple[int, int], triple, witnesses=()) -> str:
+    values = ", ".join(witnesses) or "d1={} d2={} ud2={}".format(*triple)
+    return f"{tag} pads {pads[0]}/{pads[1]}: {values}"
+
+
 def verify_entry(
     entry: CodeTableEntry, *, cap: int | None = VERIFY_CAP
 ) -> EntryReport:
     """Rebuild the entry's code from the hex pair and compare all three
-    listed distances, searching consistent hex interpretations."""
+    listed distances, searching consistent hex interpretations.
+
+    An interpretation's sweep stops at its first codeword below a listed
+    distance.  If no interpretation verifies, those stopped early are swept
+    again in full, so a mismatch reports exact distances.
+    """
     t0 = time.monotonic()
     field = field_create(2)
     if cap is not None and entry.k > cap:
@@ -289,16 +335,16 @@ def verify_entry(
             note="no interpretation matches the listed dimension",
             elapsed=time.monotonic() - t0,
         )
+    listed = (entry.d1, entry.d2, entry.ud2)
     attempted: list[str] = []
-    closest: tuple[int, int, int] | None = None
+    tried = []
     for tag, pads, a, b in candidates:
         grc = from_qc_generators(entry.n, [a, b])
-        prof = distance_profile(grc, cap=cap)
-        d1 = min(prof.sbdh[0], prof.shdh[0])
-        d2 = prof.sbdh[1]
-        ud2 = prof.shdh[1]
-        attempted.append(f"{tag} pads {pads[0]}/{pads[1]}: d1={d1} d2={d2} ud2={ud2}")
-        if (d1, d2, ud2) == (entry.d1, entry.d2, entry.ud2):
+        triple = _triple(grc, cap, listed)
+        witnesses = _witnesses(triple, listed)
+        attempted.append(_attempt_line(tag, pads, triple, witnesses))
+        if triple == listed:
+            d1, d2, ud2 = triple
             return EntryReport(
                 entry,
                 "verified",
@@ -310,8 +356,14 @@ def verify_entry(
                 note=tag,
                 elapsed=time.monotonic() - t0,
             )
-        if closest is None or d1 == entry.d1:
-            closest = (d1, d2, ud2)
+        tried.append((tag, pads, grc, None if witnesses else triple))
+    attempted = []
+    closest: tuple[int, int, int] | None = None
+    for tag, pads, grc, triple in tried:
+        triple = triple or _triple(grc, cap)  # bounds are swept again, in full
+        attempted.append(_attempt_line(tag, pads, triple))
+        if closest is None or triple[0] == entry.d1:
+            closest = triple
     d1, d2, ud2 = closest
     status = "mismatch" if d1 == entry.d1 else "undecodable"
     return EntryReport(
@@ -357,10 +409,6 @@ class SearchCandidate:
     @property
     def score(self) -> tuple[int, ...]:
         return self.sbdh + self.shdh
-
-    def hex_pair(self) -> tuple[str, ...]:
-        xn1 = Poly.xn_minus_1(self.g.field, self.n)
-        return tuple(hex_encode((f * self.g) % xn1) for f in self.cofactors)
 
 
 def _degree_subsets(degrees: Sequence[int], target: int) -> list[tuple[int, ...]]:

@@ -35,7 +35,9 @@ profiles, the union over all blocks behind single-metric distances and
 weight histograms, and the per-codeword distances of a decode.  All count
 weights in the smallest unsigned dtype that holds them; minima over nonzero
 codewords are taken by wrap-around (see ``_min_nonzero``).  Reductions are
-deterministic and independent of chunk boundaries.
+deterministic and independent of chunk boundaries.  The one exception is a
+fold given floors (``subset_minima(floor=)``): it stops at the end of a
+chunk, so the upper bounds it returns depend on where chunks end.
 """
 
 from __future__ import annotations
@@ -245,26 +247,40 @@ def subset_minima(
     m: int,
     *,
     cap: int | None = None,
+    floor: tuple[Sequence[int], Sequence[int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum block and Hamming weights of every nonempty block-subset.
 
     Returns (block_min, ham_min), each of length 2^m and indexed by the
     subset bitmask (bit i = block i+1 present).  Entry 0 and subsets whose
     projection is identically zero hold the _INF sentinel.
+
+    ``floor`` = (block_floor, ham_floor), one entry per subset indexed like
+    the result, stops the sweep after the first chunk in which some running
+    minimum falls below its floor.  Minima only fall as chunks are folded,
+    so the codeword found there is a witness that the true minimum is below
+    the floor too.  When the sweep stops early the returned minima are upper
+    bounds and at least one is below its floor; when none is below its
+    floor, the sweep ran to the end and the minima are exact.  An entry of
+    0 never stops the sweep.  Without a floor every chunk is folded.
     """
     if m > 16:
         raise ValueError("block count above 16 not supported for profiles")
     block_min = np.full(1 << m, _INF, dtype=np.int64)
     ham_min = np.full(1 << m, _INF, dtype=np.int64)
     chunks = _sweep(*build_table(field, rows, m, cap=cap))
-    _fold_subsets(chunks, np.min_scalar_type(len(rows[0])), block_min, ham_min)
+    block_floor, ham_floor = (0, 0) if floor is None else floor
+    for _ in _fold_subsets(chunks, np.min_scalar_type(len(rows[0])), block_min, ham_min):
+        if (block_min < block_floor).any() or (ham_min < ham_floor).any():
+            break
     return block_min, ham_min
 
 
 def _fold_subsets(
     chunks: Iterator[np.ndarray], dtype: np.dtype, block_min: np.ndarray, ham_min: np.ndarray
-) -> None:
-    """Fold the masks (m, W, C) of every chunk into the per-subset minima.
+) -> Iterator[None]:
+    """Fold the masks (m, W, C) of every chunk into the per-subset minima,
+    yielding once each chunk's fold is complete.
 
     Subsets are visited depth first, in lexicographic order of their block
     lists, so a subset of d + 1 blocks extends the subset visited last at
@@ -298,6 +314,7 @@ def _fold_subsets(
                 ham = _min_nonzero(hams[d], tmp)
             block_min[t] = min(int(block_min[t]), block)
             ham_min[t] = min(int(ham_min[t]), ham)
+        yield
 
 
 # ---------------------------------------------------------------------------

@@ -55,11 +55,6 @@ class Matrix:
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
         return cls(field, nrows, ncols, (0,) * (nrows * ncols))
 
-    @classmethod
-    def from_numpy(cls, field: Field, arr: np.ndarray) -> "Matrix":
-        arr = np.asarray(arr)
-        return cls.from_rows(field, arr.tolist())
-
     # -- access ---------------------------------------------------------------
 
     def __getitem__(self, idx: tuple[int, int]) -> int:

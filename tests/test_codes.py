@@ -182,16 +182,34 @@ def test_kernels_match_oracle_across_chunks(code, data):
     inf = np.iinfo(np.int64).max
     oracle = dict(_oracle_codewords(field, rows))
     received = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    floor = data.draw(st.tuples(*[st.lists(st.integers(0, n + 1), min_size=1 << m,
+                                           max_size=1 << m)] * 2))
+    want_block, want_ham = _oracle_subset_minima(field, rows, m)
+    exact = [[inf if v is None else v for v in want] for want in (want_block, want_ham)]
+    # one subset's floor one above its true minimum, every other floor at it
+    kind, t = data.draw(st.sampled_from(
+        [(j, t) for j in (0, 1) for t in range(1, 1 << m) if exact[j][t] != inf]))
+    raised = [list(want) for want in exact]
+    raised[kind][t] += 1
     with pytest.MonkeyPatch.context() as mp:
         # chunks of q messages: every code with k >= 2 spans several chunks
         mp.setattr(kernels, "_CHUNK_BUDGET", 1)
         block_min, ham_min = kernels.subset_minima(field, rows, m)
+        floored = kernels.subset_minima(field, rows, m, floor=floor)
+        at_minima = kernels.subset_minima(field, rows, m, floor=exact)
+        above = kernels.subset_minima(field, rows, m, floor=raised)
         dist = kernels.min_block_distance(field, rows, m)
         hist = kernels.weight_histogram(field, rows, m)
         table = kernels.build_table(field, rows, m)
-    want_block, want_ham = _oracle_subset_minima(field, rows, m)
     assert [None if b == inf else int(b) for b in block_min[1:]] == want_block[1:]
     assert [None if h == inf else int(h) for h in ham_min[1:]] == want_ham[1:]
+    # a floored sweep returns upper bounds, exact unless one is below its floor
+    for got, want in zip(floored, exact):
+        assert all(g >= w for g, w in zip(got.tolist(), want))
+    if not any(g < f for got, low in zip(floored, floor) for g, f in zip(got.tolist(), low)):
+        assert [got.tolist() for got in floored] == exact
+    assert [got.tolist() for got in at_minima] == exact
+    assert above[kind][t] == exact[kind][t] < raised[kind][t]
     assert dist == _oracle_min_distance(field, rows, m)
     want_hist = [0] * (nb + 1)
     for cw in oracle.values():

@@ -1,9 +1,13 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grclib import kernels
 from grclib.codetable import (
     CodeTableEntry,
+    _interpretations,
     hex_decode,
     hex_decode_candidates,
     hex_encode,
@@ -106,12 +110,49 @@ def test_row_above_cap_is_skipped():
     assert "above cap" in rep.note
 
 
-def test_tampered_row_is_flagged():
-    e = load_table()[0]
-    bad = CodeTableEntry(e.no, e.n, e.k, e.g1_hex, e.g2_hex, e.d1 + 1, e.d2, e.ud2)
-    rep = verify_entry(bad)
-    assert rep.status in ("mismatch", "undecodable")
-    assert rep.attempted  # interpretations recorded
+def _full_profiles(entry):
+    """(tag, pads, exact (d1, d2, ud2)) of every interpretation of the row,
+    each from a full distance_profile."""
+    out = []
+    for tag, pads, a, b in _interpretations(entry, GF2):
+        prof = distance_profile(from_qc_generators(entry.n, [a, b]))
+        out.append((tag, pads, (prof.sbdh[0], prof.sbdh[1], prof.shdh[1])))
+    return out
+
+
+def test_tampered_row_is_flagged(monkeypatch):
+    # chunks of two codewords: on row 3 the floored sweeps stop with bounds
+    # that are not yet the true distances
+    monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 1)
+    for e in (load_table()[0], load_table()[2]):
+        bad = CodeTableEntry(e.no, e.n, e.k, e.g1_hex, e.g2_hex, e.d1 + 1, e.d2, e.ud2)
+        rep = verify_entry(bad)
+        assert rep.status in ("mismatch", "undecodable")
+        # one exact line per interpretation, early-stopped sweeps included
+        assert rep.attempted == tuple(
+            f"{tag} pads {pads[0]}/{pads[1]}: d1={d1} d2={d2} ud2={ud2}"
+            for tag, pads, (d1, d2, ud2) in _full_profiles(bad)
+        )
+
+
+def test_early_rejected_lines_name_a_witness():
+    e = load_table()[2]  # verified by its third interpretation
+    rep = verify_entry(e)
+    assert (rep.status, rep.note, rep.chosen_pads) == ("verified", "cof2", (3, 0))
+    assert (rep.computed_d1, rep.computed_d2, rep.computed_ud2) == (11, 19, 24)
+    listed = {"d1": e.d1, "d2": e.d2, "ud2": e.ud2}
+    profiles = _full_profiles(e)
+    assert len(rep.attempted) == 3
+    for line, (tag, pads, exact) in zip(rep.attempted[:-1], profiles):
+        head, values = line.split(": ")
+        assert head == f"{tag} pads {pads[0]}/{pads[1]}"
+        assert "=" not in values.replace("<=", "")  # bounds, never exact distances
+        for witness in values.split(", "):
+            name, bound, want = re.fullmatch(r"(d1|d2|ud2)<=(\d+) \(listed (\d+)\)", witness).groups()
+            # a real codeword's weight: at least the true distance, below the listed one
+            true = dict(zip(("d1", "d2", "ud2"), exact))[name]
+            assert true <= int(bound) < int(want) == listed[name]
+    assert rep.attempted[-1] == "cof2 pads 3/0: d1=11 d2=19 ud2=24"
 
 
 def test_wrong_dimension_is_undecodable():
