@@ -7,13 +7,20 @@ decoding is exact nearest-codeword search in the relevant metric.
 
 One decoding path: a ``GrcDecoder`` holds one codeword table, of the full
 code, and each candidate, like ``md_decode``, is a nearest-codeword search
-in it on a block subset.  A Chase candidate votes the Type-I copies aligned
-onto block 1 and decodes the result in block 1 of that table, so its message
-is numbered like every other.  The simulator runs ``multi_round_decode``.
+in it on a block subset (``kernels.nearest``).  A Chase candidate votes the
+Type-I copies aligned onto block 1 and decodes the result in block 1 of that
+table, so its message is numbered like every other.  One candidate loop,
+``GrcDecoder.first_accepted``, walks the candidates once for a batch of
+frames and decodes every frame not yet accepted in one sweep per
+candidate; ``multi_round_decode`` is that loop on one frame, and the
+simulator runs it on batches of frames.
 
 All randomness flows from a master seed; the stream for frame f, block b is
-derived with an independent spawn key, so results are bit-reproducible and
-independent of how frames are partitioned across workers.
+numpy's ``SeedSequence(seed, spawn_key=(f, b))`` feeding PCG64 (``rng_for``),
+so results are bit-reproducible and independent of how frames are
+partitioned across workers.  The simulator computes the seeding hash of a
+whole batch of streams at once and sets each stream's PCG64 state, bit for
+bit the state ``rng_for`` starts from.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
-from typing import Iterator, Sequence
+from functools import cached_property, partial
+from itertools import combinations, groupby
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,6 +110,97 @@ def rng_for(seed: int, frame: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(frame, stream)))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's multiplier
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _words32(n: int) -> list[int]:
+    """n as little-endian uint32 words, the way SeedSequence reads an int."""
+    if n < 0:
+        raise ValueError("expected a non-negative integer")
+    out = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        out.append(n & _MASK32)
+    return out
+
+
+def _seed_pools(seed: int, frames: Sequence[int], streams: int) -> np.ndarray:
+    """The hashed entropy pool (F, streams, 4) of SeedSequence(seed,
+    spawn_key=(f, s)) for every f in ``frames``, all of one word length."""
+    run = _words32(seed)
+    run += [0] * (_POOL - len(run))  # spawned sequences pad the seed to the pool size
+    shape = (len(frames), streams)
+    entropy = [np.full(shape, w, np.uint32) for w in run]
+    for col in np.array([_words32(f) for f in frames], np.uint32).T:
+        entropy.append(np.broadcast_to(col[:, None], shape))
+    entropy.append(np.broadcast_to(np.arange(streams, dtype=np.uint32), shape))
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ (value >> 16)
+
+    pool = [hashmix(e) for e in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    return np.stack(pool, axis=-1)
+
+
+def _pcg64_states(seed: int, frames: Sequence[int], streams: int) -> list[tuple[int, int]]:
+    """(state, inc) of the PCG64 that ``rng_for(seed, f, s)`` starts from,
+    for every f in ``frames`` and s < ``streams``, frame-major."""
+    out = []
+    for _, group in groupby(frames, key=lambda f: len(_words32(f))):
+        pool = _seed_pools(seed, list(group), streams)
+        # generate_state(4, uint64): eight hashed words cycling over the pool
+        const, words = _INIT_B, []
+        for i in range(8):
+            value = pool[..., i % _POOL] ^ const
+            const = const * _MULT_B & _MASK32
+            value = value * const
+            words.append(value ^ (value >> 16))
+        seeds = np.stack(words, axis=-1).astype("<u4").view("<u8").reshape(-1, 4)
+        for s_hi, s_lo, i_hi, i_lo in seeds.tolist():
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            # pcg64_set_seed: a step from state 0, add the seed, another step
+            out.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return out
+
+
+def _keyed_streams(seed: int, frames: Sequence[int], streams: int) -> Iterator[np.random.Generator]:
+    """``rng_for(seed, f, s)`` for every f in ``frames`` and s < ``streams``,
+    frame-major: one generator set to each stream's state in turn, so a
+    stream is drawn from before the next one is taken."""
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for state, inc in _pcg64_states(seed, frames, streams):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
+
+
 def transmit(
     codeword: Sequence[int],
     channel: Channel,
@@ -161,11 +260,17 @@ class CrcVerifier:
         return tuple(check) + tuple(payload)
 
     def accepts(self, message: Sequence[int]) -> bool:
-        f = self.generator.field
-        return (Poly.from_coeffs(f, list(message)) % self.generator).is_zero()
+        return _divides(self.generator, message)
 
 
 Verifier = GenieVerifier | CrcVerifier
+
+
+def _divides(generator: Poly, message: Sequence[int]) -> bool:
+    """The CRC check: ``generator`` divides the message polynomial.  The
+    simulator calls it directly, so ``CrcVerifier.accepts`` is only ever
+    called with one candidate's message, as ``multi_round_decode`` judges it."""
+    return (Poly.from_coeffs(generator.field, list(message)) % generator).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +282,6 @@ class DecodeResult:
     message: tuple[int, ...]
     codeword: tuple[int, ...]
     distance: int
-
-
-def _nearest(
-    table: kernels.CodewordTable, received: Sequence[int], blocks: Sequence[int], metric: str
-) -> tuple[int, int]:
-    """(message index, distance) of the codeword nearest to ``received`` (all
-    m blocks) on the 0-based ``blocks``, in the 'hamming' or 'block' metric.
-
-    Ties resolve to the smallest message index (message digits little-endian
-    in base q), which is the first argmin in table order.
-    """
-    if metric == "hamming":
-        dist = kernels.hamming_distances(table, received, blocks)
-    else:
-        dist = kernels.block_distances(table, received, blocks)
-    idx = int(np.argmin(dist))
-    return idx, int(dist[idx])
 
 
 def md_decode(
@@ -208,10 +296,10 @@ def md_decode(
         raise ValueError("received length does not match code length")
     m = _metric_blocks(metric, code.n)
     table = kernels.build_table(code.field, code.gen.rows(), m, cap=cap)
-    kind = "hamming" if isinstance(metric, Hamming) else "block"
-    idx, dist = _nearest(table, received, range(m), kind)
-    message = table.message(idx)
-    return DecodeResult(message, code.encode(message), dist)
+    words = kernels.pack_rows(code.field, [received], m)
+    index, dist = kernels.nearest(table, words, range(m), not isinstance(metric, Hamming))
+    message = table.message(int(index[0]))
+    return DecodeResult(message, code.encode(message), int(dist[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +367,9 @@ class Candidate:
     kind: str  # hamming | block | chase
 
 
+SCHEMES = ("multiround", "bsymbol", "ir", "repetition")
+
+
 def iter_candidates(grc: GrcCode, depth: int, *, scheme: str = "multiround", combining: bool = True) -> Iterator[Candidate]:
     """Decode attempts in order: rounds of increasing size, subsets in
     lexicographic order, Hamming before block metric, Chase combining last.
@@ -331,41 +422,93 @@ class MultiRoundResult:
     accepted_by: Candidate | None
 
 
+# accepts(frames, message indices): which of the frames' decoded messages pass
+Acceptor = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
 class GrcDecoder:
     """The codeword table of a GRC, and the candidate decodes run over it."""
 
     def __init__(self, grc: GrcCode):
         self.grc = grc
-        self.full_code = grc.full_code()
         self.table = kernels.build_table(grc.field, grc.gen.rows(), grc.m)
+
+    @cached_property
+    def full_code(self) -> LinearCode:
+        """The GRC as one linear code, built on first use: decoding and the
+        simulator's encoding read the table instead."""
+        return self.grc.full_code()
 
     def split(self, received: Sequence[int]) -> list[tuple[int, ...]]:
         n = self.grc.n
         return [tuple(received[i * n : (i + 1) * n]) for i in range(self.grc.m)]
 
-    def candidate_message(
-        self,
-        received: Sequence[int],
-        cand: Candidate,
-        *,
-        tie_policy: str = "first-block",
-        rng: np.random.Generator | None = None,
-    ) -> tuple[int, ...]:
-        if cand.kind == "chase":
-            # blocks 1..r, aligned onto block 1 and voted, decode in block 1
-            r = len(cand.blocks)
-            combined = chase_combine(
-                self.split(received)[:r],
-                self.grc.variant.perms[: r - 1],  # type: ignore[union-attr]
-                field=self.grc.field,
-                tie_policy=tie_policy,
-                rng=rng,
-            )
-            padded = combined + (0,) * (len(received) - len(combined))
-            idx, _ = _nearest(self.table, padded, [0], "hamming")
-        else:
-            idx, _ = _nearest(self.table, received, [b - 1 for b in cand.blocks], cand.kind)
-        return self.table.message(idx)
+    def candidate_message(self, received: Sequence[int], cand: Candidate) -> tuple[int, ...]:
+        """The message that one candidate decodes ``received`` to."""
+        symbols = np.array(received, dtype=np.int16).reshape(1, self.grc.m, self.grc.n)
+        index = self._decode(symbols, self._pack(symbols), cand)
+        return self.table.message(int(index[0]))
+
+    def first_accepted(
+        self, received: np.ndarray, cands: Sequence[Candidate], accepts: Acceptor
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Walk ``cands`` once for the frames ``received`` (F, m, n): each
+        candidate decodes every frame that no earlier one accepted.
+
+        Returns, per frame, the position in ``cands`` of the first candidate
+        whose message ``accepts`` passes (-1 when none does), and that
+        message's index.
+        """
+        packed = self._pack(received)
+        at = np.full(len(received), -1)
+        index = np.zeros(len(received), dtype=np.int64)
+        live = np.arange(len(received))
+        for pos, cand in enumerate(cands):
+            if not len(live):
+                break
+            decoded = self._decode(received[live], packed[live], cand)
+            ok = accepts(live, decoded)
+            at[live[ok]], index[live[ok]] = pos, decoded[ok]
+            live = live[~ok]
+        return at, index
+
+    def _pack(self, symbols: np.ndarray) -> np.ndarray:
+        return kernels.pack_rows(self.grc.field, symbols.reshape(len(symbols), -1), self.grc.m)
+
+    def _decode(self, symbols: np.ndarray, packed: np.ndarray, cand: Candidate) -> np.ndarray:
+        """Message index of every frame under one candidate, from its blocks
+        ``symbols`` (F, m, n) and their packed words ``packed`` (F, m, W)."""
+        if cand.kind != "chase":
+            blocks = [b - 1 for b in cand.blocks]
+            return kernels.nearest(self.table, packed[:, blocks], blocks, cand.kind == "block")[0]
+        # blocks 1..r, aligned onto block 1 and voted, decode in block 1
+        r, n = len(cand.blocks), self.grc.n
+        aligned = [symbols[:, 0]]
+        for j, perm in enumerate(self.grc.variant.perms[: r - 1], 1):  # type: ignore[union-attr]
+            aligned.append(symbols[:, j, list(perm.inverse().apply(range(n)))])
+        voted = _vote(np.stack(aligned, axis=1), self.grc.field.q)
+        words = kernels.pack_rows(self.grc.field, voted, 1)
+        return kernels.nearest(self.table, words, [0], False)[0]
+
+
+def _vote(aligned: np.ndarray, q: int) -> np.ndarray:
+    """Column-wise majority of the aligned blocks (F, r, n) of every frame,
+    as ``chase_combine`` votes with the 'first-block' tie policy: a tie goes
+    to the earliest block whose symbol is among the most frequent."""
+    counts = (aligned[..., None] == np.arange(q)).sum(axis=1)  # (F, n, q)
+    top = counts.max(axis=2, keepdims=True)
+    tied = np.take_along_axis(counts, aligned.transpose(0, 2, 1), axis=2) == top  # (F, n, r)
+    first = tied.argmax(axis=2)
+    return np.take_along_axis(aligned, first[:, None, :], axis=1)[:, 0]
+
+
+def _verified(check: Callable[[tuple[int, ...]], bool], table: kernels.CodewordTable) -> Acceptor:
+    """The verdict of ``check`` on the message of each decoded index."""
+
+    def accepts(frames: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return np.array([check(table.message(int(i))) for i in index], dtype=bool)
+
+    return accepts
 
 
 def multi_round_decode(
@@ -377,19 +520,17 @@ def multi_round_decode(
     decoder: GrcDecoder | None = None,
     scheme: str = "multiround",
     combining: bool = True,
-    tie_policy: str = "first-block",
-    rng: np.random.Generator | None = None,
 ) -> MultiRoundResult:
     """Try sub-block decodings of increasing depth until one passes the
     verifier; failure after exhausting depth is a result, not an error."""
     dec = decoder or GrcDecoder(grc)
-    tried = 0
-    for cand in iter_candidates(grc, depth, scheme=scheme, combining=combining):
-        msg = dec.candidate_message(received, cand, tie_policy=tie_policy, rng=rng)
-        tried += 1
-        if verifier.accepts(msg):
-            return MultiRoundResult(msg, cand.round, tried, cand)
-    return MultiRoundResult(None, depth, tried, None)
+    cands = list(iter_candidates(grc, depth, scheme=scheme, combining=combining))
+    symbols = np.array(received, dtype=np.int16).reshape(1, grc.m, grc.n)
+    at, index = dec.first_accepted(symbols, cands, _verified(verifier.accepts, dec.table))
+    if at[0] < 0:
+        return MultiRoundResult(None, depth, len(cands), None)
+    cand = cands[at[0]]
+    return MultiRoundResult(dec.table.message(int(index[0])), cand.round, int(at[0]) + 1, cand)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +553,12 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}: one of {', '.join(SCHEMES)}")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if not 1 <= self.max_depth <= self.grc.m:
             raise ValueError("max_depth must be in [1, m]")
         if self.crc is not None and self.crc.degree < 1:
@@ -457,34 +604,53 @@ class SimResult:
         ]
 
 
-def _simulate_frame(
-    cfg: SimConfig, dec: GrcDecoder, frame: int
-) -> tuple[int, bool]:
-    """Returns (first accepting round or m+1, accepted message correct)."""
+_BATCH = 1024  # frames per batch at most; each thread simulates one batch at a time
+
+
+def _simulate_batch(
+    cfg: SimConfig, dec: GrcDecoder, frames: range
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First accepting round (m + 1 when none) of every frame, the index of
+    the accepted message (-1 when none), and the index of the message sent.
+
+    Frame f's message is drawn from stream m and its block b corrupted by
+    stream b, exactly as ``rng_for(seed, f, .)`` and ``transmit`` would.
+    """
     grc = cfg.grc
-    field = grc.field
-    m, k = grc.m, grc.dim
-    msg_rng = rng_for(cfg.seed, frame, m)
-    if cfg.crc is None:
-        message = tuple(int(x) for x in msg_rng.integers(0, field.q, size=k))
-        verifier: Verifier = GenieVerifier(message)
+    field, m, n, k = grc.field, grc.m, grc.n, grc.dim
+    q, p = field.q, cfg.channel.crossover
+    crc = None if cfg.crc is None else CrcVerifier(cfg.crc)
+    uniform = np.empty((len(frames), m, n))
+    shift = np.empty((len(frames), m, n), dtype=np.int64) if q != 2 else None
+    digits = np.empty((len(frames), k), dtype=np.int64)
+    streams = _keyed_streams(cfg.seed, frames, m + 1)
+    for f in range(len(frames)):
+        for b in range(m):
+            rng = next(streams)
+            rng.random(out=uniform[f, b])
+            if shift is not None:
+                shift[f, b] = rng.integers(1, q, size=n)
+        rng = next(streams)
+        if crc is None:
+            digits[f] = rng.integers(0, q, size=k)
+        else:
+            digits[f] = crc.attach(tuple(int(x) for x in rng.integers(0, q, size=k - crc.ncheck)))
+    sent = digits @ q ** np.arange(k, dtype=np.int64)
+    received = dec.table.codewords(sent, n)
+    hit = uniform < p
+    if q == 2:
+        received ^= hit
     else:
-        verifier = CrcVerifier(cfg.crc)
-        payload = tuple(int(x) for x in msg_rng.integers(0, field.q, size=k - verifier.ncheck))
-        message = verifier.attach(payload)
-    codeword = dec.full_code.encode(message)
-    n = grc.n
-    received: list[int] = []
-    for b in range(m):
-        block = codeword[b * n : (b + 1) * n]
-        received.extend(transmit(block, cfg.channel, rng_for(cfg.seed, frame, b), field))
-    res = multi_round_decode(
-        grc, received, cfg.max_depth, verifier,
-        decoder=dec, scheme=cfg.scheme, combining=cfg.combining,
-    )
-    if res.message is None:
-        return m + 1, False
-    return res.rounds_used, res.message == message
+        add, _ = field.tables()
+        received = np.where(hit, add[received, shift], received)
+    cands = list(iter_candidates(grc, cfg.max_depth, scheme=cfg.scheme, combining=cfg.combining))
+    if crc is None:
+        accepts: Acceptor = lambda live, index: index == sent[live]
+    else:
+        accepts = _verified(partial(_divides, cfg.crc), dec.table)
+    at, index = dec.first_accepted(received, cands, accepts)
+    rounds = np.array([c.round for c in cands] + [m + 1])[at]  # position -1: none accepted
+    return rounds, np.where(at >= 0, index, -1), sent
 
 
 def fer_simulate(cfg: SimConfig) -> SimResult:
@@ -492,28 +658,28 @@ def fer_simulate(cfg: SimConfig) -> SimResult:
 
     A frame counts as an error at depth D unless some candidate of round
     <= D was accepted and the accepted message is the transmitted one; an
-    accepted wrong message is a false accept (possible only with CRC)."""
+    accepted wrong message is a false accept (possible only with CRC).
+    Frames are simulated in batches; how they are split into batches and
+    threads changes no frame's outcome."""
     t0 = time.monotonic()
     dec = GrcDecoder(cfg.grc)
-    outcomes: list[tuple[int, bool]]
-    if cfg.threads <= 1:
-        outcomes = [_simulate_frame(cfg, dec, f) for f in range(cfg.frames)]
+    size = min(_BATCH, -(-cfg.frames // cfg.threads))
+    batches = [range(s, min(s + size, cfg.frames)) for s in range(0, cfg.frames, size)]
+    if cfg.threads == 1:
+        outcomes = [_simulate_batch(cfg, dec, b) for b in batches]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(lambda f: _simulate_frame(cfg, dec, f), range(cfg.frames)))
+            outcomes = list(pool.map(lambda b: _simulate_batch(cfg, dec, b), batches))
+    rounds, index, sent = (np.concatenate(parts) for parts in zip(*outcomes))
+    ok = index == sent
     per_depth = []
     for depth in range(1, cfg.max_depth + 1):
-        errors = 0
-        false_accepts = 0
-        for rnd, ok in outcomes:
-            if rnd <= depth and ok:
-                continue
-            errors += 1
-            if rnd <= depth and not ok:
-                false_accepts += 1
-        per_depth.append(DepthStats(depth, cfg.frames, errors, false_accepts))
+        done = rounds <= depth
+        per_depth.append(DepthStats(
+            depth, cfg.frames, int(cfg.frames - (done & ok).sum()), int((done & ~ok).sum())
+        ))
     return SimResult(
         cfg.code_id,
         cfg.channel.label,

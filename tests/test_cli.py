@@ -6,7 +6,7 @@ import pytest
 from grclib.cli import main
 from grclib.decoding import Bsc, SimConfig, fer_simulate
 from grclib.grc import grc_to_text
-from grclib import presets
+from grclib import kernels, presets
 
 
 def run_cli(args, capsys):
@@ -209,6 +209,31 @@ def test_simulate_rejects_bad_config_values(tmp_path, shift_file, capsys, line, 
     code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
     assert code == 1 and out == ""
     assert err.startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "seed, extra, flags, message",
+    [
+        ("-1", "", [], "seed"),
+        ("1", "scheme = bogus", [], "scheme"),
+        ("1", "", ["--threads", "0"], "threads"),
+        ("1", "", ["--threads", "-3"], "threads"),
+    ],
+)
+def test_simulate_rejects_bad_sim_config(tmp_path, shift_file, capsys, monkeypatch,
+                                         seed, extra, flags, message):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a codeword table was built for a rejected config")
+
+    monkeypatch.setattr(kernels, "build_table", no_table)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        f"code = {shift_file}\nchannel = bsc 0.1\nframes = 5\nseed = {seed}\nmax_depth = 4\n"
+        f"{extra}\n"
+    )
+    code, out, err = run_cli(["simulate", "--config", str(cfg), *flags], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
 
 
 def test_simulate_combining_off(tmp_path, shift_file, capsys):

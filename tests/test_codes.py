@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grclib import decoding, kernels
+from grclib import kernels
 from grclib.codes import (
     Block,
     BlockView,
@@ -34,13 +34,17 @@ GF3 = field_create(3)
 def _oracle_codewords(field, rows):
     k = len(rows)
     n = len(rows[0])
-    for msg in product(range(field.q), repeat=k):
+    q = field.q
+    # the field's own scalar arithmetic, tabulated once per call
+    add = [[field.add(a, b) for b in range(q)] for a in range(q)]
+    mul = [[field.mul(a, b) for b in range(q)] for a in range(q)]
+    for msg in product(range(q), repeat=k):
         cw = [0] * n
         for coef, row in zip(msg, rows):
             if coef:
                 for j in range(n):
                     if row[j]:
-                        cw[j] = field.add(cw[j], field.mul(coef, row[j]))
+                        cw[j] = add[cw[j]][mul[coef][row[j]]]
         yield msg, tuple(cw)
 
 
@@ -181,7 +185,10 @@ def test_kernels_match_oracle_across_chunks(code, data):
     nb = n // m
     inf = np.iinfo(np.int64).max
     oracle = dict(_oracle_codewords(field, rows))
-    received = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    # received words: the first is checked codeword by codeword, all of them
+    # by the batched nearest-codeword kernel
+    received = data.draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=3, max_size=3))
     floor = data.draw(st.tuples(*[st.lists(st.integers(0, n + 1), min_size=1 << m,
                                            max_size=1 << m)] * 2))
     want_block, want_ham = _oracle_subset_minima(field, rows, m)
@@ -219,17 +226,29 @@ def test_kernels_match_oracle_across_chunks(code, data):
     # message-index order (digits little-endian), and the first argmin
     assert table.size == len(oracle)
     words = [oracle[tuple(i // q**j % q for j in range(k))] for i in range(q**k)]
+    packed = kernels.pack_rows(field, received, m)
     for t in range(1, 1 << m):
         blocks = [b for b in range(m) if t >> b & 1]
-        differs = [[[cw[b * nb + j] != received[b * nb + j] for j in range(nb)] for b in blocks]
-                   for cw in words]
-        want = {"hamming": [sum(map(sum, d)) for d in differs],
-                "block": [sum(map(any, zip(*d))) for d in differs]}
-        assert kernels.hamming_distances(table, received, blocks).tolist() == want["hamming"]
-        assert kernels.block_distances(table, received, blocks).tolist() == want["block"]
-        for metric, dists in want.items():
-            best = min(dists)
-            assert decoding._nearest(table, received, blocks, metric) == (dists.index(best), best)
+        want = {"hamming": [], "block": []}
+        for word in received:
+            differs = [[[cw[b * nb + j] != word[b * nb + j] for j in range(nb)] for b in blocks]
+                       for cw in words]
+            want["hamming"].append([sum(map(sum, d)) for d in differs])
+            want["block"].append([sum(map(any, zip(*d))) for d in differs])
+        assert kernels.hamming_distances(table, received[0], blocks).tolist() == want["hamming"][0]
+        assert kernels.block_distances(table, received[0], blocks).tolist() == want["block"][0]
+        # q messages per chunk, and groups of one received word, or of two
+        # (the last group shorter than the buffers sized for the first); a
+        # group of F' words takes F' * m * W * C of a quarter of the budget
+        nw = table.low.shape[1] if q == 2 else (nb + 7) // 8
+        for budget in (1, 2 * 4 * m * nw * table.low.shape[2]):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "_CHUNK_BUDGET", budget)
+                for metric, union in (("hamming", False), ("block", True)):
+                    index, dist = kernels.nearest(table, packed[:, blocks], blocks, union)
+                    assert list(zip(index.tolist(), dist.tolist())) == [
+                        (d.index(min(d)), min(d)) for d in want[metric]
+                    ]
 
 
 def test_profile_of_blocks_longer_than_64():

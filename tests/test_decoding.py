@@ -1,8 +1,12 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
 from grclib.codes import Block, Hamming, LinearCode
+from grclib import decoding
 from grclib.decoding import (
     AwgnBpskHard,
     Bsc,
@@ -476,24 +480,80 @@ def test_fer_threads_match_serial(dec2):
     assert fer_simulate(base).per_depth == fer_simulate(threaded).per_depth
 
 
-def test_fer_matches_serial_multiround(dec1):
-    # the simulator's frame loop must agree with multi_round_decode
-    cfg = SimConfig(dec1.grc, Bsc(0.2), frames=40, seed=13, max_depth=4)
-    res = fer_simulate(cfg)
-    errors = 0
+def test_fer_threads_stress_match_serial(dec1):
+    # more threads than cores, small batches and frequent switches: the
+    # threads share the decoder's table and write nothing shared
+    cfg = SimConfig(dec1.grc, Bsc(0.2), frames=120, seed=21, max_depth=4)
+    want = fer_simulate(cfg).per_depth
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(fer_simulate, replace(cfg, threads=6)) for _ in range(2)]
+            got = [run.result(timeout=120).per_depth for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want, want]
+
+
+_SERIAL_CASES = {
+    # binary Type-I, genie verification
+    "golay-genie": lambda: SimConfig(presets.golay_type1_shift(4), Bsc(0.2), frames=40, seed=13,
+                                     max_depth=4),
+    # GF(3) Type-I under the repetition scheme: q-ary Chase votes, with ties
+    "gf3-repetition": lambda: SimConfig(
+        type1_regular(presets.ternary_golay(), Permutation.cyclic_shift(11), 3), Bsc(0.25),
+        frames=60, seed=8, max_depth=3, scheme="repetition"),
+    # CRC verification with false accepts
+    "golay-crc": lambda: SimConfig(presets.golay_type1_shift(4), Bsc(0.4), frames=150, seed=3,
+                                   max_depth=2, crc=Poly.parse(GF2, "x^3+x+1")),
+}
+
+
+def test_fer_matches_serial_multiround():
+    for case in _SERIAL_CASES:
+        _check_frames_match_serial(case)
+
+
+def _check_frames_match_serial(case):
+    # every frame of the batched simulator must match the one-frame
+    # definitions: rng_for streams, transmit, encode and multi_round_decode
+    cfg = _SERIAL_CASES[case]()
+    grc = cfg.grc
+    field, m, n, k = grc.field, grc.m, grc.n, grc.dim
+    dec = GrcDecoder(grc)
+    rounds, index, sent = decoding._simulate_batch(cfg, dec, range(cfg.frames))
+    kinds = set()
+    want_errors = [0] * cfg.max_depth
     for f in range(cfg.frames):
-        msg_rng = rng_for(cfg.seed, f, 4)
-        msg = tuple(int(x) for x in msg_rng.integers(0, 2, size=12))
-        cw = dec1.full_code.encode(msg)
+        msg_rng = rng_for(cfg.seed, f, m)
+        if cfg.crc is None:
+            msg = tuple(int(x) for x in msg_rng.integers(0, field.q, size=k))
+            verifier = GenieVerifier(msg)
+        else:
+            verifier = CrcVerifier(cfg.crc)
+            payload = msg_rng.integers(0, field.q, size=k - verifier.ncheck)
+            msg = verifier.attach(tuple(int(x) for x in payload))
+        cw = dec.full_code.encode(msg)
         rec = []
-        for b in range(4):
-            rec.extend(
-                transmit(cw[b * 23 : (b + 1) * 23], cfg.channel, rng_for(cfg.seed, f, b), GF2)
-            )
-        out = multi_round_decode(dec1.grc, rec, 4, GenieVerifier(msg), decoder=dec1)
-        if out.message != msg:
-            errors += 1
-    assert errors == res.per_depth[-1].frame_errors
+        for b in range(m):
+            block = cw[b * n : (b + 1) * n]
+            rec.extend(transmit(block, cfg.channel, rng_for(cfg.seed, f, b), field))
+        out = multi_round_decode(grc, rec, cfg.max_depth, verifier, decoder=dec, scheme=cfg.scheme)
+        assert dec.table.message(int(sent[f])) == msg, (case, f)
+        if out.message is None:
+            assert (rounds[f], index[f]) == (m + 1, -1), (case, f)
+        else:
+            got = (rounds[f], dec.table.message(int(index[f])))
+            assert got == (out.rounds_used, out.message), (case, f)
+            kinds.add((out.accepted_by.kind, out.message == msg))
+        for d in range(cfg.max_depth):
+            want_errors[d] += not (out.message == msg and out.rounds_used <= d + 1)
+    assert [s.frame_errors for s in fer_simulate(cfg).per_depth] == want_errors
+    if case == "gf3-repetition":
+        assert ("chase", True) in kinds
+    if case == "golay-crc":
+        assert any(not correct for _, correct in kinds)
 
 
 def test_fer_crc_counts_false_accepts(dec1):
@@ -513,6 +573,30 @@ def test_sim_config_validation(dec1):
     with pytest.raises(ValueError, match="CRC"):
         SimConfig(dec1.grc, Bsc(0.1), frames=5, seed=1, max_depth=4,
                   crc=Poly.parse(GF2, "x^13+x+1"))
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(dec1.grc, Bsc(0.1), frames=5, seed=-1, max_depth=4)
+    with pytest.raises(ValueError, match="scheme"):
+        SimConfig(dec1.grc, Bsc(0.1), frames=5, seed=1, max_depth=4, scheme="harq")
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            SimConfig(dec1.grc, Bsc(0.1), frames=5, seed=1, max_depth=4, threads=threads)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 + 5, 2**70 + 1, 2**100 + 3, 2**130 + 7])
+def test_keyed_streams_match_rng_for(seed):
+    # seeds of one to five uint32 words (four fill SeedSequence's pool and
+    # five overflow it, so neither is padded), frames of one and two words,
+    # streams 0..m for m = 4
+    frames = [0, 1, 2**32 - 1, 2**32]
+    streams = decoding._keyed_streams(seed, frames, 5)
+    for f in frames:
+        for s in range(5):
+            got, want = next(streams), rng_for(seed, f, s)
+            assert got.bit_generator.state == want.bit_generator.state, (f, s)
+            assert got.random(4).tolist() == want.random(4).tolist()
+            assert got.integers(1, 3, size=7).tolist() == want.integers(1, 3, size=7).tolist()
+            assert got.integers(0, 2, size=12).tolist() == want.integers(0, 2, size=12).tolist()
+    assert next(streams, None) is None
 
 
 def test_type2_grc_decoding_11_4(gf2):
