@@ -205,13 +205,8 @@ class LinearCode:
         if any(not 1 <= b <= m for b in t):
             raise ValueError("block index out of range")
         nb = self.n // m
-        rows = []
-        for r in self.gen.rows():
-            out: list[int] = []
-            for b in t:
-                out.extend(r[(b - 1) * nb : b * nb])
-            rows.append(out)
-        return Matrix.from_rows(self.field, rows)
+        kept = self.gen.data.reshape(self.k, m, nb)[:, [b - 1 for b in t]]
+        return Matrix(self.field, self.k, len(t) * nb, kept)
 
     def sub_block_code(self, m: int, blocks: Sequence[int]) -> "LinearCode":
         """Projection onto the chosen blocks, re-ranked to a basis."""
@@ -221,13 +216,8 @@ class LinearCode:
     def extend(self) -> "LinearCode":
         """Append the overall parity column -sum(c_i)."""
         f = self.field
-        rows = []
-        for r in self.gen.rows():
-            s = 0
-            for x in r:
-                s = f.add(s, x)
-            rows.append(list(r) + [f.neg(s)])
-        return LinearCode.from_rows(f, rows)
+        parity = self.gen @ Matrix(f, self.n, 1, [f.neg(1)] * self.n)
+        return LinearCode(f, self.n + 1, self.k, Matrix.hjoin([self.gen, parity]))
 
     # -- support ---------------------------------------------------------------
 

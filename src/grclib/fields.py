@@ -7,7 +7,9 @@ vector of the residue polynomial in base p::
     a  <->  a0 + a1*x + ... + a_{e-1}*x^(e-1),   a = a0 + a1*p + ... + a_{e-1}*p^(e-1)
 
 Keeping elements as ints makes the enumeration kernels cheap; the
-:class:`FieldElement` wrapper provides operator syntax on top.
+:class:`FieldElement` wrapper provides operator syntax on top.  The
+arithmetic methods also take int64 numpy arrays of such ints and work
+elementwise: that is how matrices and :meth:`Field.tables` use them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ __all__ = ["Field", "FieldElement", "field_create", "is_prime"]
 
 # Fields up to this order get dense numpy add/mul tables (used by kernels).
 _TABLE_LIMIT = 4096
+
+# A field element or an int64 array of them, for the elementwise operations.
+Elements = int | np.ndarray
 
 
 def is_prime(n: int) -> bool:
@@ -49,17 +54,6 @@ def _tup_trim(c: Sequence[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _tup_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _tup_trim(out)
 
 
 def _tup_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
@@ -119,7 +113,7 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
 class Field:
     """Finite field of order q = p^e.  Immutable; safe to share."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_add_table", "_mul_table")
+    __slots__ = ("p", "e", "q", "modulus", "_weights", "_add_table", "_mul_table")
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
         if not is_prime(p):
@@ -145,6 +139,7 @@ class Field:
         self.e = e
         self.q = p**e
         self.modulus = mod
+        self._weights = tuple(p**i for i in range(e))
         self._add_table: np.ndarray | None = None
         self._mul_table: np.ndarray | None = None
 
@@ -190,44 +185,61 @@ class Field:
             return int(a)
         raise ValueError(f"element {a} out of range for {self}")
 
+    def _canon_array(self, a: np.ndarray) -> np.ndarray:
+        """``_canon`` of every entry of an int64 (or Python-int object) array."""
+        if self.e == 1:
+            return a % self.p
+        if not ((0 <= a) & (a < self.q)).all():
+            raise ValueError(f"element out of range for {self}")
+        return a
+
     def elements(self) -> Iterator[int]:
         return iter(range(self.q))
 
     # -- arithmetic on int representatives ------------------------------------
+    #
+    # add/sub/neg/mul take Python ints or int64 numpy arrays, elementwise with
+    # broadcasting.  Extension fields work digit by digit in base p: digit i
+    # of a is a // p^i % p.
 
-    def add(self, a: int, b: int) -> int:
+    def add(self, a: Elements, b: Elements) -> Elements:
         if self.e == 1:
             return (a + b) % self.p
-        p = self.p
         out = 0
-        mul = 1
-        for _ in range(self.e):
-            out += ((a % p) + (b % p)) % p * mul
-            a //= p
-            b //= p
-            mul *= p
+        for w in self._weights:
+            out = out + (a // w + b // w) % self.p * w
         return out
 
-    def neg(self, a: int) -> int:
+    def sub(self, a: Elements, b: Elements) -> Elements:
         if self.e == 1:
-            return (-a) % self.p
-        p = self.p
+            return (a - b) % self.p
         out = 0
-        mul = 1
-        for _ in range(self.e):
-            out += (-(a % p)) % p * mul
-            a //= p
-            mul *= p
+        for w in self._weights:
+            out = out + (a // w - b // w) % self.p * w
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def neg(self, a: Elements) -> Elements:
+        return self.sub(0, a)
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a: Elements, b: Elements) -> Elements:
         if self.e == 1:
-            return (a * b) % self.p
-        prod = _tup_mul(self.vector(a), self.vector(b), self.p)
-        return self.from_vector(_tup_mod(prod, self.modulus, self.p))
+            return a * b % self.p
+        p, e, mod, weights = self.p, self.e, self.modulus, self._weights
+        da = [a // w % p for w in weights]
+        db = [b // w % p for w in weights]
+        prod = [0] * (2 * e - 1)  # schoolbook product, digits unreduced
+        for i in range(e):
+            for j in range(e):
+                prod[i + j] = prod[i + j] + da[i] * db[j]
+        # x^e = -(mod_0 + ... + mod_{e-1} x^(e-1)): fold digits down from the top
+        for top in range(2 * e - 2, e - 1, -1):
+            c = prod[top] % p
+            for i in range(e):
+                prod[top - e + i] = prod[top - e + i] - c * mod[i]
+        out = 0
+        for w, d in zip(weights, prod):
+            out = out + d % p * w
+        return out
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -258,14 +270,16 @@ class Field:
             raise ValueError(f"field too large for dense tables: q={self.q}")
         if self._add_table is None:
             q = self.q
+            a = np.arange(q, dtype=np.int64)
             add = np.empty((q, q), dtype=np.int16)
             mul = np.empty((q, q), dtype=np.int16)
-            for a in range(q):
-                for b in range(a, q):
-                    s = self.add(a, b)
-                    m = self.mul(a, b)
-                    add[a, b] = add[b, a] = s
-                    mul[a, b] = mul[b, a] = m
+            # one call per block of about 2^16 entries (all of a field up to
+            # q = 256), so that an extension field's digit arrays stay small
+            step = max(1, (1 << 16) // q)
+            for lo in range(0, q, step):
+                rows = a[lo : lo + step, None]
+                add[lo : lo + step] = self.add(rows, a)
+                mul[lo : lo + step] = self.mul(rows, a)
             self._add_table = add
             self._mul_table = mul
         return self._add_table, self._mul_table

@@ -99,8 +99,7 @@ class GrcCode:
     def block_matrix(self, i: int) -> Matrix:
         """Generator columns of 1-based block i."""
         n = self.n
-        rows = [r[(i - 1) * n : i * n] for r in self.gen.rows()]
-        return Matrix.from_rows(self.field, rows)
+        return Matrix(self.field, self.dim, n, self.gen.data[:, (i - 1) * n : i * n])
 
     def __repr__(self) -> str:
         tag = (
@@ -176,11 +175,11 @@ def type2_general(base: LinearCode, transforms: Sequence[Matrix]) -> GrcCode:
 
 def _mult_mod_matrix(f: Poly, h: Poly) -> Matrix:
     """Matrix of multiplication by f on F_q[x]/(h), basis 1, x, ..., x^(k-1)."""
-    k = h.degree
-    rows = []
-    for i in range(k):
-        r = (Poly.monomial(f.field, i) * f) % h
+    k, x = h.degree, Poly.x(f.field)
+    rows, r = [], f % h
+    for _ in range(k):
         rows.append([r.coeff(j) for j in range(k)])
+        r = (r * x) % h  # the next row, x^(i+1) f, from this one: one reduction step
     return Matrix.from_rows(f.field, rows)
 
 

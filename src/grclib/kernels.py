@@ -46,6 +46,8 @@ chunk, so the upper bounds it returns depend on where chunks end.
 
 from __future__ import annotations
 
+import math
+import mmap
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -69,6 +71,7 @@ _INF = np.iinfo(np.int64).max
 # mask words per chunk, a few MB of working set: long enough numpy calls
 # that concurrent sweeps do not queue on the interpreter lock between them.
 _CHUNK_BUDGET = 1 << 20
+_HUGE_PAGE = 1 << 21
 
 
 class DimensionCapError(Exception):
@@ -202,8 +205,28 @@ def build_table(
     while lo < k and field.q ** (lo + 1) <= _CHUNK_BUDGET // (m * words):
         lo += 1
     flat = packed.reshape(k, m * width)
-    low = np.ascontiguousarray(_span(field, flat[:lo]).T).reshape(m, width, -1)
-    return CodewordTable(field, low, _span(field, flat[lo:]).reshape(-1, m, width))
+    span = _span(field, flat[:lo])
+    low = _fresh_pages(span.shape[::-1], span.dtype)
+    low[...] = span.T
+    highs = _span(field, flat[lo:]).reshape(-1, m, width)
+    return CodewordTable(field, low.reshape(m, width, -1), highs)
+
+
+def _fresh_pages(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """An uninitialised array that, from 2 MiB up, lives in fresh anonymous
+    memory starting on a 2 MiB boundary and advised for huge pages.  Heap
+    pages reused from earlier work may be small pages, and a table sweep on
+    them runs measurably slower.  Platforms without MADV_HUGEPAGE get
+    ``np.empty``."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes < _HUGE_PAGE or not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.empty(shape, dtype)
+    # private: a shared anonymous mapping is shared memory, which the kernel
+    # backs with huge pages under a different setting
+    buf = mmap.mmap(-1, nbytes + _HUGE_PAGE, flags=mmap.MAP_PRIVATE)
+    offset = -np.frombuffer(buf, np.uint8).ctypes.data % _HUGE_PAGE
+    buf.madvise(mmap.MADV_HUGEPAGE, offset, nbytes)
+    return np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
 
 
 def _sweep(field: Field, low: np.ndarray, highs: Iterable[np.ndarray]) -> Iterator[np.ndarray]:

@@ -1,8 +1,10 @@
 """Dense exact matrices over a finite field.
 
-Row-major storage of int representatives.  Vectors are plain tuples and act
-on the left (row vector times matrix), matching the codeword conventions
-used throughout the package.
+A matrix holds one read-only (nrows, ncols) int64 array of canonical field
+elements, and all of its arithmetic is the field's elementwise operations on
+whole arrays.  Vectors are plain tuples and act on the left (row vector
+times matrix), matching the codeword conventions used throughout the
+package.
 """
 
 from __future__ import annotations
@@ -17,16 +19,34 @@ from .fields import Field
 __all__ = ["Matrix", "vec_mat_mul"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matrix:
     field: Field
     nrows: int
     ncols: int
-    data: tuple[int, ...]
+    data: np.ndarray  # anything array-like on input; stored canonical and read-only
 
     def __post_init__(self) -> None:
-        if len(self.data) != self.nrows * self.ncols:
+        try:
+            arr = np.array(self.data, dtype=np.int64)
+        except OverflowError:  # entries past 64 bits are canonicalised as Python ints
+            arr = np.array(self.data, dtype=object)
+        if arr.size != self.nrows * self.ncols:
             raise ValueError("element count does not match shape")
+        arr = self.field._canon_array(arr.reshape(self.nrows, self.ncols))
+        arr = arr.astype(np.int64, copy=False)
+        arr.flags.writeable = False
+        object.__setattr__(self, "data", arr)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Matrix)
+            and self.field == other.field
+            and np.array_equal(self.data, other.data)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.data.shape, self.data.tobytes()))
 
     # -- constructors ---------------------------------------------------------
 
@@ -38,97 +58,74 @@ class Matrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        if field.e == 1:
-            data = tuple(int(x) % field.p for r in rows for x in r)
-        else:
-            data = tuple(field._canon(x) for r in rows for x in r)
-        return cls(field, len(rows), ncols, data)
+        return cls(field, len(rows), ncols, rows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        data = [0] * (n * n)
-        for i in range(n):
-            data[i * n + i] = 1
-        return cls(field, n, n, tuple(data))
+        return cls(field, n, n, np.eye(n, dtype=np.int64))
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, nrows, ncols, (0,) * (nrows * ncols))
+        return cls(field, nrows, ncols, np.zeros((nrows, ncols), dtype=np.int64))
+
+    def _with(self, data: np.ndarray) -> "Matrix":
+        return Matrix(self.field, data.shape[0], data.shape[1], data)
 
     # -- access ---------------------------------------------------------------
 
     def __getitem__(self, idx: tuple[int, int]) -> int:
         i, j = idx
-        return self.data[i * self.ncols + j]
+        return int(self.data[i, j])
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i * self.ncols : (i + 1) * self.ncols]
+        return tuple(self.data[i].tolist())
 
     def rows(self) -> list[tuple[int, ...]]:
-        return [self.row(i) for i in range(self.nrows)]
+        return [tuple(r) for r in self.data.tolist()]
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.data[i * self.ncols + j] for i in range(self.nrows))
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.data, dtype=np.int64).reshape(self.nrows, self.ncols)
+        return tuple(self.data[:, j].tolist())
 
     def flatten(self) -> tuple[int, ...]:
-        return self.data
+        return tuple(self.data.ravel().tolist())
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.data)
+        return not self.data.any()
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _check_field(self, other: "Matrix") -> None:
+    def _check_same_shape(self, other: "Matrix") -> None:
         if self.field != other.field:
             raise ValueError("field mismatch")
+        if self.data.shape != other.data.shape:
+            raise ValueError("shape mismatch")
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        f = self.field
-        if f.e == 1:
-            data = tuple((a + b) % f.p for a, b in zip(self.data, other.data))
-        else:
-            data = tuple(f.add(a, b) for a, b in zip(self.data, other.data))
-        return Matrix(f, self.nrows, self.ncols, data)
+        self._check_same_shape(other)
+        return self._with(self.field.add(self.data, other.data))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        self._check_same_shape(other)
+        return self._with(self.field.sub(self.data, other.data))
 
     def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols, tuple(f.neg(a) for a in self.data))
+        return self._with(self.field.neg(self.data))
 
     def scale(self, c: int) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols, tuple(f.mul(c, a) for a in self.data))
+        return self._with(self.field.mul(c, self.data))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
+        if self.field != other.field:
+            raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError(
                 f"dimension mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
             )
-        f = self.field
-        if f.e == 1:
-            prod = (self.to_numpy() @ other.to_numpy()) % f.p
-            return Matrix(f, self.nrows, other.ncols, tuple(int(x) for x in prod.ravel()))
-        out = [0] * (self.nrows * other.ncols)
-        for i in range(self.nrows):
-            for t in range(self.ncols):
-                a = self.data[i * self.ncols + t]
-                if a == 0:
-                    continue
-                for j in range(other.ncols):
-                    b = other.data[t * other.ncols + j]
-                    if b:
-                        idx = i * other.ncols + j
-                        out[idx] = f.add(out[idx], f.mul(a, b))
-        return Matrix(f, self.nrows, other.ncols, tuple(out))
+        f, a, b = self.field, self.data, other.data
+        out = np.zeros((self.nrows, other.ncols), dtype=np.int64)
+        for t in range(self.ncols):
+            out = f.add(out, f.mul(a[:, t : t + 1], b[t]))
+        return self._with(out)
 
     def __pow__(self, n: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -145,12 +142,7 @@ class Matrix:
         return out
 
     def transpose(self) -> "Matrix":
-        data = tuple(
-            self.data[i * self.ncols + j]
-            for j in range(self.ncols)
-            for i in range(self.nrows)
-        )
-        return Matrix(self.field, self.ncols, self.nrows, data)
+        return self._with(self.data.T)
 
     @staticmethod
     def hjoin(mats: Sequence["Matrix"]) -> "Matrix":
@@ -161,76 +153,57 @@ class Matrix:
         nrows = mats[0].nrows
         if any(m.field != f or m.nrows != nrows for m in mats):
             raise ValueError("incompatible matrices in horizontal join")
-        rows = []
-        for i in range(nrows):
-            r: list[int] = []
-            for m in mats:
-                r.extend(m.row(i))
-            rows.append(r)
-        return Matrix.from_rows(f, rows)
+        return mats[0]._with(np.hstack([m.data for m in mats]))
 
     # -- elimination ----------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and pivot columns."""
         f = self.field
-        mat = [list(self.row(i)) for i in range(self.nrows)]
+        mat = self.data.copy()
         pivots: list[int] = []
-        r = 0
         for c in range(self.ncols):
-            if r >= self.nrows:
+            r = len(pivots)
+            if r == self.nrows:
                 break
-            pr = next((i for i in range(r, self.nrows) if mat[i][c] != 0), None)
-            if pr is None:
+            nonzero = np.flatnonzero(mat[r:, c])
+            if not nonzero.size:
                 continue
-            mat[r], mat[pr] = mat[pr], mat[r]
-            inv = f.inv(mat[r][c])
-            if inv != 1:
-                mat[r] = [f.mul(inv, x) for x in mat[r]]
-            for i in range(self.nrows):
-                if i != r and mat[i][c] != 0:
-                    factor = mat[i][c]
-                    mat[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(mat[i], mat[r])]
+            pr = r + int(nonzero[0])
+            mat[[r, pr]] = mat[[pr, r]]
+            # columns left of c are zero in the pivot row from here on
+            mat[r, c:] = f.mul(f.inv(int(mat[r, c])), mat[r, c:])
+            col = mat[:, c : c + 1].copy()
+            col[r] = 0
+            mat[:, c:] = f.sub(mat[:, c:], f.mul(col, mat[r, c:]))
             pivots.append(c)
-            r += 1
-        return Matrix.from_rows(f, mat), tuple(pivots)
+        return self._with(mat), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def row_space_basis(self) -> "Matrix":
-        """Nonzero rows of the RREF; rank x ncols."""
+        """Nonzero rows of the RREF; rank x ncols (one zero row for rank 0)."""
         red, pivots = self.rref()
-        rows = [red.row(i) for i in range(len(pivots))]
-        if not rows:
-            rows = [(0,) * self.ncols]
-        return Matrix.from_rows(self.field, rows)
+        return self._with(red.data[: max(len(pivots), 1)])
 
     def nullspace(self) -> list[tuple[int, ...]]:
         """Basis of {v : M v^T = 0}, one tuple per free column."""
         red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        f = self.field
-        basis = []
-        for fc in free:
-            v = [0] * self.ncols
-            v[fc] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(red[r, fc])
-            basis.append(tuple(v))
-        return basis
+        free = [c for c in range(self.ncols) if c not in pivots]
+        basis = np.zeros((len(free), self.ncols), dtype=np.int64)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, list(pivots)] = self.field.neg(red.data[: len(pivots), free].T)
+        return [tuple(v) for v in basis.tolist()]
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = Matrix.hjoin([self, Matrix.identity(self.field, n)])
-        red, pivots = aug.rref()
-        if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
+        red, pivots = Matrix.hjoin([self, Matrix.identity(self.field, n)]).rref()
+        if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
-        rows = [red.row(i)[n:] for i in range(n)]
-        return Matrix.from_rows(self.field, rows)
+        return self._with(red.data[:, n:])
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -240,16 +213,4 @@ def vec_mat_mul(v: Sequence[int], m: Matrix) -> tuple[int, ...]:
     """Row vector times matrix over the matrix's field."""
     if len(v) != m.nrows:
         raise ValueError("dimension mismatch in vector-matrix product")
-    f = m.field
-    if f.e == 1:
-        arr = (np.array(v, dtype=np.int64) @ m.to_numpy()) % f.p
-        return tuple(int(x) for x in arr)
-    out = [0] * m.ncols
-    for i, vi in enumerate(v):
-        if vi == 0:
-            continue
-        row = m.row(i)
-        for j in range(m.ncols):
-            if row[j]:
-                out[j] = f.add(out[j], f.mul(vi, row[j]))
-    return tuple(out)
+    return (Matrix(m.field, 1, m.nrows, v) @ m).row(0)

@@ -45,7 +45,7 @@ class Poly:
 
     @classmethod
     def from_coeffs(cls, field: Field, coeffs: Iterable[int]) -> "Poly":
-        c = [field._canon(x) if field.e > 1 else int(x) % field.p for x in coeffs]
+        c = list(map(field._canon, coeffs))
         while c and c[-1] == 0:
             c.pop()
         return cls(field, tuple(c))
@@ -265,7 +265,7 @@ def _parse_terms(field: Field, s: str) -> Poly:
             deg = 1
         else:
             deg = int(m.group(3))
-        c = c % field.p if field.e == 1 else field._canon(c)
+        c = field._canon(c)
         if sign == "-":
             c = field.neg(c)
         coeffs[deg] = field.add(coeffs.get(deg, 0), c)

@@ -1,3 +1,4 @@
+import mmap
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -249,6 +250,21 @@ def test_kernels_match_oracle_across_chunks(code, data):
                     assert list(zip(index.tolist(), dist.tolist())) == [
                         (d.index(min(d)), min(d)) for d in want[metric]
                     ]
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no huge-page advice here")
+def test_large_table_starts_on_a_huge_page_boundary():
+    rng = random.Random(3)
+    rows = [[rng.randrange(2) for _ in range(40)] for _ in range(19)]
+    table = kernels.build_table(GF2, rows, 1)
+    assert table.low.nbytes >= 1 << 21
+    assert table.low.ctypes.data % (1 << 21) == 0
+    # the same codewords as a table of small chunks, which lives on the heap
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_CHUNK_BUDGET", 1 << 8)
+        small = kernels.build_table(GF2, rows, 1)
+    index = np.arange(table.size)
+    assert np.array_equal(table.codewords(index, 40), small.codewords(index, 40))
 
 
 def test_profile_of_blocks_longer_than_64():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from grclib.fields import field_create, is_prime
@@ -100,9 +101,22 @@ def test_is_prime():
 
 
 def test_tables_consistent():
-    gf9 = field_create(3, 2)
-    add, mul = gf9.tables()
-    for a in range(9):
-        for b in range(9):
-            assert add[a, b] == gf9.add(a, b)
-            assert mul[a, b] == gf9.mul(a, b)
+    # tables and the elementwise array ops against the scalar ops
+    for field in (field_create(3, 2), field_create(2, 2), field_create(2, 3), field_create(5, 2)):
+        q = field.q
+        add, mul = field.tables()
+        col, row = np.arange(q, dtype=np.int64)[:, None], np.arange(q, dtype=np.int64)
+        arrays = {
+            "add": field.add(col, row),
+            "sub": field.sub(col, row),
+            "mul": field.mul(col, row),
+            "neg": np.broadcast_to(field.neg(row), (q, q)),
+        }
+        for a in range(q):
+            for b in range(q):
+                assert add[a, b] == field.add(a, b)
+                assert mul[a, b] == field.mul(a, b)
+                assert arrays["add"][a, b] == field.add(a, b)
+                assert arrays["sub"][a, b] == field.sub(a, b)
+                assert arrays["mul"][a, b] == field.mul(a, b)
+                assert arrays["neg"][a, b] == field.neg(b)

@@ -370,6 +370,19 @@ def test_grc_roundtrip_type2():
     assert isinstance(back.variant, TypeII)
 
 
+def test_grc_text_canonicalises_transform_entries():
+    # B = [[0,1],[1,1]] over GF(3), so B^2 = [[1,1],[1,2]], also written 4 1 1 -1
+    base = LinearCode.from_rows(GF3, [[1, 0, 1, 1], [0, 1, 1, 2]])
+    text = grc_to_text(type2(base, Matrix.from_rows(GF3, [[0, 1], [1, 1]]), 3))
+    assert "transform 1 1 1 2\n" in text
+    canonical = grc_from_text(text)
+    written = grc_from_text(text.replace("transform 1 1 1 2\n", "transform 4 1 1 -1\n"))
+    assert written.variant.transforms == canonical.variant.transforms
+    assert degeneracy_and_regularity(written) == degeneracy_and_regularity(canonical)
+    assert degeneracy_and_regularity(written).regular
+    assert grc_to_text(written) == text
+
+
 def test_grc_roundtrip_detects_tampering(golay_shift4):
     text = grc_to_text(golay_shift4)
     lines = text.splitlines()

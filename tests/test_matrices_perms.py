@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
+from grclib.codes import LinearCode
 from grclib.fields import field_create
 from grclib.matrices import Matrix, vec_mat_mul
 from grclib.perms import Permutation
+from grclib.poly import Poly, factor_xn_minus_1, is_irreducible
 
 GF2 = field_create(2)
 GF3 = field_create(3)
@@ -64,6 +68,21 @@ def test_hjoin():
     b = Matrix.from_rows(GF2, [[1, 1], [0, 0]])
     j = Matrix.hjoin([a, b])
     assert j.rows() == [(1, 0, 1, 1), (0, 1, 0, 0)]
+
+
+def test_entries_are_canonicalised_or_rejected():
+    # prime fields reduce any int; extension fields reject ints outside [0, q)
+    assert Matrix(GF3, 2, 2, (4, 1, 1, -1)) == Matrix.from_rows(GF3, [[1, 1], [1, 2]])
+    gf4 = field_create(2, 2)
+    for bad in ((0, 4), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            Matrix(gf4, 1, 2, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            Matrix.from_rows(gf4, [bad])
+    # entries past 64 bits too
+    assert Matrix.from_rows(GF3, [[2**70, -(2**70)]]).rows() == [(2**70 % 3, -(2**70) % 3)]
+    with pytest.raises(ValueError, match="out of range"):
+        Matrix.from_rows(gf4, [[2**70]])
 
 
 def test_matrix_power():
@@ -150,3 +169,89 @@ def test_cyclic_shift_is_polynomial_shift():
     # matrix moves coefficients toward lower positions
     pi = Permutation.cyclic_shift(4)
     assert pi.apply((7, 8, 9, 10)) == (8, 9, 10, 7)
+
+
+# ---------------------------------------------------------------------------
+# array paths against per-element loops over the scalar field ops
+
+
+def _ref_matmul(f, a, b):
+    out = [[0] * len(b[0]) for _ in a]
+    for i, ai in enumerate(a):
+        for t, bt in enumerate(b):
+            for j, x in enumerate(bt):
+                out[i][j] = f.add(out[i][j], f.mul(ai[t], x))
+    return [tuple(r) for r in out]
+
+
+def _ref_rref(f, rows):
+    mat = [list(r) for r in rows]
+    r = 0
+    for c in range(len(mat[0])):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = f.inv(mat[r][c])
+        mat[r] = [f.mul(inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                factor = mat[i][c]
+                mat[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(mat[i], mat[r])]
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat]
+
+
+@pytest.mark.parametrize(
+    "args", [(2,), (3,), (2, 2), (3, 2), (11,)], ids=["gf2", "gf3", "gf4", "gf9", "gf11"]
+)
+def test_matrix_ops_match_scalar_oracle(args):
+    f = field_create(*args)
+    rng = random.Random(f.q)
+
+    def rand(r, c):
+        return [[rng.randrange(f.q) for _ in range(c)] for _ in range(r)]
+
+    for _ in range(12):
+        r, t, c = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 6)
+        a, b, a2 = rand(r, t), rand(t, c), rand(r, t)
+        ma, mb, ma2 = (Matrix.from_rows(f, x) for x in (a, b, a2))
+        assert (ma @ mb).rows() == _ref_matmul(f, a, b)
+        assert (ma + ma2).rows() == [tuple(map(f.add, x, y)) for x, y in zip(a, a2)]
+        assert (ma - ma2).rows() == [tuple(map(f.sub, x, y)) for x, y in zip(a, a2)]
+        s = rng.randrange(f.q)
+        assert ma.scale(s).rows() == [tuple(f.mul(s, x) for x in row) for row in a]
+        # rank-deficient inputs too: the last row repeats a combination of two
+        low = a + [[f.add(f.mul(s, x), y) for x, y in zip(a[0], a[-1])]]
+        # the reduced echelon form of a row space is unique, so the oracle's must match
+        red, pivots = Matrix.from_rows(f, low).rref()
+        assert red.rows() == _ref_rref(f, low)
+        assert all(red[i, p] == 1 for i, p in enumerate(pivots))
+        square = Matrix.from_rows(f, rand(t, t))
+        eye = Matrix.identity(f, t).rows()
+        if square.rank() == t:
+            inv = square.inverse()
+            assert _ref_matmul(f, square.rows(), inv.rows()) == eye
+            assert _ref_matmul(f, inv.rows(), square.rows()) == eye
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                square.inverse()
+
+
+@pytest.mark.parametrize("args", [(2, 13), (4099,), (3, 8)], ids=["gf2^13", "gf4099", "gf3^8"])
+def test_large_fields_build_codes_and_factor(args):
+    f = field_create(*args)
+    rng = random.Random(5)
+    rows = [[rng.randrange(f.q) for _ in range(6)] for _ in range(3)]
+    code = LinearCode.from_rows(f, rows)
+    message = (1, f.q - 1, 2)
+    assert code.encode(message) == _ref_matmul(f, [message], rows)[0]
+    factors = factor_xn_minus_1(5, f)
+    product = Poly.one(f)
+    for g, mult in factors:
+        assert is_irreducible(g)
+        for _ in range(mult):
+            product = product * g
+    assert product == Poly.xn_minus_1(f, 5)
