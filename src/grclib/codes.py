@@ -118,6 +118,14 @@ class WeightDistribution:
         return self.as_dict().get(w, 0)
 
 
+def _leads_staggered(rows: np.ndarray) -> bool:
+    """Whether each row's first nonzero entry lies strictly right of the one
+    above: such rows are independent, so the rank needs no elimination.  A
+    cyclic code's generator x^i g(x) leads at column i, as g(0) != 0."""
+    nonzero = rows != 0
+    return bool(nonzero.any(axis=1).all() and (np.diff(nonzero.argmax(axis=1)) > 0).all())
+
+
 @dataclass(frozen=True)
 class LinearCode:
     """[n, k]_q linear code given by a full-rank generator matrix."""
@@ -133,7 +141,7 @@ class LinearCode:
             raise ValueError("generator shape does not match (k, n)")
         if self.k > self.n:
             raise ValueError("dimension exceeds length")
-        if self.gen.rank() != self.k:
+        if not _leads_staggered(self.gen.data) and self.gen.rank() != self.k:
             raise ValueError("generator matrix is not full rank")
 
     # -- constructors ---------------------------------------------------------

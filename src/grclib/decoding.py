@@ -18,9 +18,15 @@ simulator runs it on batches of frames.
 All randomness flows from a master seed; the stream for frame f, block b is
 numpy's ``SeedSequence(seed, spawn_key=(f, b))`` feeding PCG64 (``rng_for``),
 so results are bit-reproducible and independent of how frames are
-partitioned across workers.  The simulator computes the seeding hash of a
-whole batch of streams at once and sets each stream's PCG64 state, bit for
-bit the state ``rng_for`` starts from.
+partitioned across workers.  The simulator computes every draw of a batch
+of frames on arrays, bit for bit what ``rng_for``'s generators draw: the
+seeding hash and PCG64's seeding steps of all streams at once, output j of
+a stream by jumping its 128-bit LCG j + 1 steps ahead (A state + B inc, the
+products in 32-bit limbs), and numpy's conversions of the outputs to
+doubles and to bounded integers.  Only a stream whose bounded draw numpy
+rejects and redraws, which never happens for a power-of-two range and
+otherwise about once in 2^32 / (2^32 mod r) draws, is drawn by a PCG64
+generator set to its state.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import combinations, groupby
 from typing import Callable, Iterator, Sequence
 
@@ -116,7 +122,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_LOW32 = np.uint64(_MASK32)
 
 
 def _words32(n: int) -> list[int]:
@@ -132,14 +139,15 @@ def _words32(n: int) -> list[int]:
 
 def _seed_pools(seed: int, frames: Sequence[int], streams: int) -> np.ndarray:
     """The hashed entropy pool (F, streams, 4) of SeedSequence(seed,
-    spawn_key=(f, s)) for every f in ``frames``, all of one word length."""
+    spawn_key=(f, s)) for every f in ``frames``, all of one word length.
+    The seed's words are (1, 1) arrays and a frame's (F, 1), so the hash
+    works on the whole (F, streams) only from the stream word on."""
     run = _words32(seed)
     run += [0] * (_POOL - len(run))  # spawned sequences pad the seed to the pool size
-    shape = (len(frames), streams)
-    entropy = [np.full(shape, w, np.uint32) for w in run]
+    entropy = [np.full((1, 1), w, np.uint32) for w in run]
     for col in np.array([_words32(f) for f in frames], np.uint32).T:
-        entropy.append(np.broadcast_to(col[:, None], shape))
-    entropy.append(np.broadcast_to(np.arange(streams, dtype=np.uint32), shape))
+        entropy.append(col[:, None])
+    entropy.append(np.arange(streams, dtype=np.uint32)[None, :])
     const = _INIT_A
 
     def hashmix(value: np.ndarray) -> np.ndarray:
@@ -164,9 +172,46 @@ def _seed_pools(seed: int, frames: Sequence[int], streams: int) -> np.ndarray:
     return np.stack(pool, axis=-1)
 
 
-def _pcg64_states(seed: int, frames: Sequence[int], streams: int) -> list[tuple[int, int]]:
-    """(state, inc) of the PCG64 that ``rng_for(seed, f, s)`` starts from,
-    for every f in ``frames`` and s < ``streams``, frame-major."""
+# 128-bit integers are (hi, lo) pairs of uint64 arrays, which wrap mod 2^64
+
+
+def _mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of a * b, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
+    low = a0 * b0
+    mid = a1 * b0 + (low >> 32)
+    cross = a0 * b1 + (mid & _LOW32)
+    return a1 * b1 + (mid >> 32) + (cross >> 32)
+
+
+def _mul128(
+    a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """a * b mod 2^128."""
+    return _mul_hi(a_lo, b_lo) + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+
+
+def _add128(
+    a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2^128."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _split128(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Python ints below 2^128 as (hi, lo) uint64 arrays."""
+    return (np.array([v >> 64 for v in values], np.uint64),
+            np.array([v & _MASK64 for v in values], np.uint64))
+
+
+_PCG_HI, _PCG_LO = _split128([_PCG_MULT])
+
+
+def _pcg64_states(seed: int, frames: Sequence[int], streams: int) -> np.ndarray:
+    """(state_hi, state_lo, inc_hi, inc_lo), shape (4, F, streams), of the
+    PCG64 that ``rng_for(seed, f, s)`` starts from, for every f in ``frames``
+    and s < ``streams``."""
     out = []
     for _, group in groupby(frames, key=lambda f: len(_words32(f))):
         pool = _seed_pools(seed, list(group), streams)
@@ -177,28 +222,94 @@ def _pcg64_states(seed: int, frames: Sequence[int], streams: int) -> list[tuple[
             const = const * _MULT_B & _MASK32
             value = value * const
             words.append(value ^ (value >> 16))
-        seeds = np.stack(words, axis=-1).astype("<u4").view("<u8").reshape(-1, 4)
-        for s_hi, s_lo, i_hi, i_lo in seeds.tolist():
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            # pcg64_set_seed: a step from state 0, add the seed, another step
-            out.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+        u64 = np.stack(words, axis=-1).astype("<u4").view("<u8").astype(np.uint64, copy=False)
+        seed_hi, seed_lo, seq_hi, seq_lo = np.moveaxis(u64, -1, 0)
+        inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+        # pcg64_set_seed: a step from state 0, add the seed, another step
+        state = _add128(*_mul128(*_add128(*inc, seed_hi, seed_lo), _PCG_HI, _PCG_LO), *inc)
+        out.append(np.stack([*state, *inc]))
+    return np.concatenate(out, axis=1)
+
+
+@cache
+def _jumps(count: int) -> tuple[np.ndarray, ...]:
+    """(A_hi, A_lo, B_hi, B_lo) of the first ``count`` PCG64 steps: j + 1
+    steps take (state, inc) to A_j state + B_j inc, with A_j = M^(j+1) and
+    B_j = 1 + M + ... + M^j."""
+    a, b, steps_a, steps_b = 1, 0, [], []
+    for _ in range(count):
+        a, b = a * _PCG_MULT & _MASK128, (b * _PCG_MULT + 1) & _MASK128
+        steps_a.append(a)
+        steps_b.append(b)
+    out = (*_split128(steps_a), *_split128(steps_b))
+    for arr in out:
+        arr.flags.writeable = False
     return out
 
 
-def _keyed_streams(seed: int, frames: Sequence[int], streams: int) -> Iterator[np.random.Generator]:
-    """``rng_for(seed, f, s)`` for every f in ``frames`` and s < ``streams``,
-    frame-major: one generator set to each stream's state in turn, so a
-    stream is drawn from before the next one is taken."""
+def _pcg64_words(streams: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit outputs (N, count) of the PCG64 streams
+    (4, N) at (state_hi, state_lo, inc_hi, inc_lo): output j is the XSL-RR
+    output function of the state j + 1 steps on."""
+    a_hi, a_lo, b_hi, b_lo = _jumps(count)
+    s_hi, s_lo, i_hi, i_lo = streams[..., None]
+    hi, lo = _add128(*_mul128(s_hi, s_lo, a_hi, a_lo), *_mul128(i_hi, i_lo, b_hi, b_lo))
+    x, rot = hi ^ lo, hi >> 58
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def _bounded(words: np.ndarray, count: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.integers(0, r, size=count)`` for r < 2^32 on each row of
+    ``words``, as numpy draws it (Lemire): 32-bit halves, low half first,
+    each scaled to (u * r) >> 32.  A product whose low half is below
+    2^32 mod r is rejected and redrawn; the second array marks the rows
+    where that happens, whose values are then not numpy's."""
+    halves = np.stack([words & _LOW32, words >> 32], axis=-1).reshape(len(words), -1)
+    scaled = halves[:, :count] * np.uint64(r)
+    threshold = (1 << 32) % r
+    rejects = ((scaled & _LOW32) < threshold).any(axis=1)
+    return (scaled >> 32).astype(np.int64), rejects
+
+
+def _pcg64(stream: np.ndarray) -> np.random.Generator:
+    """A generator at the PCG64 stream (state_hi, state_lo, inc_hi, inc_lo)."""
+    s_hi, s_lo, i_hi, i_lo = (int(w) for w in stream)
     bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for state, inc in _pcg64_states(seed, frames, streams):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield gen
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bitgen)
+
+
+def _frame_draws(
+    seed: int, frames: Sequence[int], m: int, n: int, q: int, digits: int
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Every random draw of the frames: for block b < m, ``rng_for(seed, f,
+    b)`` draws ``random(n)`` (uniform, (F, m, n)) and, when q > 2,
+    ``integers(1, q, size=n)`` (shift, (F, m, n)); stream m draws the
+    message ``integers(0, q, size=digits)`` (F, digits).  The draws are
+    computed on whole arrays, bit for bit numpy's; only a stream whose
+    bounded draw numpy rejects is drawn again by a generator."""
+    streams = _pcg64_states(seed, frames, m + 1)
+    uniform = np.empty((len(frames), m, n))
+    shift = np.empty((len(frames), m, n), dtype=np.int64) if q > 2 else None
+    for b in range(m):
+        words = _pcg64_words(streams[..., b], n if shift is None else n + (n + 1) // 2)
+        uniform[:, b] = (words[:, :n] >> 11) * 2.0**-53  # Generator.random: the top 53 bits
+        if shift is not None:
+            values, rejects = _bounded(words[:, n:], n, q - 1)
+            shift[:, b] = values + 1
+            for f in np.flatnonzero(rejects):
+                rng = _pcg64(streams[:, f, b])
+                rng.random(n)  # the doubles, as computed above
+                shift[f, b] = rng.integers(1, q, size=n)
+    message, rejects = _bounded(_pcg64_words(streams[..., m], (digits + 1) // 2), digits, q)
+    for f in np.flatnonzero(rejects):
+        message[f] = _pcg64(streams[:, f, m]).integers(0, q, size=digits)
+    return uniform, shift, message
 
 
 def transmit(
@@ -290,14 +401,26 @@ def md_decode(
     metric: Metric = Hamming(),
     *,
     cap: int | None = None,
+    table: kernels.CodewordTable | None = None,
 ) -> DecodeResult:
-    """Exhaustive nearest-codeword decoding in the given metric."""
+    """Exhaustive nearest-codeword decoding in the given metric.
+
+    ``table`` is the code's codeword table, ``kernels.build_table`` of its
+    generator rows, built once by a caller that decodes many words (a
+    ``GrcDecoder``'s table is its full code's).  Any block count serves the
+    Hamming metric, whose distance is the sum over the blocks; a block
+    metric needs its own.  Without it a table is built for this call."""
     if len(received) != code.n:
         raise ValueError("received length does not match code length")
     m = _metric_blocks(metric, code.n)
-    table = kernels.build_table(code.field, code.gen.rows(), m, cap=cap)
-    words = kernels.pack_rows(code.field, [received], m)
-    index, dist = kernels.nearest(table, words, range(m), not isinstance(metric, Hamming))
+    union = not isinstance(metric, Hamming)
+    if table is None:
+        table = kernels.build_table(code.field, code.gen.rows(), m, cap=cap)
+    elif union and table.low.shape[0] != m:
+        raise ValueError(f"the table has {table.low.shape[0]} blocks, the metric {m}")
+    blocks = table.low.shape[0]
+    words = kernels.pack_rows(code.field, [received], blocks)
+    index, dist = kernels.nearest(table, words, range(blocks), union)
     message = table.message(int(index[0]))
     return DecodeResult(message, code.encode(message), int(dist[0]))
 
@@ -620,21 +743,11 @@ def _simulate_batch(
     field, m, n, k = grc.field, grc.m, grc.n, grc.dim
     q, p = field.q, cfg.channel.crossover
     crc = None if cfg.crc is None else CrcVerifier(cfg.crc)
-    uniform = np.empty((len(frames), m, n))
-    shift = np.empty((len(frames), m, n), dtype=np.int64) if q != 2 else None
-    digits = np.empty((len(frames), k), dtype=np.int64)
-    streams = _keyed_streams(cfg.seed, frames, m + 1)
-    for f in range(len(frames)):
-        for b in range(m):
-            rng = next(streams)
-            rng.random(out=uniform[f, b])
-            if shift is not None:
-                shift[f, b] = rng.integers(1, q, size=n)
-        rng = next(streams)
-        if crc is None:
-            digits[f] = rng.integers(0, q, size=k)
-        else:
-            digits[f] = crc.attach(tuple(int(x) for x in rng.integers(0, q, size=k - crc.ncheck)))
+    uniform, shift, digits = _frame_draws(
+        cfg.seed, frames, m, n, q, k if crc is None else k - crc.ncheck
+    )
+    if crc is not None:
+        digits = np.array([crc.attach(row.tolist()) for row in digits], dtype=np.int64)
     sent = digits @ q ** np.arange(k, dtype=np.int64)
     received = dec.table.codewords(sent, n)
     hit = uniform < p

@@ -8,7 +8,10 @@ and restores every workload's hooks in a separate interpreter, so neither
 the patched attributes nor the benchmark's module names reach this process,
 and no bytecode is written under ``perfbench/``.  It also runs one traced
 catalog pass over the small rows and summarises it into per-layer metrics,
-as a traced ``catalog`` run does at its end.
+as a traced ``catalog`` run does at its end.  A second test runs the
+benchmark's own self-test: the gate must catch its planted wrong answers,
+and the metrics the run reports must match those ``BENCHMARK.json``
+declares.
 """
 
 from __future__ import annotations
@@ -79,3 +82,11 @@ def test_every_workload_binds_and_restores_its_trace_hooks():
     # the catalog's per-layer rates divide by the time spent inside
     # kernels.subset_minima, so verification must sweep through it
     assert result["catalog_layers"]["kernels.subset_minima.busy_s"] > 0
+
+
+def test_benchmark_self_test_passes():
+    proc = subprocess.run(
+        [sys.executable, "-B", str(ROOT / "perfbench" / "run.py"), "--selftest"],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -536,6 +536,21 @@ def test_cyclic_requires_divisor():
         LinearCode.cyclic(GF2, 23, Poly.parse(GF2, "x^2+x+1"))
 
 
+def test_rank_check_skips_only_staggered_generators(golay, monkeypatch):
+    # the cyclic generator x^i g(x) leads at column i: no elimination runs
+    calls = []
+    rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: calls.append(1) or rank(self))
+    assert LinearCode.cyclic(GF2, 23, golay.cyclic_gen).k == 12
+    assert calls == []
+    # rows whose leads do not step right still get the rank check, both ways
+    assert LinearCode.from_rows(GF2, [[0, 1, 1], [1, 0, 1]]).k == 2
+    assert calls == [1]
+    for rows in ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[0, 1, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError, match="full rank"):
+            LinearCode.from_rows(GF2, rows)
+
+
 def test_is_cyclic(golay, simplex):
     assert golay.is_cyclic()
     assert simplex.is_cyclic()

@@ -159,6 +159,16 @@ def test_decode_block_metric_function(golay_shift4):
     assert res.distance == 2  # two corrupted columns
 
 
+def test_decode_with_prebuilt_table(dec1):
+    # the decoder's 4-block table serves the Hamming metric and Block(4)
+    full = dec1.full_code
+    rec = _corrupt(full.encode(MSG), [(1, 0), (3, 0), (1, 7), (4, 7), (2, 11)])
+    for metric in (Hamming(), Block(4)):
+        assert md_decode(full, rec, metric, table=dec1.table) == md_decode(full, rec, metric)
+    with pytest.raises(ValueError, match="blocks"):
+        md_decode(full, rec, Block(2), table=dec1.table)
+
+
 # ---------------------------------------------------------------------------
 # chase combining
 
@@ -401,7 +411,7 @@ def test_qary_decoding_matches_oracle(grc):
             (Hamming(), m * n, [0], "hamming"),
             (Block(m), n, range(m), "block"),
         ):
-            res = md_decode(dec.full_code, rec, metric)
+            res = md_decode(dec.full_code, rec, metric, table=dec.table)
             index, dist = _oracle(codewords, nb, rec, blocks, kind)
             assert (res.message, res.codeword, res.distance) == (
                 messages[index], codewords[index], dist
@@ -586,17 +596,39 @@ def test_sim_config_validation(dec1):
 def test_keyed_streams_match_rng_for(seed):
     # seeds of one to five uint32 words (four fill SeedSequence's pool and
     # five overflow it, so neither is padded), frames of one and two words,
-    # streams 0..m for m = 4
-    frames = [0, 1, 2**32 - 1, 2**32]
-    streams = decoding._keyed_streams(seed, frames, 5)
-    for f in frames:
-        for s in range(5):
-            got, want = next(streams), rng_for(seed, f, s)
-            assert got.bit_generator.state == want.bit_generator.state, (f, s)
-            assert got.random(4).tolist() == want.random(4).tolist()
-            assert got.integers(1, 3, size=7).tolist() == want.integers(1, 3, size=7).tolist()
-            assert got.integers(0, 2, size=12).tolist() == want.integers(0, 2, size=12).tolist()
-    assert next(streams, None) is None
+    # blocks 0..m-1 and the message stream m for m = 4, odd and even lengths
+    frames, m = [0, 1, 2**32 - 1, 2**32], 4
+    for q, n, k in ((2, 7, 12), (3, 6, 7), (4, 5, 6), (7, 4, 5)):
+        uniform, shift, message = decoding._frame_draws(seed, frames, m, n, q, k)
+        assert (shift is None) == (q == 2)
+        for i, f in enumerate(frames):
+            for b in range(m):
+                rng = rng_for(seed, f, b)
+                assert uniform[i, b].tolist() == rng.random(n).tolist(), (q, f, b)
+                if shift is not None:
+                    assert shift[i, b].tolist() == rng.integers(1, q, size=n).tolist(), (q, f, b)
+            want = rng_for(seed, f, m).integers(0, q, size=k)
+            assert message[i].tolist() == want.tolist(), (q, f)
+
+
+# (seed, frame, q) whose 40 bounded draws numpy rejects at least once: found
+# by scanning seeds 1, 2, ... and frames 0..8191 with the range r of largest
+# threshold 2^32 mod r below 4096 (r = 4056, threshold 4000)
+@pytest.mark.parametrize("what, seed, frame, q", [
+    ("message", 2, 5430, 4056),  # integers(0, q) on stream 1
+    ("shift", 6, 5258, 4057),  # integers(1, q) after the doubles on stream 0
+])
+def test_keyed_streams_rejected_draw_matches_rng_for(what, seed, frame, q):
+    count = 40
+    stream = decoding._pcg64_states(seed, [frame], 2)[..., 0 if what == "shift" else 1]
+    words = decoding._pcg64_words(stream, count + (count + 1) // 2)
+    r, drawn = (q - 1, words[:, count:]) if what == "shift" else (q, words)
+    assert decoding._bounded(drawn, count, r)[1].all()  # the array arithmetic is not enough
+    uniform, shift, message = decoding._frame_draws(seed, [frame], 1, count, q, count)
+    rng = rng_for(seed, frame, 0)
+    assert uniform[0, 0].tolist() == rng.random(count).tolist()
+    assert shift[0, 0].tolist() == rng.integers(1, q, size=count).tolist()
+    assert message[0].tolist() == rng_for(seed, frame, 1).integers(0, q, size=count).tolist()
 
 
 def test_type2_grc_decoding_11_4(gf2):

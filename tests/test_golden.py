@@ -5,18 +5,25 @@ code with each other; these rows pin what the simulator outputs, so a change
 to the decoder that alters any decision shows here.  The rows are the five
 runs of ``grc demo-example1 --frames 300 --seed 3`` and the catalog row 5
 [62,20] code on a BSC with an 8-bit CRC, as the benchmark's ``qc20-crc``
-config runs it, at 20 frames.
+config runs it, at 20 frames.  Two q-ary configs pin the bounded draws: over
+GF(3) the message digits have a nonzero rejection threshold, over GF(4) the
+symbol shifts do.  A seed of five 32-bit words pins the seeding hash on a
+seed too long to be padded to the pool.
 """
 
 from __future__ import annotations
 
 from grclib import presets
+from grclib.codes import LinearCode
 from grclib.decoding import AwgnBpskHard, Bsc, SimConfig, fer_simulate
 from grclib.fields import field_create
-from grclib.grc import from_qc_generators
+from grclib.grc import from_qc_generators, type1_regular
+from grclib.perms import Permutation
 from grclib.poly import Poly
 
 GF2 = field_create(2)
+GF4 = field_create(2, 2)
+HEXACODE = [[1, 0, 0, 1, 2, 2], [0, 1, 0, 2, 1, 2], [0, 0, 1, 2, 2, 1]]  # 2 = alpha
 
 DEMO_ROWS = [
     "type1-shift,awgn-bpsk-hard,-5.0,1,300,103,0.343333,0,3",
@@ -44,6 +51,23 @@ DEMO_ROWS = [
 QC20_ROWS = [
     "qc20-crc,bsc,0.1,1,20,4,0.200000,0,3",
     "qc20-crc,bsc,0.1,2,20,0,0.000000,0,3",
+]
+
+QARY_ROWS = [
+    "gf3-repetition,bsc,0.25,1,60,13,0.216667,0,8",
+    "gf3-repetition,bsc,0.25,2,60,13,0.216667,0,8",
+    "gf3-repetition,bsc,0.25,3,60,7,0.116667,0,8",
+    "gf4-hexacode,bsc,0.3,1,200,24,0.120000,0,8",
+    "gf4-hexacode,bsc,0.3,2,200,11,0.055000,0,8",
+    "gf4-hexacode,bsc,0.3,3,200,8,0.040000,0,8",
+]
+
+LONG_SEED = 2**130 + 7
+LONG_SEED_ROWS = [
+    f"long-seed,awgn-bpsk-hard,-5.0,1,100,30,0.300000,0,{LONG_SEED}",
+    f"long-seed,awgn-bpsk-hard,-5.0,2,100,10,0.100000,0,{LONG_SEED}",
+    f"long-seed,awgn-bpsk-hard,-5.0,3,100,7,0.070000,0,{LONG_SEED}",
+    f"long-seed,awgn-bpsk-hard,-5.0,4,100,5,0.050000,0,{LONG_SEED}",
 ]
 
 # catalog row 5 under the interpretation the catalog verifier reports
@@ -76,3 +100,21 @@ def test_qc20_crc_rows():
     cfg = SimConfig(grc=grc, channel=Bsc(0.1), frames=20, seed=3, max_depth=2,
                     crc=Poly.parse(GF2, "x^8+x^2+x+1"), code_id="qc20-crc")
     assert fer_simulate(cfg).csv_rows() == QC20_ROWS
+
+
+def test_qary_rows():
+    gf3 = type1_regular(presets.ternary_golay(), Permutation.cyclic_shift(11), 3)
+    gf4 = type1_regular(LinearCode.from_rows(GF4, HEXACODE), Permutation.cyclic_shift(6), 3)
+    cfgs = [
+        SimConfig(grc=gf3, channel=Bsc(0.25), frames=60, seed=8, max_depth=3,
+                  scheme="repetition", code_id="gf3-repetition"),
+        SimConfig(grc=gf4, channel=Bsc(0.3), frames=200, seed=8, max_depth=3,
+                  code_id="gf4-hexacode"),
+    ]
+    assert [row for cfg in cfgs for row in fer_simulate(cfg).csv_rows()] == QARY_ROWS
+
+
+def test_long_seed_rows():
+    cfg = SimConfig(grc=presets.golay_type1_shift(4), channel=AwgnBpskHard(-5.0), frames=100,
+                    seed=LONG_SEED, max_depth=4, code_id="long-seed")
+    assert fer_simulate(cfg).csv_rows() == LONG_SEED_ROWS
