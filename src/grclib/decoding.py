@@ -401,26 +401,14 @@ def md_decode(
     metric: Metric = Hamming(),
     *,
     cap: int | None = None,
-    table: kernels.CodewordTable | None = None,
 ) -> DecodeResult:
-    """Exhaustive nearest-codeword decoding in the given metric.
-
-    ``table`` is the code's codeword table, ``kernels.build_table`` of its
-    generator rows, built once by a caller that decodes many words (a
-    ``GrcDecoder``'s table is its full code's).  Any block count serves the
-    Hamming metric, whose distance is the sum over the blocks; a block
-    metric needs its own.  Without it a table is built for this call."""
+    """Exhaustive nearest-codeword decoding in the given metric."""
     if len(received) != code.n:
         raise ValueError("received length does not match code length")
     m = _metric_blocks(metric, code.n)
-    union = not isinstance(metric, Hamming)
-    if table is None:
-        table = kernels.build_table(code.field, code.gen.rows(), m, cap=cap)
-    elif union and table.low.shape[0] != m:
-        raise ValueError(f"the table has {table.low.shape[0]} blocks, the metric {m}")
-    blocks = table.low.shape[0]
-    words = kernels.pack_rows(code.field, [received], blocks)
-    index, dist = kernels.nearest(table, words, range(blocks), union)
+    table = kernels.build_table(code.field, code.gen.rows(), m, cap=cap)
+    words = kernels.pack_rows(code.field, [received], m)
+    index, dist = kernels.nearest(table, words, range(m), not isinstance(metric, Hamming))
     message = table.message(int(index[0]))
     return DecodeResult(message, code.encode(message), int(dist[0]))
 

@@ -159,16 +159,6 @@ def test_decode_block_metric_function(golay_shift4):
     assert res.distance == 2  # two corrupted columns
 
 
-def test_decode_with_prebuilt_table(dec1):
-    # the decoder's 4-block table serves the Hamming metric and Block(4)
-    full = dec1.full_code
-    rec = _corrupt(full.encode(MSG), [(1, 0), (3, 0), (1, 7), (4, 7), (2, 11)])
-    for metric in (Hamming(), Block(4)):
-        assert md_decode(full, rec, metric, table=dec1.table) == md_decode(full, rec, metric)
-    with pytest.raises(ValueError, match="blocks"):
-        md_decode(full, rec, Block(2), table=dec1.table)
-
-
 # ---------------------------------------------------------------------------
 # chase combining
 
@@ -411,7 +401,7 @@ def test_qary_decoding_matches_oracle(grc):
             (Hamming(), m * n, [0], "hamming"),
             (Block(m), n, range(m), "block"),
         ):
-            res = md_decode(dec.full_code, rec, metric, table=dec.table)
+            res = md_decode(dec.full_code, rec, metric)
             index, dist = _oracle(codewords, nb, rec, blocks, kind)
             assert (res.message, res.codeword, res.distance) == (
                 messages[index], codewords[index], dist
