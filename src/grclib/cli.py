@@ -13,7 +13,14 @@ from pathlib import Path
 
 from .bounds import BoundReport
 from .codes import LinearCode, _field_of_order
-from .codetable import EntryReport, hex_encode, load_table, search_qc_type2, verify_table
+from .codetable import (
+    VERIFY_CAP,
+    EntryReport,
+    hex_encode,
+    load_table,
+    search_qc_type2,
+    verify_table,
+)
 from .decoding import AwgnBpskHard, Bsc, SimConfig, SimResult, fer_simulate
 from .grc import (
     GrcCode,
@@ -152,8 +159,7 @@ def _cmd_verify_table(args: argparse.Namespace) -> int:
     if args.rows:
         wanted = {int(x) for x in args.rows.split(",")}
         entries = [e for e in entries if e.no in wanted]
-    cap = None if args.long_run else args.cap
-    reports = verify_table(entries, cap=cap, threads=args.threads)
+    reports = verify_table(entries, cap=args.cap, threads=args.threads)
     print(EntryReport.CSV_HEADER)
     bad = False
     for rep in reports:
@@ -311,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify-table", help="verify the bundled code table")
     v.add_argument("--file", default=None, help="table CSV (default: bundled)")
-    v.add_argument("--cap", type=int, default=26)
-    v.add_argument("--long-run", action="store_true", help="ignore the cap")
+    v.add_argument("--cap", type=int, default=VERIFY_CAP)
     v.add_argument("--threads", type=int, default=1)
     v.add_argument("--rows", help="comma-separated row numbers to verify")
     v.set_defaults(func=_cmd_verify_table)

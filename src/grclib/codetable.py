@@ -318,12 +318,15 @@ def verify_entry(
 
     An interpretation's sweep stops at its first codeword below a listed
     distance.  If no interpretation verifies, those stopped early are swept
-    again in full, so a mismatch reports exact distances.
+    again in full, so a mismatch reports exact distances.  A row whose
+    dimension is above the enumeration cap (``kernels.DEFAULT_CAP`` when
+    ``cap`` is None) ends "skipped".
     """
     t0 = time.monotonic()
     field = field_create(2)
-    if cap is not None and entry.k > cap:
-        return EntryReport(entry, "skipped", note=f"dimension above cap {cap}")
+    limit = kernels.cap_limit(cap)
+    if entry.k > limit:
+        return EntryReport(entry, "skipped", note=f"dimension above cap {limit}")
     try:
         candidates = list(_interpretations(entry, field))
     except ValueError as exc:

@@ -425,11 +425,13 @@ def chase_combine(
     tie_policy: str = "first-block",
     rng: np.random.Generator | None = None,
 ) -> tuple[int, ...]:
-    """Align received blocks by undoing the Type-I permutations, then take a
-    per-column majority vote.
+    """Align received blocks onto block 1 by undoing the Type-I permutations,
+    then take a per-column majority vote: the alignment and vote of a
+    ``GrcDecoder`` Chase candidate, on one frame.
 
     ``tie_policy`` is 'first-block' (deterministic: the earliest block among
-    the tied symbols wins) or 'random' (draw from ``rng``).
+    the tied symbols wins) or 'random': each tied column, left to right,
+    draws ``rng.choice`` over its tied symbols in ascending order.
     """
     m = len(blocks)
     if len(perms) != m - 1:
@@ -438,33 +440,37 @@ def chase_combine(
         raise ValueError(f"unknown tie policy {tie_policy!r}")
     if tie_policy == "random" and rng is None:
         raise ValueError("tie policy 'random' needs an rng")
-    aligned = [tuple(blocks[0])]
-    for z, p in zip(blocks[1:], perms):
-        aligned.append(p.inverse().apply(tuple(z)))
-    return _majority_vote(aligned, tie_policy, rng)
+    symbols = np.array(blocks, dtype=np.int64)[None]
+    if any(p.size != symbols.shape[2] for p in perms):
+        raise ValueError("permutation size does not match block length")
+    if ((symbols < 0) | (symbols >= field.q)).any():
+        raise ValueError(f"symbol out of range for {field}")
+    voted, tops = _vote(_align(symbols, perms), field.q)
+    out = voted[0]
+    if tie_policy == "random":
+        for j in np.flatnonzero(tops[0].sum(axis=1) > 1):
+            out[j] = rng.choice(np.flatnonzero(tops[0, j]))
+    return tuple(int(x) for x in out)
 
 
-def _majority_vote(
-    aligned: Sequence[Sequence[int]],
-    tie_policy: str,
-    rng: np.random.Generator | None,
-) -> tuple[int, ...]:
-    n = len(aligned[0])
-    out = []
-    for j in range(n):
-        column = [a[j] for a in aligned]
-        counts: dict[int, int] = {}
-        for x in column:
-            counts[x] = counts.get(x, 0) + 1
-        top = max(counts.values())
-        tied = [x for x, c in counts.items() if c == top]
-        if len(tied) == 1:
-            out.append(tied[0])
-        elif tie_policy == "first-block":
-            out.append(next(x for x in column if x in tied))
-        else:
-            out.append(int(rng.choice(sorted(tied))))
-    return tuple(out)
+def _align(symbols: np.ndarray, perms: Sequence[Permutation]) -> np.ndarray:
+    """Blocks 1..r of every frame's blocks ``symbols`` (F, m, n), with
+    r = len(perms) + 1, aligned onto block 1 by undoing the Type-I
+    permutations: (F, r, n)."""
+    n = symbols.shape[2]
+    index = np.array([range(n)] + [p.inverse().apply(range(n)) for p in perms])
+    return np.take_along_axis(symbols[:, : len(index)], index[None], axis=2)
+
+
+def _vote(aligned: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column-wise majority (F, n) of the aligned blocks (F, r, n) of every
+    frame, and the mask (F, n, q) of each column's most frequent symbols; a
+    column with more than one is a tie.  The majority breaks a tie by the
+    'first-block' policy: the earliest block whose symbol is among them."""
+    counts = (aligned[..., None] == np.arange(q)).sum(axis=1)  # (F, n, q)
+    tops = counts == counts.max(axis=2, keepdims=True)
+    first = np.take_along_axis(tops, aligned.transpose(0, 2, 1), axis=2).argmax(axis=2)
+    return np.take_along_axis(aligned, first[:, None, :], axis=1)[:, 0], tops
 
 
 # ---------------------------------------------------------------------------
@@ -593,24 +599,10 @@ class GrcDecoder:
             blocks = [b - 1 for b in cand.blocks]
             return kernels.nearest(self.table, packed[:, blocks], blocks, cand.kind == "block")[0]
         # blocks 1..r, aligned onto block 1 and voted, decode in block 1
-        r, n = len(cand.blocks), self.grc.n
-        aligned = [symbols[:, 0]]
-        for j, perm in enumerate(self.grc.variant.perms[: r - 1], 1):  # type: ignore[union-attr]
-            aligned.append(symbols[:, j, list(perm.inverse().apply(range(n)))])
-        voted = _vote(np.stack(aligned, axis=1), self.grc.field.q)
+        perms = self.grc.variant.perms[: len(cand.blocks) - 1]  # type: ignore[union-attr]
+        voted, _ = _vote(_align(symbols, perms), self.grc.field.q)
         words = kernels.pack_rows(self.grc.field, voted, 1)
         return kernels.nearest(self.table, words, [0], False)[0]
-
-
-def _vote(aligned: np.ndarray, q: int) -> np.ndarray:
-    """Column-wise majority of the aligned blocks (F, r, n) of every frame,
-    as ``chase_combine`` votes with the 'first-block' tie policy: a tie goes
-    to the earliest block whose symbol is among the most frequent."""
-    counts = (aligned[..., None] == np.arange(q)).sum(axis=1)  # (F, n, q)
-    top = counts.max(axis=2, keepdims=True)
-    tied = np.take_along_axis(counts, aligned.transpose(0, 2, 1), axis=2) == top  # (F, n, r)
-    first = tied.argmax(axis=2)
-    return np.take_along_axis(aligned, first[:, None, :], axis=1)[:, 0]
 
 
 def _verified(check: Callable[[tuple[int, ...]], bool], table: kernels.CodewordTable) -> Acceptor:

@@ -43,67 +43,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Internal GF(p)[x] helpers on raw coefficient tuples (ascending order).
-# Used for modulus validation and extension-field arithmetic; the public
-# polynomial type in poly.py is built on top of Field and cannot be used here.
+def _modulus(p: int, e: int, given: Sequence[int] | None) -> tuple[int, ...]:
+    """The ``given`` modulus of GF(p^e), checked, or when it is None the
+    monic irreducible of degree e whose coefficients, read as base-p digits
+    with the constant term lowest, make the smallest integer."""
+    from .poly import Poly, is_irreducible  # poly imports this module
 
-
-def _tup_trim(c: Sequence[int]) -> tuple[int, ...]:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _tup_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - dm
-        factor = a[-1] * inv_lead % p
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * mi) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return tuple(a)
-
-
-def _tup_is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(f)/2."""
-    f = _tup_trim(f)
-    deg = len(f) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for enc in range(p**d):
-            div = [0] * (d + 1)
-            v = enc
-            for i in range(d):
-                div[i] = v % p
-                v //= p
-            div[d] = 1
-            if not _tup_mod(f, div, p):
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
-    """Monic irreducible of degree e over GF(p) with the smallest integer
-    encoding of its low-order coefficients."""
+    fp = field_create(p)
+    if given is not None:
+        mod = Poly.from_coeffs(fp, given)
+        if mod.degree != e:
+            raise ValueError(f"modulus must have degree {e}")
+        if not mod.is_monic():
+            raise ValueError("modulus must be monic")
+        if not is_irreducible(mod):
+            raise ValueError("modulus is reducible over the prime field")
+        return mod.coeffs
     for enc in range(p**e):
-        c = [0] * (e + 1)
-        v = enc
-        for i in range(e):
-            c[i] = v % p
-            v //= p
-        c[e] = 1
-        if _tup_is_irreducible(c, p):
-            return tuple(c)
+        mod = Poly.from_coeffs(fp, [enc // p**i % p for i in range(e)] + [1])
+        if is_irreducible(mod):
+            return mod.coeffs
     raise RuntimeError(f"no irreducible of degree {e} over GF({p})")  # unreachable
 
 
@@ -125,16 +84,7 @@ class Field:
                 raise ValueError("modulus is only meaningful for extension fields")
             mod: tuple[int, ...] | None = None
         else:
-            if modulus is None:
-                mod = _smallest_irreducible(p, e)
-            else:
-                mod = _tup_trim(int(c) % p for c in modulus)
-                if len(mod) - 1 != e:
-                    raise ValueError(f"modulus must have degree {e}")
-                if mod[-1] != 1:
-                    raise ValueError("modulus must be monic")
-                if not _tup_is_irreducible(mod, p):
-                    raise ValueError("modulus is reducible over the prime field")
+            mod = _modulus(p, e, modulus)
         self.p = p
         self.e = e
         self.q = p**e
@@ -339,8 +289,9 @@ def field_create(p: int, e: int = 1, modulus: object | None = None) -> Field:
 
     ``modulus`` may be any object with ascending-order ``coeffs`` (e.g. a
     :class:`grclib.poly.Poly` over GF(p)) or a plain coefficient sequence.
-    When absent and e > 1, the lexicographically smallest monic irreducible
-    of degree e is selected.
+    When absent and e > 1, the monic irreducible of degree e is selected
+    whose coefficients, read as base-p digits with the constant term lowest,
+    make the smallest integer: x^3 + x + 1 for GF(8), not x^3 + x^2 + 1.
     """
     coeffs: tuple[int, ...] | None
     if modulus is None:

@@ -86,11 +86,13 @@ class GrcCode:
 
     @property
     def k(self) -> int:
+        """Dimension of the base code, block 1."""
         return self.base.k
 
     @property
     def dim(self) -> int:
-        """Dimension of the full blocked code (= k for all constructors)."""
+        """Dimension of the full blocked code: ``k`` for every constructor
+        but ``as_blocked``, whose block 1 may span less."""
         return self.gen.nrows
 
     def full_code(self) -> LinearCode:
@@ -109,7 +111,7 @@ class GrcCode:
             if isinstance(self.variant, TypeII)
             else "blocked"
         )
-        return f"GrcCode[({self.n},{self.m}),{self.k}]_{self.field.q}:{tag}"
+        return f"GrcCode[({self.n},{self.m}),{self.dim}]_{self.field.q}:{tag}"
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +426,7 @@ def check_qc_type2_bounds(
 
 
 def grc_to_text(grc: GrcCode) -> str:
-    lines = [f"{grc.field.q} {grc.gen.ncols} {grc.k} {grc.m}"]
+    lines = [f"{grc.field.q} {grc.gen.ncols} {grc.dim} {grc.m}"]
     for r in grc.gen.rows():
         lines.append(" ".join(str(x) for x in r))
     if isinstance(grc.variant, TypeI):
@@ -480,7 +482,7 @@ def grc_from_text(text: str) -> GrcCode:
             transforms.append(Matrix(field, k, k, tuple(vals)))
         rebuilt = type2_general(base, transforms)
     else:
-        rebuilt = GrcCode(LinearCode.span(field, block1), m, gen, None)
+        rebuilt = as_blocked(LinearCode.from_rows(field, rows), m)
     if rebuilt.gen != gen:
         raise ValueError("stored generator disagrees with variant reconstruction")
     return rebuilt

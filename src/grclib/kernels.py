@@ -78,8 +78,13 @@ class DimensionCapError(Exception):
     """Enumeration over q^k refused because k exceeds the configured cap."""
 
 
+def cap_limit(cap: int | None) -> int:
+    """The largest dimension that enumeration under ``cap`` accepts."""
+    return DEFAULT_CAP if cap is None else cap
+
+
 def check_cap(k: int, cap: int | None) -> None:
-    limit = DEFAULT_CAP if cap is None else cap
+    limit = cap_limit(cap)
     if k > limit:
         raise DimensionCapError(
             f"dimension {k} above enumeration cap {limit}; raise cap explicitly"

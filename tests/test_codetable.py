@@ -110,6 +110,13 @@ def test_row_above_cap_is_skipped():
     assert "above cap" in rep.note
 
 
+def test_row_above_default_cap_is_skipped_without_a_cap():
+    # no cap means the enumeration default, as in kernels.check_cap
+    rep = verify_entry(load_table()[32], cap=None)
+    assert rep.status == "skipped"
+    assert f"above cap {kernels.DEFAULT_CAP}" in rep.note
+
+
 def _full_profiles(entry):
     """(tag, pads, exact (d1, d2, ud2)) of every interpretation of the row,
     each from a full distance_profile."""

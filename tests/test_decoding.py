@@ -3,6 +3,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from grclib.codes import Block, Hamming, LinearCode
@@ -202,9 +203,28 @@ def test_chase_tie_policies():
         chase_combine(blocks, perms, field=GF2, tie_policy="bogus")
 
 
+def test_chase_random_ties_draw_in_column_order():
+    # GF(3): four three-way ties in the first call, three 2-2 ties in the
+    # second; each tied column draws once from the one rng
+    gf3 = field_create(3)
+    rng = np.random.default_rng(2024)
+    three = [(0, 1, 2, 0, 1), (1, 2, 0, 0, 2), (2, 0, 1, 0, 0)]
+    two = [(0, 1, 2, 1), (1, 0, 2, 1), (0, 1, 1, 2), (1, 0, 1, 0)]
+    kw = dict(field=gf3, tie_policy="random", rng=rng)
+    assert chase_combine(three, [Permutation.identity(5)] * 2, **kw) == (0, 2, 0, 0, 0)
+    assert chase_combine(two, [Permutation.identity(4)] * 3, **kw) == (0, 0, 2, 1)
+
+
 def test_chase_needs_matching_perm_count():
     with pytest.raises(ValueError):
         chase_combine([(1, 0)], [Permutation.identity(2)], field=GF2)
+
+
+def test_chase_rejects_malformed_blocks():
+    with pytest.raises(ValueError, match="permutation size"):
+        chase_combine([(1, 0), (0, 1)], [Permutation.identity(3)], field=GF2)
+    with pytest.raises(ValueError, match="out of range"):
+        chase_combine([(1, 0), (0, 2)], [Permutation.identity(2)], field=GF2)
 
 
 # ---------------------------------------------------------------------------

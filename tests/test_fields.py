@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,55 @@ def test_reducible_modulus_rejected():
     # x^2 + 1 = (x+1)^2 over GF(2)
     with pytest.raises(ValueError, match="reducible"):
         field_create(2, 2, modulus=(1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "p,e,modulus,match",
+    [
+        (3, 3, (2, 0, 0, 1), "reducible"),  # x^3 + 2 = (x - 1)^3, derivative 0
+        (3, 2, (1, 0, 2), "monic"),  # 2x^2 + 1
+        (2, 3, (1, 0, 1), "degree"),
+        (2, 3, (1, 1, 1, 0), "degree"),  # a trailing zero is no degree
+    ],
+)
+def test_bad_modulus_rejected(p, e, modulus, match):
+    with pytest.raises(ValueError, match=match):
+        field_create(p, e, modulus=modulus)
+
+
+# the default modulus has the smallest integer encoding (base-p digits,
+# constant term lowest): x^3 + x + 1 for GF(8), not x^3 + x^2 + 1
+DEFAULT_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (3, 2): (1, 0, 1),
+    (5, 2): (2, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1) + (0,) * 8 + (1,),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,),
+    (13, 3): (2, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p,e", DEFAULT_MODULI)
+def test_default_modulus(p, e):
+    assert field_create(p, e).modulus == DEFAULT_MODULI[p, e]
+
+
+def test_fields_imports_first_in_a_fresh_interpreter():
+    # fields imports poly inside a function, since poly imports fields
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    script = "from grclib.fields import field_create; print(field_create(2, 3).modulus)"
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(1, 1, 0, 1)"
 
 
 def test_gf4_arithmetic():

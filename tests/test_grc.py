@@ -370,6 +370,19 @@ def test_grc_roundtrip_type2():
     assert isinstance(back.variant, TypeII)
 
 
+def test_grc_roundtrip_blocked():
+    # block 1 spans one dimension of the code's two
+    grc = as_blocked(LinearCode.from_rows(GF2, [[1, 0, 0, 1], [0, 0, 1, 0]]), 2)
+    assert (grc.k, grc.dim) == (1, 2)
+    assert repr(grc) == "GrcCode[(2,2),2]_2:blocked"
+    text = grc_to_text(grc)
+    assert text.startswith("2 4 2 2\n")
+    back = grc_from_text(text)
+    assert (back.gen, back.base, back.variant) == (grc.gen, grc.base, None)
+    with pytest.raises(ValueError, match="full rank"):
+        grc_from_text(text.replace("0 0 1 0", "1 0 0 1"))
+
+
 def test_grc_text_canonicalises_transform_entries():
     # B = [[0,1],[1,1]] over GF(3), so B^2 = [[1,1],[1,2]], also written 4 1 1 -1
     base = LinearCode.from_rows(GF3, [[1, 0, 1, 1], [0, 1, 1, 2]])
