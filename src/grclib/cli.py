@@ -48,11 +48,17 @@ class UsageError(Exception):
 
 
 def _load_any(path: str, m_flag: int | None) -> GrcCode:
+    """A GRC file, told by a variant line right after its generator rows, or
+    a plain code file read as blocks of ``--m``, or of its header's m."""
+    if m_flag is not None and m_flag < 1:
+        raise UsageError(f"--m must be >= 1, got {m_flag}")
     text = Path(path).read_text()
-    if "variant" in text:
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    k = lines[0][2] if lines and len(lines[0]) > 2 else ""
+    if k.isdigit() and len(lines) > 1 + int(k) and lines[1 + int(k)][0] == "variant":
         return grc_from_text(text)
     code, m = LinearCode.from_text(text)
-    m = m_flag or m
+    m = m if m_flag is None else m_flag
     if m is None:
         raise UsageError("plain code file has no block count; pass --m")
     return as_blocked(code, m)

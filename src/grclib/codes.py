@@ -303,7 +303,7 @@ def _read_code_text(
     text: str, kind: str, layout: str, sizes: tuple[int, ...]
 ) -> tuple[list[int], Field, list[list[int]], list[str]]:
     """(header, field, generator rows, the nonblank lines after the rows) of
-    a code file whose header is ``layout`` ('q n k ...') with one of
+    a code file whose header is ``layout`` ('q n k [m]') with one of
     ``sizes`` values; ``kind`` names the file in error messages."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -312,6 +312,8 @@ def _read_code_text(
         raise ValueError(f"bad {kind} header; expected '{layout}'")
     head = [int(x) for x in lines[0].split()]
     q, n, k = head[:3]
+    if len(head) > 3 and head[3] < 1:
+        raise ValueError(f"block count m must be >= 1, got {head[3]}")
     field = _field_of_order(q)
     rows = [[int(x) for x in ln.split()] for ln in lines[1 : 1 + k]]
     if len(rows) != k:

@@ -7,13 +7,18 @@ decoding is exact nearest-codeword search in the relevant metric.
 
 One decoding path: a ``GrcDecoder`` holds one codeword table, of the full
 code, and each candidate, like ``md_decode``, is a nearest-codeword search
-in it on a block subset (``kernels.nearest``).  A Chase candidate votes the
-Type-I copies aligned onto block 1 and decodes the result in block 1 of that
-table, so its message is numbered like every other.  One candidate loop,
-``GrcDecoder.first_accepted``, walks the candidates once for a batch of
-frames and decodes every frame not yet accepted in one sweep per
-candidate; ``multi_round_decode`` is that loop on one frame, and the
-simulator runs it on batches of frames.
+in it on a block subset, with ties going to the smallest message index.  A
+Chase candidate votes the Type-I copies aligned onto block 1 and decodes
+the result in block 1, so its message is numbered like every other.  A
+candidate on one block (round-1 Hamming, and Chase's decode in block 1)
+decodes by syndrome, from the block's table of coset leaders
+(``kernels.coset_leaders``), built on its first use; multi-block
+candidates, and a block that gets no leader table (rank below k, or more
+leaders than codewords), sweep the codeword table (``kernels.nearest``).
+Both give the same index.  One candidate loop, ``GrcDecoder.first_accepted``,
+walks the candidates once for a batch of frames and decodes every frame not
+yet accepted in one call per candidate; ``multi_round_decode`` is that loop
+on one frame, and the simulator runs it on batches of frames.
 
 All randomness flows from a master seed; the stream for frame f, block b is
 numpy's ``SeedSequence(seed, spawn_key=(f, b))`` feeding PCG64 (``rng_for``),
@@ -32,6 +37,7 @@ generator set to its state.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property, partial
@@ -544,11 +550,20 @@ Acceptor = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class GrcDecoder:
-    """The codeword table of a GRC, and the candidate decodes run over it."""
+    """The codeword table of a GRC, and the candidate decodes run over it.
+
+    A single-block decode goes through the coset-leader table of its block,
+    built on first use.  Blocks whose generators hold the same columns in
+    another order share one table, built on the columns in sorted order, and
+    a block's words are put in that order first.
+    """
 
     def __init__(self, grc: GrcCode):
         self.grc = grc
         self.table = kernels.build_table(grc.field, grc.gen.rows(), grc.m)
+        self._lock = threading.Lock()  # the simulator's threads share one decoder
+        self._leaders: dict[bytes, kernels.CosetLeaders | None] = {}
+        self._blocks: dict[int, tuple[np.ndarray, kernels.CosetLeaders | None]] = {}
 
     @cached_property
     def full_code(self) -> LinearCode:
@@ -595,14 +610,42 @@ class GrcDecoder:
     def _decode(self, symbols: np.ndarray, packed: np.ndarray, cand: Candidate) -> np.ndarray:
         """Message index of every frame under one candidate, from its blocks
         ``symbols`` (F, m, n) and their packed words ``packed`` (F, m, W)."""
-        if cand.kind != "chase":
-            blocks = [b - 1 for b in cand.blocks]
-            return kernels.nearest(self.table, packed[:, blocks], blocks, cand.kind == "block")[0]
-        # blocks 1..r, aligned onto block 1 and voted, decode in block 1
-        perms = self.grc.variant.perms[: len(cand.blocks) - 1]  # type: ignore[union-attr]
-        voted, _ = _vote(_align(symbols, perms), self.grc.field.q)
-        words = kernels.pack_rows(self.grc.field, voted, 1)
-        return kernels.nearest(self.table, words, [0], False)[0]
+        if cand.kind == "chase":
+            # blocks 1..r, aligned onto block 1 and voted, decode in block 1
+            perms = self.grc.variant.perms[: len(cand.blocks) - 1]  # type: ignore[union-attr]
+            voted, _ = _vote(_align(symbols, perms), self.grc.field.q)
+            return self._decode_block(0, voted)
+        if len(cand.blocks) == 1:
+            return self._decode_block(cand.blocks[0] - 1, symbols[:, cand.blocks[0] - 1])
+        blocks = [b - 1 for b in cand.blocks]
+        return kernels.nearest(self.table, packed[:, blocks], blocks, cand.kind == "block")[0]
+
+    def _decode_block(self, b: int, words: np.ndarray) -> np.ndarray:
+        """Message index of the codeword nearest to each of ``words`` (F, n)
+        in the 0-based block b, ties going to the smallest index: by
+        syndrome when the block has a coset-leader table, else by a sweep."""
+        order, leaders = self._block_leaders(b)
+        if leaders is not None:
+            return leaders.decode(words[:, order])
+        packed = kernels.pack_rows(self.grc.field, words, 1)
+        return kernels.nearest(self.table, packed, [b], False)[0]
+
+    def _block_leaders(self, b: int) -> tuple[np.ndarray, kernels.CosetLeaders | None]:
+        """Block b's column order and the coset-leader table of its columns
+        in that order; the table is None where ``kernels.coset_leaders``
+        declines: a block of rank below k, or more leaders than codewords."""
+        with self._lock:
+            if b not in self._blocks:
+                n = self.grc.n
+                block = self.grc.gen.data[:, b * n : (b + 1) * n]
+                order = np.lexsort(block[::-1])
+                key = block[:, order].tobytes()
+                if key not in self._leaders:
+                    self._leaders[key] = kernels.coset_leaders(
+                        self.grc.field, block[:, order], self.table.size
+                    )
+                self._blocks[b] = order, self._leaders[key]
+            return self._blocks[b]
 
 
 def _verified(check: Callable[[tuple[int, ...]], bool], table: kernels.CodewordTable) -> Acceptor:

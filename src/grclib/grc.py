@@ -446,13 +446,18 @@ def grc_to_text(grc: GrcCode) -> str:
     return "\n".join(lines) + "\n"
 
 
+_VARIANTS = ("type1", "type2", "none")
+
+
 def grc_from_text(text: str) -> GrcCode:
     (_, total_n, k, m), field, rows, lines = _read_code_text(text, "GRC", "q n k m", (4,))
     gen = Matrix.from_rows(field, rows)
     tag = lines[0].split() if lines else []
     if tag[:1] != ["variant"] or len(tag) < 2:
-        raise ValueError("missing variant line 'variant type1|type2|none'")
+        raise ValueError(f"missing variant line 'variant {'|'.join(_VARIANTS)}'")
     variant_name = tag[1]
+    if variant_name not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant_name!r}; expected {'|'.join(_VARIANTS)}")
     lines = lines[1:]
     qc_lines = [ln for ln in lines if ln.startswith("qc-")]
     if qc_lines:

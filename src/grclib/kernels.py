@@ -34,6 +34,16 @@ finishes with one chunk before it asks for the next.  Buffers belong to
 one sweep, never to the module or to a table, so concurrent sweeps,
 decoding sweeps of one shared table included, share nothing they write.
 
+One block can also be decoded by syndrome (the standard array):
+``coset_leaders`` tabulates every minimum-weight coset leader of a block
+code, and ``CosetLeaders.decode`` returns for each word the index that
+``nearest`` returns on that block, from the leaders of its coset alone.
+``decoding.GrcDecoder`` decodes its single-block candidates this way: the
+round-1 Hamming candidates and the Chase candidate's decode in block 1.  It
+sweeps with ``nearest`` instead where ``coset_leaders`` declines, for a block
+of rank below k or with more leaders than the q^k codewords of the table, and
+for every multi-block candidate; ``md_decode`` and the enumerations sweep.
+
 Three reducers consume the masks: the per-subset fold behind the distance
 profiles, the union over all blocks behind single-metric distances and
 weight histograms, and the per-codeword distances of a decode.  All count
@@ -53,6 +63,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .fields import Field
+from .matrices import Matrix
 
 __all__ = [
     "DEFAULT_CAP",
@@ -64,6 +75,8 @@ __all__ = [
     "build_table",
     "pack_rows",
     "nearest",
+    "CosetLeaders",
+    "coset_leaders",
 ]
 
 DEFAULT_CAP = 28
@@ -502,6 +515,129 @@ def nearest(
         best[rows] = np.where(better, d, best[rows])
         index[rows] = np.where(better, at + t * c, index[rows])
     return index, best
+
+
+# ---------------------------------------------------------------------------
+# decoding one block by syndrome: the standard array
+
+
+class CosetLeaders(NamedTuple):
+    """Every minimum-weight coset leader of an [n, k] block code, by
+    syndrome, as ``coset_leaders`` builds it.
+
+    A word w has a syndrome s(w), n - k symbols that vanish exactly on the
+    code, and a message u(w), k symbols that are the message of w when w is
+    a codeword.  Both are GF(q)-linear, and both are held as base-q
+    integers, numbered like message indices.  ``maps`` (n e, n e) computes
+    them on base-p digits, on which a GF(q)-linear map is GF(p)-linear: the
+    digits of (s(w) | u(w)) are the digits of w times ``maps`` mod p, digit a
+    of symbol j at j e + a.  The leaders e of syndrome i are held by their
+    messages u(e), rows ``start[i]:start[i + 1]`` of ``leaders``.
+    """
+
+    field: Field
+    k: int
+    maps: np.ndarray
+    start: np.ndarray
+    leaders: np.ndarray
+
+    def decode(self, symbols: np.ndarray) -> np.ndarray:
+        """Message index of the codeword nearest to each word r of
+        ``symbols`` (F, n), ties going to the smallest index: the least
+        u(r - e) over the leaders e of r's coset.  The -e are the leaders of
+        -r's coset, so that is the least u(r) + u(e) over the leaders e of
+        s(-r)."""
+        p, e, k = self.field.p, self.field.e, self.k
+        r = symbols.shape[1] - k
+        digits = symbols[..., None] // p ** np.arange(e) % p
+        out = (digits.reshape(len(symbols), -1) @ self.maps).astype(np.int64) % p
+        syndrome = -out[:, : r * e] % p @ p ** np.arange(r * e)
+        message = out[:, r * e :] @ p ** np.arange(k * e)
+        first = self.start[syndrome]
+        count = self.start[syndrome + 1] - first  # at least 1: every coset has a leader
+        word, rows = _ranges(first, count)
+        index = _add(self.field, message[word], self.leaders[rows], k)
+        return np.minimum.reduceat(index, np.cumsum(count) - count)
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges [first[i], first[i] + count[i]) end to end, and the i of
+    each of their entries."""
+    entries = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+    return np.repeat(np.arange(len(count)), count), entries
+
+
+def _add(field: Field, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """The sums of vectors of ``width`` symbols held as base-q integers."""
+    if field.p == 2:
+        return a ^ b  # symbols in base 2 add bit by bit
+    q, (add, _) = field.q, field.tables()
+    out = 0
+    for i in range(width):
+        out = out + add[a // q**i % q, b // q**i % q] * q**i
+    return out
+
+
+def coset_leaders(field: Field, block: np.ndarray, limit: int) -> CosetLeaders | None:
+    """The coset-leader table of the code spanned by the rows of ``block``
+    (k, n), or None when ``block`` has rank below k (a block codeword then
+    has several messages) or the code has more than ``limit`` leaders.
+
+    One rref of [block | I_k] gives both linear maps.  With pivots I and the
+    other columns J it reads [R | T], R = T block with R_I = I_k: a word w
+    has the syndrome w_J - w_I R_J, and a codeword c the message c_I T.
+
+    Leaders are found breadth first by weight.  Dropping a symbol of a
+    minimum-weight member of a coset leaves a minimum-weight member of its
+    own coset, so the weight-w leaders are exactly the weight-(w - 1)
+    leaders extended by one nonzero symbol above their highest one that land
+    in a coset no lighter word reaches.  Each is made once, from itself
+    without its highest symbol.
+    """
+    k, n = block.shape
+    q, p, e, r = field.q, field.p, field.e, n - k
+    red, pivots = Matrix(field, k, n + k, np.hstack([block, np.eye(k, dtype=np.int64)])).rref()
+    if pivots[-1] >= n or q**r > limit:  # every syndrome has a leader
+        return None
+    info, rest = list(pivots), [j for j in range(n) if j not in pivots]
+    gf_map = np.zeros((n, n), dtype=np.int64)  # (s(w) | u(w)) = w gf_map
+    gf_map[rest, range(r)] = 1
+    gf_map[info, :r] = field.neg(red.data[:, rest])
+    gf_map[info, r:] = red.data[:, n:]
+    powers = p ** np.arange(e)
+    images = field.mul(powers[:, None], gf_map[:, None, :])  # (n, e, n): x^a times row j
+    maps = (images[..., None] // powers % p).reshape(n * e, n * e).astype(np.float64)
+    units = field.mul(np.arange(1, q)[:, None], gf_map[:, None, :])  # (n, q - 1, n): v e_j
+    unit_s, unit_u = units[..., :r] @ q ** np.arange(r), units[..., r:] @ q ** np.arange(k)
+    weight = np.full(q**r, -1, dtype=np.int16)  # each coset's least weight, -1 until reached
+    weight[0] = 0
+    s, u, top = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.array([-1])
+    found_s, found_u = [s], [u]
+    count, w = 1, 0
+    step = max(1, (1 << 14) // (n * (q - 1)))  # parents per slice
+    while (weight < 0).any():
+        w += 1
+        level = []
+        for lo in range(0, len(s), step):
+            parent, pos = _ranges(top[lo : lo + step] + 1, n - 1 - top[lo : lo + step])
+            parent += lo
+            child_s = _add(field, s[parent, None], unit_s[pos], r).ravel()
+            reached = weight[child_s]
+            keep = (reached < 0) | (reached == w)
+            weight[child_s[keep]] = w
+            child_u = _add(field, u[parent, None], unit_u[pos], k).ravel()
+            level.append((child_s[keep], child_u[keep], np.repeat(pos, q - 1)[keep]))
+            count += int(keep.sum())
+            if count > limit:
+                return None
+        s, u, top = (np.concatenate(part) for part in zip(*level))
+        found_s.append(s)
+        found_u.append(u)
+    syndromes = np.concatenate(found_s)
+    start = np.zeros(q**r + 1, dtype=np.int64)
+    np.cumsum(np.bincount(syndromes, minlength=q**r), out=start[1:])
+    leaders = np.concatenate(found_u)[np.argsort(syndromes)]
+    return CosetLeaders(field, k, maps, start, leaders)
 
 
 def _distances(

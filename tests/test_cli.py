@@ -281,6 +281,45 @@ def test_empty_code_file_is_error(tmp_path, capsys):
     assert err.startswith("error:") and "header" in err
 
 
+ROWS = "1 0 0 1\n0 0 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, flags, prefix, message",
+    [
+        # a GRC file and a plain code file whose header says m = 0
+        ("2 4 2 0\n" + ROWS + "variant none\n", [], "error:", "block count m must be >= 1"),
+        ("2 4 2 0\n" + ROWS, [], "error:", "block count m must be >= 1"),
+        # --m 0 is rejected, not read as "no --m"
+        ("2 4 2 2\n" + ROWS, ["--m", "0"], "usage error:", "--m must be >= 1"),
+        ("2 4 2\n" + ROWS, ["--m", "0"], "usage error:", "--m must be >= 1"),
+        # variants other than type1|type2|none
+        ("2 4 2 2\n" + ROWS + "variant bogus\n", [], "error:", "unknown variant 'bogus'"),
+        ("2 4 2 2\n" + ROWS + "variant perm 9 9\n", [], "error:", "unknown variant 'perm'"),
+    ],
+    ids=["grc-m0", "plain-m0", "flag-m0-header-m", "flag-m0-no-header-m", "variant-bogus",
+         "variant-perm"],
+)
+def test_malformed_code_files_exit_1(tmp_path, capsys, text, flags, prefix, message):
+    path = tmp_path / "f.grc"
+    path.write_text(text)
+    code, _, err = run_cli(["profile", "--code", str(path), *flags], capsys)
+    assert code == 1
+    assert err.startswith(prefix) and message in err
+
+
+def test_grc_file_is_told_by_the_line_after_the_rows(tmp_path, capsys):
+    # "variant" elsewhere in a plain code file does not make it a GRC file
+    path = tmp_path / "plain.txt"
+    path.write_text("2 4 2 2\n" + ROWS + "no variant line here\n")
+    code, out, _ = run_cli(["profile", "--code", str(path)], capsys)
+    assert code == 0
+    assert "blocked" in out and "SBDH 1 1 / SHDH 1 1" in out
+    # the --m flag still overrides the header's m of a plain code file
+    code, out, _ = run_cli(["profile", "--code", str(path), "--m", "1"], capsys)
+    assert code == 0 and "GrcCode[(4,1),2]" in out
+
+
 def test_construct_rejects_non_prime_power(capsys):
     code, _, err = run_cli(
         ["construct", "--kind", "qc", "--q", "6", "--n", "7", "--gens", "x+1"], capsys
