@@ -10,9 +10,9 @@ code, and each candidate, like ``md_decode``, is a nearest-codeword search
 in it on a block subset, with ties going to the smallest message index.  A
 Chase candidate votes the Type-I copies aligned onto block 1 and decodes
 the result in block 1, so its message is numbered like every other.  A
-candidate on one block (round-1 Hamming, and Chase's decode in block 1)
+Hamming candidate on one block (round 1, and Chase's decode in block 1)
 decodes by syndrome, from the block's table of coset leaders
-(``kernels.coset_leaders``), built on its first use; multi-block
+(``kernels.coset_leaders``), built on its first use; other
 candidates, and a block that gets no leader table (rank below k, or more
 leaders than codewords), sweep the codeword table (``kernels.nearest``).
 Both give the same index.  One candidate loop, ``GrcDecoder.first_accepted``,
@@ -552,10 +552,8 @@ Acceptor = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class GrcDecoder:
     """The codeword table of a GRC, and the candidate decodes run over it.
 
-    A single-block decode goes through the coset-leader table of its block,
-    built on first use.  Blocks whose generators hold the same columns in
-    another order share one table, built on the columns in sorted order, and
-    a block's words are put in that order first.
+    A single-block Hamming decode goes through the coset-leader table of its
+    block, built on first use; blocks with the same generator share one.
     """
 
     def __init__(self, grc: GrcCode):
@@ -563,7 +561,6 @@ class GrcDecoder:
         self.table = kernels.build_table(grc.field, grc.gen.rows(), grc.m)
         self._lock = threading.Lock()  # the simulator's threads share one decoder
         self._leaders: dict[bytes, kernels.CosetLeaders | None] = {}
-        self._blocks: dict[int, tuple[np.ndarray, kernels.CosetLeaders | None]] = {}
 
     @cached_property
     def full_code(self) -> LinearCode:
@@ -615,7 +612,7 @@ class GrcDecoder:
             perms = self.grc.variant.perms[: len(cand.blocks) - 1]  # type: ignore[union-attr]
             voted, _ = _vote(_align(symbols, perms), self.grc.field.q)
             return self._decode_block(0, voted)
-        if len(cand.blocks) == 1:
+        if cand.kind == "hamming" and len(cand.blocks) == 1:
             return self._decode_block(cand.blocks[0] - 1, symbols[:, cand.blocks[0] - 1])
         blocks = [b - 1 for b in cand.blocks]
         return kernels.nearest(self.table, packed[:, blocks], blocks, cand.kind == "block")[0]
@@ -624,28 +621,23 @@ class GrcDecoder:
         """Message index of the codeword nearest to each of ``words`` (F, n)
         in the 0-based block b, ties going to the smallest index: by
         syndrome when the block has a coset-leader table, else by a sweep."""
-        order, leaders = self._block_leaders(b)
+        leaders = self._block_leaders(b)
         if leaders is not None:
-            return leaders.decode(words[:, order])
+            return leaders.decode(words)
         packed = kernels.pack_rows(self.grc.field, words, 1)
         return kernels.nearest(self.table, packed, [b], False)[0]
 
-    def _block_leaders(self, b: int) -> tuple[np.ndarray, kernels.CosetLeaders | None]:
-        """Block b's column order and the coset-leader table of its columns
-        in that order; the table is None where ``kernels.coset_leaders``
-        declines: a block of rank below k, or more leaders than codewords."""
+    def _block_leaders(self, b: int) -> kernels.CosetLeaders | None:
+        """The coset-leader table of block b, or None where
+        ``kernels.coset_leaders`` declines: a block of rank below k, or more
+        leaders than codewords."""
+        n = self.grc.n
+        block = self.grc.gen.data[:, b * n : (b + 1) * n]
+        key = block.tobytes()
         with self._lock:
-            if b not in self._blocks:
-                n = self.grc.n
-                block = self.grc.gen.data[:, b * n : (b + 1) * n]
-                order = np.lexsort(block[::-1])
-                key = block[:, order].tobytes()
-                if key not in self._leaders:
-                    self._leaders[key] = kernels.coset_leaders(
-                        self.grc.field, block[:, order], self.table.size
-                    )
-                self._blocks[b] = order, self._leaders[key]
-            return self._blocks[b]
+            if key not in self._leaders:
+                self._leaders[key] = kernels.coset_leaders(self.grc.field, block)
+            return self._leaders[key]
 
 
 def _verified(check: Callable[[tuple[int, ...]], bool], table: kernels.CodewordTable) -> Acceptor:

@@ -550,7 +550,7 @@ class CosetLeaders(NamedTuple):
         p, e, k = self.field.p, self.field.e, self.k
         r = symbols.shape[1] - k
         digits = symbols[..., None] // p ** np.arange(e) % p
-        out = (digits.reshape(len(symbols), -1) @ self.maps).astype(np.int64) % p
+        out = digits.reshape(len(symbols), -1) @ self.maps % p
         syndrome = -out[:, : r * e] % p @ p ** np.arange(r * e)
         message = out[:, r * e :] @ p ** np.arange(k * e)
         first = self.start[syndrome]
@@ -578,10 +578,11 @@ def _add(field: Field, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def coset_leaders(field: Field, block: np.ndarray, limit: int) -> CosetLeaders | None:
+def coset_leaders(field: Field, block: np.ndarray) -> CosetLeaders | None:
     """The coset-leader table of the code spanned by the rows of ``block``
     (k, n), or None when ``block`` has rank below k (a block codeword then
-    has several messages) or the code has more than ``limit`` leaders.
+    has several messages) or the code has more leaders than its q^k
+    codewords, where sweeping them costs less.
 
     One rref of [block | I_k] gives both linear maps.  With pivots I and the
     other columns J it reads [R | T], R = T block with R_I = I_k: a word w
@@ -597,7 +598,7 @@ def coset_leaders(field: Field, block: np.ndarray, limit: int) -> CosetLeaders |
     k, n = block.shape
     q, p, e, r = field.q, field.p, field.e, n - k
     red, pivots = Matrix(field, k, n + k, np.hstack([block, np.eye(k, dtype=np.int64)])).rref()
-    if pivots[-1] >= n or q**r > limit:  # every syndrome has a leader
+    if pivots[-1] >= n or r > k:  # every one of the q^r syndromes has a leader
         return None
     info, rest = list(pivots), [j for j in range(n) if j not in pivots]
     gf_map = np.zeros((n, n), dtype=np.int64)  # (s(w) | u(w)) = w gf_map
@@ -606,7 +607,7 @@ def coset_leaders(field: Field, block: np.ndarray, limit: int) -> CosetLeaders |
     gf_map[info, r:] = red.data[:, n:]
     powers = p ** np.arange(e)
     images = field.mul(powers[:, None], gf_map[:, None, :])  # (n, e, n): x^a times row j
-    maps = (images[..., None] // powers % p).reshape(n * e, n * e).astype(np.float64)
+    maps = (images[..., None] // powers % p).reshape(n * e, n * e)
     units = field.mul(np.arange(1, q)[:, None], gf_map[:, None, :])  # (n, q - 1, n): v e_j
     unit_s, unit_u = units[..., :r] @ q ** np.arange(r), units[..., r:] @ q ** np.arange(k)
     weight = np.full(q**r, -1, dtype=np.int16)  # each coset's least weight, -1 until reached
@@ -628,7 +629,7 @@ def coset_leaders(field: Field, block: np.ndarray, limit: int) -> CosetLeaders |
             child_u = _add(field, u[parent, None], unit_u[pos], k).ravel()
             level.append((child_s[keep], child_u[keep], np.repeat(pos, q - 1)[keep]))
             count += int(keep.sum())
-            if count > limit:
+            if count > q**k:
                 return None
         s, u, top = (np.concatenate(part) for part in zip(*level))
         found_s.append(s)

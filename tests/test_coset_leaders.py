@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from grclib import kernels, presets
 from grclib.codes import LinearCode
-from grclib.decoding import Bsc, GrcDecoder, SimConfig, fer_simulate
+from grclib.decoding import Bsc, Candidate, GrcDecoder, SimConfig, fer_simulate
 from grclib.fields import field_create
 from grclib.grc import as_blocked, from_qc_generators
 from grclib.matrices import Matrix
@@ -64,7 +64,7 @@ def fixed_case(name):
     q, block, radius = FIXED[name]()
     field = FIELDS[q]
     table = kernels.build_table(field, block.tolist(), 1)
-    return field, block, radius, table, kernels.coset_leaders(field, block, table.size)
+    return field, block, radius, table, kernels.coset_leaders(field, block)
 
 
 def _nearest(table, words):
@@ -86,16 +86,17 @@ def small_codes(draw):
 @given(small_codes())
 def test_random_codes_match_nearest(code):
     """Random generators over GF(2), GF(3) and GF(4); low rates and small
-    lengths make ties common.  No leader bound: every full-rank code gets a
-    table, and a rank-deficient one none."""
+    lengths make ties common.  A rank-deficient code gets no table, and a
+    full-rank one either none (more leaders than codewords) or a table that
+    decodes like the sweep."""
     field, block, words = code
     k, n = block.shape
-    leaders = kernels.coset_leaders(field, block, field.q**n)
+    leaders = kernels.coset_leaders(field, block)
     if Matrix(field, k, n, block).rank() < k:
         assert leaders is None
         return
     table = kernels.build_table(field, block.tolist(), 1)
-    assert leaders.decode(words).tolist() == _nearest(table, words).tolist()
+    assert leaders is None or leaders.decode(words).tolist() == _nearest(table, words).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,8 +140,8 @@ def test_rank_deficient_block_falls_back():
     # block 1 spans one row of two: its codewords each have two messages
     grc = as_blocked(LinearCode.from_rows(GF2, [[1, 0, 1, 1, 0, 0], [1, 0, 1, 0, 1, 1]]), 2)
     dec = GrcDecoder(grc)
-    assert dec._block_leaders(0)[1] is None
-    assert dec._block_leaders(1)[1] is not None
+    assert dec._block_leaders(0) is None
+    assert dec._block_leaders(1) is not None
     words = np.array([[(i >> j) & 1 for j in range(3)] for i in range(8)], dtype=np.int16)
     for b in range(2):
         packed = kernels.pack_rows(GF2, words, 1)
@@ -151,21 +152,37 @@ def test_rank_deficient_block_falls_back():
 def test_more_leaders_than_codewords_falls_back():
     # [4, 2]: 4 cosets but 9 leaders, 2 per coset of weight 1 and 4 of weight 2
     block = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])
-    assert kernels.coset_leaders(GF2, block, 4) is None
-    assert len(kernels.coset_leaders(GF2, block, 9).leaders) == 9
+    assert kernels.coset_leaders(GF2, block) is None
     # [3, 1]: more syndromes than codewords, so more leaders too
-    assert kernels.coset_leaders(GF2, np.array([[1, 1, 1]]), 2) is None
+    assert kernels.coset_leaders(GF2, np.array([[1, 1, 1]])) is None
     dec = GrcDecoder(as_blocked(LinearCode.from_rows(GF2, block.tolist()), 1))
-    assert dec._block_leaders(0)[1] is None
+    assert dec._block_leaders(0) is None
     words = np.array([[(i >> j) & 1 for j in range(4)] for i in range(16)], dtype=np.int16)
     want = kernels.nearest(dec.table, kernels.pack_rows(GF2, words, 1), [0], False)[0]
     assert dec._decode_block(0, words).tolist() == want.tolist()
 
 
-def test_blocks_with_permuted_columns_share_a_table():
-    dec = GrcDecoder(presets.golay_type1_shift(4))
-    tables = {id(dec._block_leaders(b)[1]) for b in range(4)}
+def test_single_block_block_metric_candidate_sweeps():
+    # a hand-built block-metric candidate on one block keeps its own sweep;
+    # on one block the union of supports is the Hamming weight, so both agree
+    dec = GrcDecoder(presets.golay_type1_shift(2))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        received = rng.integers(0, 2, dec.grc.m * dec.grc.n).tolist()
+        for b in (1, 2):
+            packed = kernels.pack_rows(GF2, np.array([received]), dec.grc.m)
+            want = kernels.nearest(dec.table, packed[:, [b - 1]], [b - 1], True)[0][0]
+            got = dec.candidate_message(received, Candidate(1, (b,), "block"))
+            assert got == dec.table.message(int(want))
+
+
+def test_identical_blocks_share_a_table():
+    dec = GrcDecoder(presets.golay_classical_repetition(4))
+    tables = {id(dec._block_leaders(b)) for b in range(4)}
     assert len(tables) == 1 and len(dec._leaders) == 1
+    # cyclic shifts of the Golay columns: four generators, four tables
+    dec = GrcDecoder(presets.golay_type1_shift(4))
+    assert len({id(dec._block_leaders(b)) for b in range(4)}) == 4
 
 
 def test_concurrent_first_decodes_build_each_table_once(monkeypatch):
@@ -184,7 +201,7 @@ def test_concurrent_first_decodes_build_each_table_once(monkeypatch):
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
-            runs = [pool.submit(lambda o: {b: id(dec._block_leaders(b)[1]) for b in o}, o)
+            runs = [pool.submit(lambda o: {b: id(dec._block_leaders(b)) for b in o}, o)
                     for o in orders]
             got = [run.result(timeout=60) for run in runs]
     finally:
@@ -196,7 +213,7 @@ def test_concurrent_first_decodes_build_each_table_once(monkeypatch):
 def test_qc20_crc_threads_match_serial_with_shared_tables(monkeypatch):
     """The qc20-crc benchmark config at threads=2 gives the rows of
     threads=1.  Both threads decode through one decoder, whose two tables
-    (its blocks are not column permutations of each other) are built once."""
+    are built once."""
     built = []
 
     def counting(*args):
