@@ -239,6 +239,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    channel = AwgnBpskHard(args.snr_db)  # a bad SNR fails before any output
     print("== constructions ==")
     c1 = golay_type1_shift(4)
     c2 = golay_type2_mixed()
@@ -262,7 +263,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(f"note,{note.topic},{note.text}")
 
     print("== fer comparison ==")
-    channel = AwgnBpskHard(args.snr_db)
     print(f"channel: awgn {args.snr_db} dB -> induced crossover {channel.crossover:.4f}")
     runs = [
         ("type1-shift", c1, "multiround"),

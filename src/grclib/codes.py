@@ -9,6 +9,7 @@ exhaustive enumeration of the q^k codewords (dimension-capped).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -284,18 +285,17 @@ class LinearCode:
 
 
 def _field_of_order(q: int) -> Field:
-    p, e = q, 1
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            e = 0
-            qq = q
-            while qq % cand == 0:
-                qq //= cand
-                e += 1
-            if qq != 1:
-                raise ValueError(f"{q} is not a prime power")
-            break
+    """GF(q) for an order read from a file or a flag.  Orders above 2^31 are
+    refused: products of two elements must fit in int64."""
+    if not 2 <= q <= 1 << 31:
+        raise ValueError(f"field order {q} outside [2, 2^31]")
+    p = next((c for c in range(2, math.isqrt(q) + 1) if q % c == 0), q)
+    rest, e = q, 0
+    while rest % p == 0:
+        rest //= p
+        e += 1
+    if rest != 1:
+        raise ValueError(f"{q} is not a prime power")
     return field_create(p, e)
 
 

@@ -257,6 +257,10 @@ def _interpretations(entry: CodeTableEntry, field: Field):
     'cof2'/'cof1' read one string as the bare cofactor f_i(x), to be
     multiplied by the g(x) recovered from the other block.
     """
+    # a reading's dimension is n less the degree of a divisor of a hex
+    # polynomial, so no reading reaches k when n - k outgrows the hex digits
+    if entry.n - entry.k >= 4 * max(len(entry.g1_hex), len(entry.g2_hex)):
+        return
     xn1 = Poly.xn_minus_1(field, entry.n)
     c1 = hex_decode_candidates(entry.g1_hex, field)
     c2 = hex_decode_candidates(entry.g2_hex, field)
@@ -489,10 +493,7 @@ def search_qc_type2(
         grc = from_qc_generators(n, [(f * g) % xn1 for f in cofs])
         if grc.k != target_k:
             continue
-        try:
-            prof = distance_profile(grc, cap=cap)
-        except kernels.DimensionCapError:
-            raise
+        prof = distance_profile(grc, cap=cap)
         cand = SearchCandidate(n, g, tuple(cofs), prof.sbdh, prof.shdh)
         dominated = False
         for other in pareto:

@@ -104,6 +104,10 @@ class AwgnBpskHard:
 
     snr_db: float
 
+    def __post_init__(self) -> None:
+        if math.isnan(self.snr_db):  # +-inf are fine: crossover 0 and 0.5
+            raise ValueError("SNR must be a number, not NaN")
+
     @property
     def crossover(self) -> float:
         snr = 10.0 ** (self.snr_db / 10.0)
@@ -506,6 +510,8 @@ def iter_candidates(grc: GrcCode, depth: int, *, scheme: str = "multiround", com
     if not 1 <= depth <= m:
         raise ValueError("depth must be in [1, m]")
     type1 = isinstance(grc.variant, TypeI)
+    if scheme == "repetition" and depth > 1 and not type1:
+        raise ValueError("scheme 'repetition' combines blocks by Chase, which needs a Type-I code")
     type2 = isinstance(grc.variant, TypeII)
     if scheme == "ir":
         for r in range(1, depth + 1):

@@ -461,8 +461,15 @@ def grc_from_text(text: str) -> GrcCode:
     lines = lines[1:]
     qc_lines = [ln for ln in lines if ln.startswith("qc-")]
     if qc_lines:
-        n = int(qc_lines[0].split()[1])
-        gens = [Poly.parse(field, ln.split(None, 1)[1]) for ln in qc_lines[1:]]
+        head, *gen_lines = (ln.split(None, 1) for ln in qc_lines)
+        if head[0] != "qc-n" or len(head) < 2:
+            raise ValueError("QC lines must start with 'qc-n N'")
+        if any(ln[0] != "qc-gen" or len(ln) < 2 for ln in gen_lines):
+            raise ValueError("each line after 'qc-n' must be 'qc-gen POLY'")
+        n = int(head[1])
+        if n * m != total_n:
+            raise ValueError(f"qc-n {n} disagrees with the header's n = {total_n} in {m} blocks")
+        gens = [Poly.parse(field, ln[1]) for ln in gen_lines]
         rebuilt = from_qc_generators(n, gens)
         if rebuilt.gen != gen:
             raise ValueError("stored generator disagrees with QC reconstruction")

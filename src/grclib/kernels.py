@@ -12,53 +12,52 @@ layout here:
   each (block, word) or (block, symbol) is one contiguous row, plus one
   combination of the high rows per chunk.  Over GF(2) the words are uint64,
   or the narrowest unsigned dtype that holds a block of at most 64 symbols.
-- ``_sweep`` turns each chunk into block-major support masks of shape
-  (m, W, C): C codewords, W words per block, bit j of word w set when
-  symbol b*w + j of the block is nonzero, for words of b bits.  Each
-  (block, word) row is contiguous over the codewords, so every ufunc runs
-  its inner loop over a whole chunk.  Over GF(2) the masks are the packed
-  codewords themselves; over other fields they are uint8 bytes.  A block
-  may span several words, so block length is not limited.
+- ``_coset_masks`` is the one sweep.  For a group of received words r it
+  turns each chunk into block-major support masks of c - r, shaped
+  (f, blocks, W, C): f words, C codewords, W words per block, bit j of word
+  w set when symbol b*w + j of the block is nonzero, for words of b bits.
+  Each (block, word) row is contiguous over the codewords, so every ufunc
+  runs its inner loop over a whole chunk.  Over GF(2) the masks are packed
+  words like the codewords; over other fields they are uint8 bytes.  A
+  block may span several words, so block length is not limited.  r,
+  packed like one more generator row, is subtracted from the high
+  combinations, which makes every chunk a chunk of r's coset.
 
-Decoding sweeps the same table.  The distances from a received word r are
-the weights of the coset c - r, and r, packed like one more generator row,
-is subtracted from the high combinations before the sweep starts.  A
-decoding sweep takes many received words at once: each chunk is shaped
-(F', m, W, C) for a group of F' words, with F' * m * W * C within a
-quarter of the chunk budget, and each word keeps a running argmin over the
-chunks.
+An enumeration is the sweep of one coset, the zero word's, which is the
+code itself.  Two reducers consume the masks:
 
-Buffer contract: ``_sweep`` writes every chunk into buffers it allocates
-once per sweep and yields the same array each time, so a consumer
-finishes with one chunk before it asks for the next.  Buffers belong to
-one sweep, never to the module or to a table, so concurrent sweeps,
-decoding sweeps of one shared table included, share nothing they write.
+- the per-subset fold (``_fold_subsets``) behind the distance profiles;
+- the coset weights (``_coset_weights``), summed over the blocks or of their
+  union.  Read for the zero word they are the codewords' weights, behind
+  single-metric distances and weight histograms; read for received words
+  they are the distances of a decode, and each word keeps a running argmin
+  over the chunks (``nearest``).
+
+Both count weights in the smallest unsigned dtype that holds them; minima
+over nonzero codewords are taken by wrap-around (see ``_min_nonzero``).
+Reductions are deterministic and independent of chunk boundaries.  The one
+exception is a fold given floors (``subset_minima(floor=)``): it stops at
+the end of a chunk, so the upper bounds it returns depend on where chunks
+end.
+
+Buffer contract: ``_coset_masks`` writes every chunk into buffers it
+allocates once per sweep and yields the same array each time, and the
+reducers' buffers are reused the same way, so a consumer finishes with one
+chunk before it asks for the next.  Buffers belong to one sweep, never to
+the module or to a table, so concurrent sweeps, decoding sweeps of one
+shared table included, share nothing they write.
 
 One block can also be decoded by syndrome (the standard array):
 ``coset_leaders`` tabulates every minimum-weight coset leader of a block
 code, and ``CosetLeaders.decode`` returns for each word the index that
 ``nearest`` returns on that block, from the leaders of its coset alone.
-``decoding.GrcDecoder`` decodes its single-block candidates this way: the
-round-1 Hamming candidates and the Chase candidate's decode in block 1.  It
-sweeps with ``nearest`` instead where ``coset_leaders`` declines, for a block
-of rank below k or with more leaders than the q^k codewords of the table, and
-for every multi-block candidate; ``md_decode`` and the enumerations sweep.
-
-Three reducers consume the masks: the per-subset fold behind the distance
-profiles, the union over all blocks behind single-metric distances and
-weight histograms, and the per-codeword distances of a decode.  All count
-weights in the smallest unsigned dtype that holds them; minima over nonzero
-codewords are taken by wrap-around (see ``_min_nonzero``).  Reductions are
-deterministic and independent of chunk boundaries.  The one exception is a
-fold given floors (``subset_minima(floor=)``): it stops at the end of a
-chunk, so the upper bounds it returns depend on where chunks end.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -247,50 +246,100 @@ def _fresh_pages(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
 
 
-def _sweep(field: Field, low: np.ndarray, highs: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Block-major support masks (..., m, W, C) of ``low + high`` for each
-    high (..., m, W).
+def _coset_masks(
+    table: CodewordTable, words: np.ndarray, blocks: Sequence[int]
+) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """Block-major support masks (f, len(blocks), W, C) of c - r on the
+    0-based ``blocks``, for every codeword c of each chunk and every received
+    word r of each group of f words.
 
-    An enumeration gives every high the shape (m, W); a decode gives it a
-    leading axis of received words.  Buffers are allocated for the first
-    high, and a later high with a shorter leading axis (the last group of
-    received words) is written to the leading rows of the same buffers.
-    The same buffer is yielded for every chunk.  Over GF(2) the masks are
-    the packed words.  Over other fields, ``low + high`` is nonzero exactly
-    where ``low`` differs from ``-high``, and the 0/1 bytes of that test are
-    shifted into bits eight codewords at a time, through uint64 views of
-    rows padded to a multiple of 8 codewords.
+    ``words`` (F, len(blocks), W) holds the received words packed on those
+    blocks, as ``pack_rows`` packs them; an enumeration passes the zero word
+    (``_zero_coset``).  Words go in groups of f with f * m * W * C within a
+    quarter of ``_CHUNK_BUDGET`` for the table's m blocks: a group's masks
+    are reduced while they are still in cache, and a Golay k = 12, m = 4
+    group of 16 words decodes as fast per word as one of 64 with a quarter
+    of the peak memory.  Yields (rows of ``words``, chunk index, masks) per
+    group and chunk.
+
+    Buffers are allocated for the first group, the last (shorter) group is
+    written to their leading rows, and the same buffer is yielded for every
+    chunk.  Over GF(2) the masks are the packed words of c - r.  Over other
+    fields, c - r = low + (high - r) is nonzero exactly where ``low``
+    differs from r - high, and the 0/1 bytes of that test are shifted into
+    bits eight codewords at a time, through uint64 views of rows padded to a
+    multiple of 8 codewords.
     """
+    field, low, highs = table
     m, nb, c = low.shape
-    buf = None
+    group = max(1, _CHUNK_BUDGET // (4 * m * (nb if field.q == 2 else (nb + 7) // 8) * c))
+    blocks = list(blocks)
+    first, mb = blocks[0], len(blocks)
+    picked = slice(first, first + mb) if blocks == list(range(first, first + mb)) else blocks
+    low, highs = low[picked], highs[:, picked]
+    f = min(group, len(words))
     if field.q == 2:
-        for high in highs:
-            if buf is None:
-                buf = np.empty(high.shape + (c,), low.dtype)
-            masks = buf[: len(high)]  # all of it when high has no leading axis
-            np.bitwise_xor(low, high[..., None], out=masks)
-            yield masks
+        buf = np.empty((f, mb, nb, c), low.dtype)
+        for g in range(0, len(words), group):
+            r = words[g : g + group]
+            rows, masks = slice(g, g + len(r)), buf[: len(r)]
+            for t, coset in enumerate(highs[:, None] ^ r):  # high - r for every chunk
+                np.bitwise_xor(low, coset[..., None], out=masks)
+                yield rows, t, masks
         return
-    _, mul = field.tables()
-    neg = mul[field.neg(1)]
-    nw = (nb + 7) // 8
-    c8 = -(-c // 8)
-    for high in highs:
-        lead = high.shape[:-2]
-        if buf is None:
-            buf = np.zeros(lead + (m, 8 * nw, 8 * c8), dtype=bool)  # padding stays False
-            # bits[..., w, j, :] holds symbol 8*w + j of eight codewords per uint64
-            bits = buf.view(np.uint64).reshape(lead + (m, nw, 8, c8))
-            masks = np.empty(lead + (m, nw, 8 * c8), dtype=np.uint8)
-            words, shifted = masks.view(np.uint64), np.empty(lead + (m, nw, c8), dtype=np.uint64)
-        rows = slice(len(high))
-        np.not_equal(low, neg[high][..., None], out=buf[rows, ..., :nb, :c])
-        out, tmp = words[rows], shifted[rows]
-        np.copyto(out, bits[rows, ..., 0, :])
-        for j in range(1, min(8, nb)):
-            np.left_shift(bits[rows, ..., j, :], j, out=tmp)
-            out |= tmp
-        yield masks[rows, ..., :c]
+    add, mul = field.tables()
+    neg_highs = mul[field.neg(1)][highs]
+    nw, c8 = (nb + 7) // 8, -(-c // 8)
+    buf = np.zeros((f, mb, 8 * nw, 8 * c8), dtype=bool)  # padding stays False
+    # bits[..., w, j, :] holds symbol 8*w + j of eight codewords per uint64
+    bits = buf.view(np.uint64).reshape(f, mb, nw, 8, c8)
+    masks = np.empty((f, mb, nw, 8 * c8), dtype=np.uint8)
+    packed, shifted = masks.view(np.uint64), np.empty((f, mb, nw, c8), dtype=np.uint64)
+    for g in range(0, len(words), group):
+        r = words[g : g + group]
+        rows, fr = slice(g, g + len(r)), slice(len(r))
+        nonzero, out, tmp = buf[fr, :, :nb, :c], packed[fr], shifted[fr]
+        planes = [bits[fr, :, :, j, :] for j in range(min(8, nb))]
+        group_masks = masks[fr, ..., :c]
+        for t, target in enumerate(add[r, neg_highs[:, None]]):  # r - high for every chunk
+            np.not_equal(low, target[..., None], out=nonzero)
+            np.copyto(out, planes[0])
+            for j in range(1, len(planes)):
+                np.left_shift(planes[j], j, out=tmp)
+                out |= tmp
+            yield rows, t, group_masks
+
+
+def _zero_coset(
+    field: Field, rows: Sequence[Sequence[int]], m: int, cap: int | None
+) -> tuple[CodewordTable, np.ndarray, range]:
+    """The table, words and blocks for ``_coset_masks`` that sweep the coset
+    of the zero word on all m blocks, which is the code itself."""
+    table = build_table(field, rows, m, cap=cap)
+    return table, np.zeros((1,) + table.highs.shape[1:], table.highs.dtype), range(m)
+
+
+def _coset_weights(
+    table: CodewordTable, words: np.ndarray, blocks: Sequence[int], union: bool
+) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """Weights (f, C) of the masks ``_coset_masks`` yields for the same
+    arguments: summed over the blocks, or of their union.  Yields (rows of
+    ``words``, chunk index, weights) in one reused buffer."""
+    dist = None
+    for rows, t, masks in _coset_masks(table, words, blocks):
+        f, mb, nw, c = masks.shape
+        if dist is None:
+            either = np.empty((f, nw, c), masks.dtype) if union and mb > 1 else None
+            bits = nw * 8 * masks.itemsize * (1 if union else mb)
+            dist, tmp = np.empty((2, f, c), np.min_scalar_type(bits))
+        if either is not None:
+            u = np.bitwise_or(masks[:, 0], masks[:, 1], out=either[:f])
+            for b in range(2, mb):
+                np.bitwise_or(u, masks[:, b], out=u)
+            parts = [u[:, w] for w in range(nw)]
+        else:
+            parts = [masks[:, b, w] for b in range(mb) for w in range(nw)]
+        yield rows, t, _weights(parts, dist[:f], tmp[:f])
 
 
 def _weights(words: Sequence[np.ndarray], out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -344,7 +393,7 @@ def subset_minima(
         raise ValueError("block count above 16 not supported for profiles")
     block_min = np.full(1 << m, _INF, dtype=np.int64)
     ham_min = np.full(1 << m, _INF, dtype=np.int64)
-    chunks = _sweep(*build_table(field, rows, m, cap=cap))
+    chunks = (masks[0] for _, _, masks in _coset_masks(*_zero_coset(field, rows, m, cap)))
     block_floor, ham_floor = (0, 0) if floor is None else floor
     for _ in _fold_subsets(chunks, np.min_scalar_type(len(rows[0])), block_min, ham_min):
         if (block_min < block_floor).any() or (ham_min < ham_floor).any():
@@ -394,22 +443,7 @@ def _fold_subsets(
 
 
 # ---------------------------------------------------------------------------
-# single-metric sweeps: the union over all blocks
-
-
-def _block_weights(
-    field: Field, rows: Sequence[Sequence[int]], m: int, cap: int | None
-) -> Iterator[np.ndarray]:
-    """Block weight (C,) of every codeword, per chunk, in one reused buffer."""
-    dtype = np.min_scalar_type(len(rows[0]) // m)
-    w = None
-    for masks in _sweep(*build_table(field, rows, m, cap=cap)):
-        if w is None:
-            union = np.empty(masks.shape[1:], masks.dtype)
-            w, tmp = np.empty((2, masks.shape[2]), dtype)
-        if m > 1:
-            np.bitwise_or.reduce(masks, axis=0, out=union)
-        yield _weights(union if m > 1 else masks[0], w, tmp)
+# single-metric sweeps: the union over all blocks of the zero word's coset
 
 
 def min_block_distance(
@@ -421,8 +455,8 @@ def min_block_distance(
 ) -> int:
     """Minimum block weight over nonzero codewords (m = 1: Hamming)."""
     best = _INF
-    for w in _block_weights(field, rows, m, cap):
-        best = min(best, _min_nonzero(w, w))
+    for _, _, w in _coset_weights(*_zero_coset(field, rows, m, cap), union=True):
+        best = min(best, _min_nonzero(w[0], w[0]))
     if best == _INF:
         raise ValueError("degenerate zero code has no minimum distance")
     return best
@@ -438,64 +472,13 @@ def weight_histogram(
     """Counts of codewords by block weight, length (n_blocks + 1)."""
     nb_cols = len(rows[0]) // m
     counts = np.zeros(nb_cols + 1, dtype=np.int64)
-    for w in _block_weights(field, rows, m, cap):
-        counts += np.bincount(w, minlength=nb_cols + 1)
+    for _, _, w in _coset_weights(*_zero_coset(field, rows, m, cap), union=True):
+        counts += np.bincount(w[0], minlength=nb_cols + 1)
     return counts
 
 
 # ---------------------------------------------------------------------------
 # decoding: distances from received words to every codeword
-
-
-def _coset_weights(
-    table: CodewordTable, words: np.ndarray, blocks: Sequence[int], union: bool
-) -> Iterator[tuple[slice, int, np.ndarray]]:
-    """Weights of c - r on the 0-based ``blocks`` for every codeword c and
-    every received word r: summed over the blocks, or of their union.
-
-    ``words`` (F, len(blocks), W) holds the received words packed on those
-    blocks, as ``pack_rows`` packs them.  Only the chosen blocks are swept,
-    in groups of F' words with F' * m * W * C within a quarter of
-    ``_CHUNK_BUDGET`` for the table's m blocks: a group's masks are reduced
-    while they are still in cache, and a Golay k = 12, m = 4 group of 16
-    words decodes as fast per word as one of 64 with a quarter of the peak
-    memory.  Subtracting a group from a high combination makes every chunk
-    a chunk of the group's cosets.  Yields (rows of ``words``, chunk
-    index, weights (f, C)) per group and chunk, in one reused buffer.
-    """
-    field, low, highs = table
-    m, nb, c = low.shape
-    group = max(1, _CHUNK_BUDGET // (4 * m * (nb if field.q == 2 else (nb + 7) // 8) * c))
-    blocks = list(blocks)
-    first, mb = blocks[0], len(blocks)
-    picked = slice(first, first + mb) if blocks == list(range(first, first + mb)) else blocks
-    low, highs = low[picked], highs[:, picked]
-    if field.q == 2:
-        combine = np.bitwise_xor
-    else:
-        add, mul = field.tables()
-        words = mul[field.neg(1)][words]  # -r, added to each high
-
-        def combine(r: np.ndarray, high: np.ndarray) -> np.ndarray:
-            return add[high, r]
-
-    shifted = (
-        combine(words[g : g + group], high) for g in range(0, len(words), group) for high in highs
-    )
-    dist = None
-    for i, masks in enumerate(_sweep(field, low, shifted)):
-        f = len(masks)
-        if dist is None:
-            bits = masks.shape[2] * 8 * masks.itemsize * (1 if union else mb)
-            dist, tmp = np.empty((2, f, c), np.min_scalar_type(bits))
-            either = np.empty((f,) + masks.shape[2:], masks.dtype) if union and mb > 1 else None
-        if either is not None:
-            rows = np.bitwise_or.reduce(masks, axis=1, out=either[:f])
-            rows = [rows[:, w] for w in range(rows.shape[1])]
-        else:
-            rows = [masks[:, b, w] for b in range(mb) for w in range(masks.shape[2])]
-        g, t = divmod(i, len(highs))
-        yield slice(g * group, g * group + f), t, _weights(rows, dist[:f], tmp[:f])
 
 
 def nearest(

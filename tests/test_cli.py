@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from grclib.cli import main
-from grclib.decoding import Bsc, SimConfig, fer_simulate
+from grclib.decoding import AwgnBpskHard, Bsc, SimConfig, fer_simulate
 from grclib.grc import grc_to_text
 from grclib import kernels, presets
 
@@ -296,9 +296,17 @@ ROWS = "1 0 0 1\n0 0 1 0\n"
         # variants other than type1|type2|none
         ("2 4 2 2\n" + ROWS + "variant bogus\n", [], "error:", "unknown variant 'bogus'"),
         ("2 4 2 2\n" + ROWS + "variant perm 9 9\n", [], "error:", "unknown variant 'perm'"),
+        # QC lines without their block length or polynomial, or with a block
+        # length the header disagrees with
+        ("2 4 1 2\n1 0 1 0\nvariant none\nqc-n\n", [], "error:", "qc-n N"),
+        ("2 4 1 2\n1 0 1 0\nvariant none\nqc-n 2\nqc-gen\n", [], "error:", "qc-gen POLY"),
+        ("2 4 1 2\n1 0 1 0\nvariant none\nqc-n 99999999999999999999\nqc-gen 1\n", [],
+         "error:", "disagrees with the header"),
+        # finding the characteristic of 2^61 - 1 by trial division would not end
+        (f"{2**61 - 1} 2 1 1\n1 0\n", [], "error:", "field order"),
     ],
     ids=["grc-m0", "plain-m0", "flag-m0-header-m", "flag-m0-no-header-m", "variant-bogus",
-         "variant-perm"],
+         "variant-perm", "qc-n-bare", "qc-gen-bare", "qc-n-huge", "huge-prime-order"],
 )
 def test_malformed_code_files_exit_1(tmp_path, capsys, text, flags, prefix, message):
     path = tmp_path / "f.grc"
@@ -348,3 +356,41 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "demo-example1" in proc.stdout
+
+
+def test_nan_snr_is_rejected(tmp_path, mixed_file, capsys):
+    code, out, err = run_cli(["demo-example1", "--snr-db", "nan", "--frames", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "NaN" in err
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"code = {mixed_file}\nchannel = awgn nan\nframes = 5\nseed = 1\nmax_depth = 2\n")
+    code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "NaN" in err
+
+
+def test_infinite_snr_keeps_its_crossover():
+    assert AwgnBpskHard(float("inf")).crossover == 0.0
+    assert AwgnBpskHard(float("-inf")).crossover == 0.5
+
+
+def test_repetition_scheme_needs_a_type1_code(tmp_path, mixed_file, capsys):
+    # the scheme's Chase candidates undo Type-I permutations; a Type-II code has none
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        f"code = {mixed_file}\nchannel = bsc 0.1\nframes = 5\nseed = 1\nmax_depth = 2\n"
+        "scheme = repetition\n"
+    )
+    code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Type-I" in err
+
+
+def test_verify_table_huge_n_is_undecodable(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "no,n,k,g1_hex,g2_hex,d1,d2,ud2\n1,99999999999999999999,4,D,B,3,4,6\n"
+    )
+    code, out, _ = run_cli(["verify-table", "--file", str(bad)], capsys)
+    assert code == 2
+    assert ",undecodable," in out and "no interpretation matches the listed dimension" in out
