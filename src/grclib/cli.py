@@ -239,11 +239,33 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    channel = AwgnBpskHard(args.snr_db)  # a bad SNR fails before any output
-    print("== constructions ==")
+    # the channel and the run configs check --snr-db, --frames and --threads
+    # before any output
+    channel = AwgnBpskHard(args.snr_db)
     c1 = golay_type1_shift(4)
     c2 = golay_type2_mixed()
     rep = golay_classical_repetition(4)
+    runs = [
+        ("type1-shift", c1, "multiround"),
+        ("type2-mixed", c2, "multiround"),
+        ("classical-repetition", rep, "repetition"),
+        ("bsymbol", c1, "bsymbol"),
+        ("ir-linear", c2, "ir"),
+    ]
+    cfgs = [
+        SimConfig(
+            grc=grc,
+            channel=channel,
+            frames=args.frames,
+            seed=args.seed,
+            max_depth=4,
+            scheme=scheme,
+            threads=args.threads,
+            code_id=code_id,
+        )
+        for code_id, grc, scheme in runs
+    ]
+    print("== constructions ==")
     p1 = distance_profile(c1)
     p2 = distance_profile(c2)
     print(f"type1 shift {c1!r}: {p1}")
@@ -264,29 +286,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     print("== fer comparison ==")
     print(f"channel: awgn {args.snr_db} dB -> induced crossover {channel.crossover:.4f}")
-    runs = [
-        ("type1-shift", c1, "multiround"),
-        ("type2-mixed", c2, "multiround"),
-        ("classical-repetition", rep, "repetition"),
-        ("bsymbol", c1, "bsymbol"),
-        ("ir-linear", c2, "ir"),
-    ]
     results = []
-    for code_id, grc, scheme in runs:
-        cfg = SimConfig(
-            grc=grc,
-            channel=channel,
-            frames=args.frames,
-            seed=args.seed,
-            max_depth=4,
-            scheme=scheme,
-            threads=args.threads,
-            code_id=code_id,
-        )
+    for cfg in cfgs:
         res = fer_simulate(cfg)
         results.append(res)
         fers = " ".join(f"D{s.depth}={s.fer:.4f}" for s in res.per_depth)
-        print(f"{code_id}: {fers}  ({res.elapsed:.1f}s)")
+        print(f"{cfg.code_id}: {fers}  ({res.elapsed:.1f}s)")
     _write_sim_csv(results, args.out)
     return 0
 
@@ -369,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # its message is empty
+        print("error: input too large to hold in memory", file=sys.stderr)
         return 1
 
 

@@ -119,6 +119,14 @@ class WeightDistribution:
         return self.as_dict().get(w, 0)
 
 
+def _circulant_rows(f: Poly, n: int, k: int) -> np.ndarray:
+    """The k x n coefficient rows of x^i f mod x^n - 1, i < k, for f of
+    degree below n: row i is f's length-n coefficient vector rotated right
+    by i."""
+    v = np.array([f.coeff(j) for j in range(n)], dtype=np.int64)
+    return v[(np.arange(n) - np.arange(k)[:, None]) % n]
+
+
 def _leads_staggered(rows: np.ndarray) -> bool:
     """Whether each row's first nonzero entry lies strictly right of the one
     above: such rows are independent, so the rank needs no elimination.  A
@@ -171,8 +179,7 @@ class LinearCode:
         k = n - g.degree
         if k < 1:
             raise ValueError("trivial cyclic code")
-        rows = [[g.coeff(j - i) if 0 <= j - i else 0 for j in range(n)] for i in range(k)]
-        return cls(field, n, k, Matrix.from_rows(field, rows), cyclic_gen=g)
+        return cls(field, n, k, Matrix(field, k, n, _circulant_rows(g, n, k)), cyclic_gen=g)
 
     # -- basics ---------------------------------------------------------------
 

@@ -269,16 +269,14 @@ def _interpretations(entry: CodeTableEntry, field: Field):
         p1r, p2r = p1 % xn1, p2 % xn1
         if p1r.is_zero() or p2r.is_zero():
             continue
-        cands: list[tuple[str, Poly, Poly]] = []
-        if entry.n - poly_gcd_many([p1r, p2r, xn1]).degree == entry.k:
-            cands.append(("joint", p1r, p2r))
-        g1 = poly_gcd(p1r, xn1)
-        if entry.n - g1.degree == entry.k:
-            cands.append(("cof2", p1r, (p2 * g1) % xn1))
-        g2 = poly_gcd(p2r, xn1)
-        if entry.n - g2.degree == entry.k:
-            cands.append(("cof1", (p1 * g2) % xn1, p2r))
-        for tag, a, b in cands:
+        g1, g2 = poly_gcd(p1r, xn1), poly_gcd(p2r, xn1)
+        # each reading's dimension is n - deg g, with g its code's g(x):
+        # gcd(p1r, p2r, x^n - 1) = gcd(g1, g2) for the joint reading
+        for tag, g in (("joint", poly_gcd(g1, g2)), ("cof2", g1), ("cof1", g2)):
+            if entry.n - g.degree != entry.k:
+                continue
+            a = p1 * g2 % xn1 if tag == "cof1" else p1r
+            b = p2 * g1 % xn1 if tag == "cof2" else p2r
             key = (a.coeffs, b.coeffs)
             if key not in seen:
                 seen.add(key)
@@ -391,8 +389,10 @@ def verify_table(
     cap: int | None = VERIFY_CAP,
     threads: int = 1,
 ) -> list[EntryReport]:
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     entries = list(entries)
-    if threads <= 1:
+    if threads == 1:
         return [verify_entry(e, cap=cap) for e in entries]
     from concurrent.futures import ThreadPoolExecutor
 

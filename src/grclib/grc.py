@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .bounds import griesmer_g
-from .codes import LinearCode, _read_code_text
+from .codes import LinearCode, _circulant_rows, _read_code_text
 from .fields import Field
 from .matrices import Matrix
 from .perms import Permutation
@@ -175,24 +175,20 @@ def type2_general(base: LinearCode, transforms: Sequence[Matrix]) -> GrcCode:
     return GrcCode(base, len(transforms) + 1, gen, TypeII(transforms))
 
 
-def _mult_mod_matrix(f: Poly, h: Poly) -> Matrix:
-    """Matrix of multiplication by f on F_q[x]/(h), basis 1, x, ..., x^(k-1)."""
-    k, x = h.degree, Poly.x(f.field)
-    rows, r = [], f % h
-    for _ in range(k):
-        rows.append([r.coeff(j) for j in range(k)])
-        r = (r * x) % h  # the next row, x^(i+1) f, from this one: one reduction step
-    return Matrix.from_rows(f.field, rows)
-
-
 def from_qc_generators(n: int, gens: Sequence[Poly]) -> GrcCode:
     """Quasi-cyclic blocked code generated by a(x) (a g_1, ..., a g_m).
 
     The dimension is derived as n - deg(gcd(g_1, ..., g_m, x^n - 1)), never
-    trusted from the caller.  The base code is the cyclic code of the gcd;
-    when every cofactor g_i / gcd is a monomial the result is tagged Type-I
-    (cyclic shifts), and when every cofactor is invertible mod (x^n-1)/gcd
-    it is tagged Type-II with the relative multiplication transforms.
+    trusted from the caller.  The base code is the cyclic code of the gcd g;
+    when every cofactor f_j = g_j / g is a monomial the result is tagged
+    Type-I (cyclic shifts).  Otherwise the Type-II test and transforms are
+    read off the generator matrix.  Block j's rows x^i f_j g are M(f_j) C,
+    with M(f_j) multiplication by f_j on F_q[x]/(h), h = (x^n - 1)/g, and C
+    the rows x^s g for s < k.  C's first k columns are upper triangular with
+    diagonal g(0) != 0, so block j's k x k head is invertible exactly when
+    f_j is a unit mod h.  When every head is, the code is tagged Type-II
+    with B_j = head_j head_1^-1 = M(f_1)^-1 M(f_j), as multiplications
+    mod h commute.
     """
     gens = list(gens)
     if not gens:
@@ -208,14 +204,9 @@ def from_qc_generators(n: int, gens: Sequence[Poly]) -> GrcCode:
         raise ValueError("generators span the zero code")
     cofactors = tuple((gi // g) for gi in gens)
     m = len(gens)
-
-    # x^i g_j mod x^n - 1 is the coefficient vector of g_j rotated right by i
-    vecs = [[gi.coeff(j) for j in range(n)] for gi in gens]
-    rows = [[c for v in vecs for c in v[n - i :] + v[: n - i]] for i in range(k)]
-    gen = Matrix.from_rows(field, rows)
+    gen = Matrix(field, k, m * n, np.hstack([_circulant_rows(gi, n, k) for gi in gens]))
 
     base = LinearCode.cyclic(field, n, g)
-    h = xn1 // g
     variant: TypeI | TypeII | None = None
     if all(_is_monomial(c) for c in cofactors):
         shift = Permutation.cyclic_shift(n)
@@ -224,15 +215,14 @@ def from_qc_generators(n: int, gens: Sequence[Poly]) -> GrcCode:
             shift ** (-((c.degree - t0) % n)) for c in cofactors[1:]
         )
         variant = TypeI(perms)
-    elif all(poly_gcd(c, h).degree == 0 for c in cofactors if not c.is_zero()) and not any(
-        c.is_zero() for c in cofactors
-    ):
-        m1 = _mult_mod_matrix(cofactors[0] % h, h)
-        m1_inv = m1.inverse()
-        transforms = tuple(
-            m1_inv @ _mult_mod_matrix(c % h, h) for c in cofactors[1:]
-        )
-        variant = TypeII(transforms)
+    else:
+        heads = [Matrix(field, k, k, gen.data[:, j * n : j * n + k]) for j in range(m)]
+        if all(head.is_invertible() for head in heads[1:]):
+            try:
+                inv = heads[0].inverse()
+                variant = TypeII(tuple(head @ inv for head in heads[1:]))
+            except ValueError:  # head 1 is singular
+                pass
     qc = QcStructure(n, g, tuple(gens), cofactors)
     return GrcCode(base, m, gen, variant, qc)
 

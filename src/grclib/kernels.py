@@ -87,19 +87,21 @@ _HUGE_PAGE = 1 << 21
 
 
 class DimensionCapError(Exception):
-    """Enumeration over q^k refused because k exceeds the configured cap."""
+    """Enumeration over q^k refused because q^k exceeds 2^cap."""
 
 
 def cap_limit(cap: int | None) -> int:
-    """The largest dimension that enumeration under ``cap`` accepts."""
+    """The largest log2 of a codeword count that enumeration under ``cap``
+    accepts: over GF(2), the largest dimension."""
     return DEFAULT_CAP if cap is None else cap
 
 
-def check_cap(k: int, cap: int | None) -> None:
+def check_cap(q: int, k: int, cap: int | None) -> None:
+    """Refuse an enumeration of q^k codewords above 2^cap."""
     limit = cap_limit(cap)
-    if k > limit:
+    if (q**k - 1).bit_length() > limit:  # q^k > 2^limit
         raise DimensionCapError(
-            f"dimension {k} above enumeration cap {limit}; raise cap explicitly"
+            f"{q}^{k} codewords above enumeration cap 2^{limit}; raise cap explicitly"
         )
 
 
@@ -214,7 +216,7 @@ def build_table(
     """The codewords of ``rows``, read as m blocks, in chunks of at most
     ``_CHUNK_BUDGET`` mask words: the low rows are the first lo, with
     q^lo <= max(q, codewords per chunk)."""
-    check_cap(len(rows), cap)
+    check_cap(field.q, len(rows), cap)
     packed = pack_rows(field, rows, m)
     k, _, width = packed.shape
     words = width if field.q == 2 else (width + 7) // 8  # mask words per block

@@ -394,3 +394,58 @@ def test_verify_table_huge_n_is_undecodable(tmp_path, capsys):
     code, out, _ = run_cli(["verify-table", "--file", str(bad)], capsys)
     assert code == 2
     assert ",undecodable," in out and "no interpretation matches the listed dimension" in out
+
+
+@pytest.fixture(scope="module")
+def gf7_file(tmp_path_factory):
+    """A plain GF(7) [24, 20] code, one block: 7^20 codewords, about 2^56."""
+    rows = [[int(i == j) for j in range(20)] + [(i + j) % 7 for j in range(4)] for i in range(20)]
+    path = tmp_path_factory.mktemp("codes") / "gf7.code"
+    path.write_text("7 24 20 1\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    return str(path)
+
+
+def test_qary_code_above_cap_exit_code(tmp_path, gf7_file, capsys):
+    # the cap bounds log2 of the codeword count, not the dimension
+    code, out, err = run_cli(["profile", "--code", gf7_file], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("cap exceeded:")
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"code = {gf7_file}\nchannel = bsc 0.1\nframes = 5\nseed = 1\nmax_depth = 1\n")
+    code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("cap exceeded:")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify-table", "--rows", "1", "--threads", "-3"], "threads"),
+        (["demo-example1", "--frames", "0"], "frames"),
+        (["demo-example1", "--threads", "0"], "threads"),
+    ],
+)
+def test_counts_below_one_fail_before_output(capsys, args, message):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_oversized_polynomials_are_errors(tmp_path, shift_file, capsys):
+    # 10^15 coefficients cannot be allocated on any host, so this fails at once
+    huge = "x^1000000000000000+1"
+    for args in (
+        ["construct", "--kind", "qc", "--n", "7", "--gens", huge],
+        ["construct", "--kind", "qc", "--n", "1000000000000000", "--gens", "x+1"],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "too large" in err
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        f"code = {shift_file}\nchannel = bsc 0.1\nframes = 5\nseed = 1\nmax_depth = 4\n"
+        f"verifier = crc {huge}\n"
+    )
+    code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "too large" in err

@@ -366,6 +366,19 @@ def test_dimension_cap():
         big.min_distance()
 
 
+def test_dimension_cap_counts_qary_codewords(monkeypatch):
+    """3^18 codewords exceed 2^28, so the default cap refuses k = 18 over
+    GF(3) before anything is enumerated."""
+
+    def no_span(*args, **kwargs):
+        raise AssertionError("codewords were enumerated above the cap")
+
+    monkeypatch.setattr(kernels, "_span", no_span)
+    code = LinearCode.from_rows(GF3, [[int(i == j) for j in range(20)] for i in range(18)])
+    with pytest.raises(DimensionCapError, match="cap"):
+        code.min_distance()
+
+
 # ---------------------------------------------------------------------------
 # derived codes
 

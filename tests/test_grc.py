@@ -23,7 +23,7 @@ from grclib.grc import (
 )
 from grclib.matrices import Matrix
 from grclib.perms import Permutation
-from grclib.poly import Poly, companion_matrix
+from grclib.poly import Poly, companion_matrix, poly_gcd
 from grclib import presets
 
 GF2 = field_create(2)
@@ -138,20 +138,54 @@ def test_from_qc_derives_dimension():
     assert [str(c) for c in grc.qc.cofactors] == ["1", "x", "x^2", "x^3"]
 
 
+def _mult_mod_matrix(f, h):
+    """Matrix of multiplication by f on F_q[x]/(h), basis 1, x, ..., x^(deg h - 1)."""
+    k, x = h.degree, Poly.x(f.field)
+    rows, r = [], f % h
+    for _ in range(k):
+        rows.append([r.coeff(j) for j in range(k)])
+        r = (r * x) % h
+    return Matrix.from_rows(f.field, rows)
+
+
 def test_from_qc_generator_rows_match_polynomial_products():
-    """Row i of block j is x^i g_j mod x^n - 1, for every catalog reading."""
-    gf2 = field_create(2)
-    for entry in load_table():
-        if entry.k > 26:
+    """Row i of block j is x^i g_j mod x^n - 1, for every catalog reading and
+    two GF(3) codes.  A code with non-monomial cofactors f_j is Type-II
+    exactly when every f_j is a unit mod h = (x^n - 1)/g, with transforms
+    B_j = M(f_1)^-1 M(f_j) from polynomial multiplication and B_j G_1 = G_j."""
+    cases = [
+        (entry.n, [a, b])
+        for entry in load_table()
+        if entry.k <= 26
+        for _, _, a, b in _interpretations(entry, GF2)
+    ]
+    g3 = Poly.parse(GF3, "x^3+2x^2+x+2")  # h = x^5+x^4+x+1; 2x^2+1 shares x+1 with h
+    for cofs in (["x+2", "2x^3+x+1", "x^4+x+2"], ["x+2", "2x^2+1"]):
+        cases.append((8, [Poly.parse(GF3, f) * g3 for f in cofs]))
+    seen = set()
+    for n, gens in cases:
+        field = gens[0].field
+        xn1 = Poly.xn_minus_1(field, n)
+        grc = from_qc_generators(n, gens)
+        want = []
+        for i in range(grc.k):
+            products = [(Poly.monomial(field, i) * g) % xn1 for g in gens]
+            want.append([p.coeff(j) for p in products for j in range(n)])
+        assert [list(r) for r in grc.gen.rows()] == want
+        cofs = grc.qc.cofactors
+        if all(c.degree == c.coeffs.count(0) and c.leading() == 1 for c in cofs):
+            assert isinstance(grc.variant, TypeI)
             continue
-        xn1 = Poly.xn_minus_1(gf2, entry.n)
-        for _, _, a, b in _interpretations(entry, gf2):
-            grc = from_qc_generators(entry.n, [a, b])
-            want = []
-            for i in range(grc.k):
-                products = [(Poly.monomial(gf2, i) * g) % xn1 for g in (a, b)]
-                want.append([p.coeff(j) for p in products for j in range(entry.n)])
-            assert [list(r) for r in grc.gen.rows()] == want
+        h = xn1 // grc.qc.g
+        units = all(poly_gcd(c, h).degree == 0 for c in cofs)
+        assert isinstance(grc.variant, TypeII) == units
+        seen.add((field.q, units))
+        if units:
+            m1_inv = _mult_mod_matrix(cofs[0], h).inverse()
+            for j, b in enumerate(grc.variant.transforms, start=2):
+                assert b == m1_inv @ _mult_mod_matrix(cofs[j - 1], h)
+                assert b @ grc.block_matrix(1) == grc.block_matrix(j)
+    assert seen == {(2, True), (2, False), (3, True), (3, False)}
 
 
 def test_from_qc_rejects_zero():
