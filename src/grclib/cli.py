@@ -106,7 +106,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         if args.n is None or not args.gens:
             raise UsageError("qc construction needs --n and --gens")
         field = _field_of_order(args.q)
-        gens = [Poly.parse(field, s) for s in args.gens.split(";")]
+        gens = [Poly.parse_mod_xn(field, s, args.n) for s in args.gens.split(";")]
         grc = from_qc_generators(args.n, gens)
     else:
         base = _base_code(args)

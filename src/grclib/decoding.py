@@ -18,7 +18,11 @@ leaders than codewords), sweep the codeword table (``kernels.nearest``).
 Both give the same index.  One candidate loop, ``GrcDecoder.first_accepted``,
 walks the candidates once for a batch of frames and decodes every frame not
 yet accepted in one call per candidate; ``multi_round_decode`` is that loop
-on one frame, and the simulator runs it on batches of frames.
+on one frame, and the simulator runs it on batches of frames.  Both decode
+through the code's own decoder (``GrcCode.decoder``), so a code's tables
+are built once, however many simulations run on it.  The simulator's CRC
+is one linear map, the remainders of x^i mod g: a batch's check digits and
+its accept test are each one product in the field.
 
 All randomness flows from a master seed; the stream for frame f, block b is
 numpy's ``SeedSequence(seed, spawn_key=(f, b))`` feeding PCG64 (``rng_for``),
@@ -40,7 +44,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import combinations, groupby
 from typing import Callable, Iterator, Sequence
 
@@ -50,6 +54,7 @@ from . import kernels
 from .codes import Hamming, LinearCode, Metric, _metric_blocks
 from .fields import Field
 from .grc import GrcCode, TypeI, TypeII
+from .matrices import Matrix
 from .perms import Permutation
 from .poly import Poly
 
@@ -381,17 +386,25 @@ class CrcVerifier:
         return tuple(check) + tuple(payload)
 
     def accepts(self, message: Sequence[int]) -> bool:
-        return _divides(self.generator, message)
+        f = self.generator.field
+        return (Poly.from_coeffs(f, list(message)) % self.generator).is_zero()
 
 
 Verifier = GenieVerifier | CrcVerifier
 
 
-def _divides(generator: Poly, message: Sequence[int]) -> bool:
-    """The CRC check: ``generator`` divides the message polynomial.  The
-    simulator calls it directly, so ``CrcVerifier.accepts`` is only ever
-    called with one candidate's message, as ``multi_round_decode`` judges it."""
-    return (Poly.from_coeffs(generator.field, list(message)) % generator).is_zero()
+def _crc_remainders(generator: Poly, k: int) -> np.ndarray:
+    """Row i < k holds the coefficients of x^i mod ``generator``, so a
+    message's remainder is its digits times this (k, deg g) matrix: the CRC
+    as one linear map, ``CrcVerifier.attach`` and ``accepts`` on a batch."""
+    f, r = generator.field, generator.degree
+    rems = [Poly.from_coeffs(f, [0] * i + [1]) % generator for i in range(k)]
+    return np.array([[rem.coeff(j) for j in range(r)] for rem in rems], dtype=np.int64)
+
+
+def _field_product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product a b in the field's arithmetic."""
+    return (Matrix(field, *a.shape, a) @ Matrix(field, *b.shape, b)).data
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +573,7 @@ class GrcDecoder:
 
     A single-block Hamming decode goes through the coset-leader table of its
     block, built on first use; blocks with the same generator share one.
+    The decoder that a code keeps is ``GrcCode.decoder``.
     """
 
     def __init__(self, grc: GrcCode):
@@ -646,15 +660,6 @@ class GrcDecoder:
             return self._leaders[key]
 
 
-def _verified(check: Callable[[tuple[int, ...]], bool], table: kernels.CodewordTable) -> Acceptor:
-    """The verdict of ``check`` on the message of each decoded index."""
-
-    def accepts(frames: np.ndarray, index: np.ndarray) -> np.ndarray:
-        return np.array([check(table.message(int(i))) for i in index], dtype=bool)
-
-    return accepts
-
-
 def multi_round_decode(
     grc: GrcCode,
     received: Sequence[int],
@@ -666,11 +671,16 @@ def multi_round_decode(
     combining: bool = True,
 ) -> MultiRoundResult:
     """Try sub-block decodings of increasing depth until one passes the
-    verifier; failure after exhausting depth is a result, not an error."""
-    dec = decoder or GrcDecoder(grc)
+    verifier; failure after exhausting depth is a result, not an error.
+    Without a ``decoder``, the code's own (``GrcCode.decoder``) decodes."""
+    dec = decoder or grc.decoder
     cands = list(iter_candidates(grc, depth, scheme=scheme, combining=combining))
     symbols = np.array(received, dtype=np.int16).reshape(1, grc.m, grc.n)
-    at, index = dec.first_accepted(symbols, cands, _verified(verifier.accepts, dec.table))
+
+    def accepts(frames: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return np.array([verifier.accepts(dec.table.message(int(i))) for i in index], dtype=bool)
+
+    at, index = dec.first_accepted(symbols, cands, accepts)
     if at[0] < 0:
         return MultiRoundResult(None, depth, len(cands), None)
     cand = cands[at[0]]
@@ -752,24 +762,27 @@ _BATCH = 1024  # frames per batch at most; each thread simulates one batch at a 
 
 
 def _simulate_batch(
-    cfg: SimConfig, dec: GrcDecoder, frames: range
+    cfg: SimConfig, dec: GrcDecoder, rems: np.ndarray | None, frames: range
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First accepting round (m + 1 when none) of every frame, the index of
     the accepted message (-1 when none), and the index of the message sent.
 
     Frame f's message is drawn from stream m and its block b corrupted by
     stream b, exactly as ``rng_for(seed, f, .)`` and ``transmit`` would.
+    With a CRC, ``rems`` is its ``_crc_remainders`` for the message length:
+    every frame's check digits are -(payload rems[r:]), and a decoded
+    message passes where its digits times ``rems`` are zero.
     """
     grc = cfg.grc
     field, m, n, k = grc.field, grc.m, grc.n, grc.dim
     q, p = field.q, cfg.channel.crossover
-    crc = None if cfg.crc is None else CrcVerifier(cfg.crc)
-    uniform, shift, digits = _frame_draws(
-        cfg.seed, frames, m, n, q, k if crc is None else k - crc.ncheck
-    )
-    if crc is not None:
-        digits = np.array([crc.attach(row.tolist()) for row in digits], dtype=np.int64)
-    sent = digits @ q ** np.arange(k, dtype=np.int64)
+    r = 0 if rems is None else rems.shape[1]
+    uniform, shift, digits = _frame_draws(cfg.seed, frames, m, n, q, k - r)
+    if rems is not None:
+        check = field.neg(_field_product(field, digits, rems[r:]))
+        digits = np.concatenate([check, digits], axis=1)
+    powers = q ** np.arange(k, dtype=np.int64)
+    sent = digits @ powers
     received = dec.table.codewords(sent, n)
     hit = uniform < p
     if q == 2:
@@ -778,10 +791,12 @@ def _simulate_batch(
         add, _ = field.tables()
         received = np.where(hit, add[received, shift], received)
     cands = list(iter_candidates(grc, cfg.max_depth, scheme=cfg.scheme, combining=cfg.combining))
-    if crc is None:
+    if rems is None:
         accepts: Acceptor = lambda live, index: index == sent[live]
     else:
-        accepts = _verified(partial(_divides, cfg.crc), dec.table)
+        def accepts(live: np.ndarray, index: np.ndarray) -> np.ndarray:
+            message = index[:, None] // powers % q
+            return ~_field_product(field, message, rems).any(axis=1)
     at, index = dec.first_accepted(received, cands, accepts)
     rounds = np.array([c.round for c in cands] + [m + 1])[at]  # position -1: none accepted
     return rounds, np.where(at >= 0, index, -1), sent
@@ -796,16 +811,17 @@ def fer_simulate(cfg: SimConfig) -> SimResult:
     Frames are simulated in batches; how they are split into batches and
     threads changes no frame's outcome."""
     t0 = time.monotonic()
-    dec = GrcDecoder(cfg.grc)
+    dec = cfg.grc.decoder
+    rems = None if cfg.crc is None else _crc_remainders(cfg.crc, cfg.grc.dim)
     size = min(_BATCH, -(-cfg.frames // cfg.threads))
     batches = [range(s, min(s + size, cfg.frames)) for s in range(0, cfg.frames, size)]
     if cfg.threads == 1:
-        outcomes = [_simulate_batch(cfg, dec, b) for b in batches]
+        outcomes = [_simulate_batch(cfg, dec, rems, b) for b in batches]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(lambda b: _simulate_batch(cfg, dec, b), batches))
+            outcomes = list(pool.map(lambda b: _simulate_batch(cfg, dec, rems, b), batches))
     rounds, index, sent = (np.concatenate(parts) for parts in zip(*outcomes))
     ok = index == sent
     per_depth = []

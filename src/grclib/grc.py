@@ -12,8 +12,10 @@ that maintains block and Hamming minima for all 2^m - 1 block subsets.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -24,6 +26,9 @@ from .fields import Field
 from .matrices import Matrix
 from .perms import Permutation
 from .poly import Poly, kappa, poly_gcd, poly_gcd_many
+
+if TYPE_CHECKING:
+    from .decoding import GrcDecoder
 
 __all__ = [
     "TypeI",
@@ -67,6 +72,9 @@ class QcStructure:
     cofactors: tuple[Poly, ...]  # generators[i] / g
 
 
+_DECODER_LOCK = threading.Lock()
+
+
 @dataclass(frozen=True)
 class GrcCode:
     base: LinearCode
@@ -97,6 +105,18 @@ class GrcCode:
 
     def full_code(self) -> LinearCode:
         return LinearCode(self.field, self.gen.ncols, self.gen.nrows, self.gen)
+
+    @cached_property
+    def decoder(self) -> GrcDecoder:
+        """The code's decoder, built on first use and kept with the code
+        (not a field: equality, hash and repr do not see it), so that every
+        simulation of the code shares its codeword and coset-leader tables."""
+        from .decoding import GrcDecoder  # decoding imports this module
+
+        with _DECODER_LOCK:  # one build, also where cached_property has no lock
+            if "decoder" not in self.__dict__:
+                self.__dict__["decoder"] = GrcDecoder(self)
+            return self.__dict__["decoder"]
 
     def block_matrix(self, i: int) -> Matrix:
         """Generator columns of 1-based block i."""
@@ -459,7 +479,7 @@ def grc_from_text(text: str) -> GrcCode:
         n = int(head[1])
         if n * m != total_n:
             raise ValueError(f"qc-n {n} disagrees with the header's n = {total_n} in {m} blocks")
-        gens = [Poly.parse(field, ln[1]) for ln in gen_lines]
+        gens = [Poly.parse_mod_xn(field, ln[1], n) for ln in gen_lines]
         rebuilt = from_qc_generators(n, gens)
         if rebuilt.gen != gen:
             raise ValueError("stored generator disagrees with QC reconstruction")

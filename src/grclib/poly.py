@@ -74,13 +74,18 @@ class Poly:
 
     @classmethod
     def parse(cls, field: Field, text: str) -> "Poly":
-        s = text.strip()
-        if s.startswith("("):
-            body = s.strip("() \t")
-            if not body:
-                return cls.zero(field)
-            return cls.from_coeffs(field, [int(t) for t in body.split(",")])
-        return _parse_terms(field, s)
+        return _from_terms(field, _parse_terms(field, text))
+
+    @classmethod
+    def parse_mod_xn(cls, field: Field, text: str, n: int) -> "Poly":
+        """``parse(field, text) % (x^n - 1)``, each exponent reduced mod n as
+        its term is read, so that no coefficient list grows past n."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        folded: dict[int, int] = {}
+        for d, c in _parse_terms(field, text).items():
+            folded[d % n] = field.add(folded.get(d % n, 0), c)
+        return _from_terms(field, folded)
 
     # -- basics ---------------------------------------------------------------
 
@@ -246,7 +251,20 @@ class Poly:
 _TERM_RE = re.compile(r"^(\d*)(x(?:\^(\d+))?)?$")
 
 
-def _parse_terms(field: Field, s: str) -> Poly:
+def _from_terms(field: Field, terms: dict[int, int]) -> Poly:
+    """The polynomial with coefficient c at each exponent d of ``terms``."""
+    coeffs = [0] * (max(terms, default=-1) + 1)
+    for d, c in terms.items():
+        coeffs[d] = c
+    return Poly.from_coeffs(field, coeffs)
+
+
+def _parse_terms(field: Field, text: str) -> dict[int, int]:
+    """The coefficient of each exponent that ``text`` names, in either form."""
+    s = text.strip()
+    if s.startswith("("):
+        body = s.strip("() \t")
+        return {i: field._canon(int(t)) for i, t in enumerate(body.split(","))} if body else {}
     s = s.replace(" ", "").replace("−", "-")
     if not s:
         raise ValueError("empty polynomial string")
@@ -269,10 +287,9 @@ def _parse_terms(field: Field, s: str) -> Poly:
         if sign == "-":
             c = field.neg(c)
         coeffs[deg] = field.add(coeffs.get(deg, 0), c)
-    out = [0] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    return Poly.from_coeffs(field, out)
+    if not coeffs:
+        raise ValueError(f"cannot parse polynomial {text!r}")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

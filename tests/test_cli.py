@@ -1,11 +1,12 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
 from grclib.cli import main
 from grclib.decoding import AwgnBpskHard, Bsc, SimConfig, fer_simulate
-from grclib.grc import grc_to_text
+from grclib.grc import grc_from_text, grc_to_text
 from grclib import kernels, presets
 
 
@@ -435,7 +436,8 @@ def test_oversized_polynomials_are_errors(tmp_path, shift_file, capsys):
     # 10^15 coefficients cannot be allocated on any host, so this fails at once
     huge = "x^1000000000000000+1"
     for args in (
-        ["construct", "--kind", "qc", "--n", "7", "--gens", huge],
+        ["construct", "--kind", "type1", "--cyclic-gen", huge, "--n", "7", "--m", "2",
+         "--sigma", "cyclic"],
         ["construct", "--kind", "qc", "--n", "1000000000000000", "--gens", "x+1"],
     ):
         code, out, err = run_cli(args, capsys)
@@ -449,3 +451,24 @@ def test_oversized_polynomials_are_errors(tmp_path, shift_file, capsys):
     code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "too large" in err
+
+
+def test_qc_generator_exponents_are_reduced_mod_n(tmp_path, capsys):
+    # x^20000000 = x^6 mod x^7 - 1: parsed term by term, never as a dense
+    # list of 2 * 10^7 coefficients
+    outputs = []
+    for gens in ("x^6+1", "x^20000000+1"):
+        out_file = tmp_path / "c.grc"
+        t0 = time.perf_counter()
+        code, out, err = run_cli(
+            ["construct", "--kind", "qc", "--n", "7", "--gens", gens, "--out", str(out_file)],
+            capsys,
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0, err
+        outputs.append((out, out_file.read_text()))
+    assert outputs[0] == outputs[1]
+    # a GRC file's qc-gen lines are read the same way
+    text = outputs[0][1].replace("qc-gen (1,0,0,0,0,0,1)", "qc-gen x^20000000+1")
+    assert text != outputs[0][1]
+    assert grc_from_text(text) == grc_from_text(outputs[0][1])

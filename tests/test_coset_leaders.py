@@ -212,8 +212,8 @@ def test_concurrent_first_decodes_build_each_table_once(monkeypatch):
 
 def test_qc20_crc_threads_match_serial_with_shared_tables(monkeypatch):
     """The qc20-crc benchmark config at threads=2 gives the rows of
-    threads=1.  Both threads decode through one decoder, whose two tables
-    are built once."""
+    threads=1.  Both threads decode through the code's one decoder, whose
+    two tables the serial run built."""
     built = []
 
     def counting(*args):
@@ -222,7 +222,7 @@ def test_qc20_crc_threads_match_serial_with_shared_tables(monkeypatch):
 
     build = kernels.coset_leaders
     monkeypatch.setattr(kernels, "coset_leaders", counting)
-    cfg = SimConfig(qc20(), Bsc(0.1), frames=64, seed=11, max_depth=2,
+    cfg = SimConfig(qc20.__wrapped__(), Bsc(0.1), frames=64, seed=11, max_depth=2,
                     crc=Poly.parse(GF2, "x^8+x^2+x+1"), code_id="qc20-crc")
     serial = fer_simulate(cfg)
     assert len(built) == 2
@@ -232,5 +232,5 @@ def test_qc20_crc_threads_match_serial_with_shared_tables(monkeypatch):
         threaded = fer_simulate(replace(cfg, threads=2))
     finally:
         sys.setswitchinterval(interval)
-    assert len(built) == 4
+    assert len(built) == 2
     assert threaded.csv_rows() == serial.csv_rows()

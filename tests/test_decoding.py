@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from grclib.codes import Block, Hamming, LinearCode
-from grclib import decoding
+from grclib import decoding, kernels
 from grclib.decoding import (
     AwgnBpskHard,
     Bsc,
@@ -25,24 +27,26 @@ from grclib.decoding import (
     transmit,
 )
 from grclib.fields import field_create
-from grclib.grc import from_qc_generators, type1_regular, type2
+from grclib.grc import from_qc_generators, grc_to_text, type1, type1_regular, type2
 from grclib.perms import Permutation
 from grclib.poly import Poly, companion_matrix
 from grclib import presets
 
 GF2 = field_create(2)
+GF4 = field_create(2, 2)
+HEXACODE = [[1, 0, 0, 1, 2, 2], [0, 1, 0, 2, 1, 2], [0, 0, 1, 2, 2, 1]]  # 2 = alpha
 
 MSG = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0)
 
 
 @pytest.fixture(scope="module")
 def dec1():
-    return GrcDecoder(presets.golay_type1_shift(4))
+    return presets.golay_type1_shift(4).decoder
 
 
 @pytest.fixture(scope="module")
 def dec2():
-    return GrcDecoder(presets.golay_type2_mixed())
+    return presets.golay_type2_mixed().decoder
 
 
 def _corrupt(codeword, row_cols, n=23):
@@ -380,9 +384,6 @@ def test_chase_candidate_accepts_inside_the_ladder(dec1):
 # ---------------------------------------------------------------------------
 # q-ary decoding against a brute-force nearest-codeword oracle
 
-GF4 = field_create(2, 2)
-HEXACODE = [[1, 0, 0, 1, 2, 2], [0, 1, 0, 2, 1, 2], [0, 0, 1, 2, 2, 1]]  # 2 = alpha
-
 
 def _qary_codes():
     yield type1_regular(presets.ternary_golay(), Permutation.cyclic_shift(11), 3)
@@ -516,6 +517,61 @@ def test_fer_threads_stress_match_serial(dec1):
     assert got == [want, want]
 
 
+def test_code_keeps_one_decoder(monkeypatch):
+    # blocks 1, 2 and 4 share a generator, block 3 has its own
+    tables, leaders = [], []
+
+    def count_tables(*args, **kwargs):
+        tables.append(args)
+        return build_table(*args, **kwargs)
+
+    def count_leaders(field, block):
+        leaders.append(block.tobytes())
+        return coset_leaders(field, block)
+
+    build_table, coset_leaders = kernels.build_table, kernels.coset_leaders
+    monkeypatch.setattr(kernels, "build_table", count_tables)
+    monkeypatch.setattr(kernels, "coset_leaders", count_leaders)
+    ident, shift = Permutation.identity(23), Permutation.cyclic_shift(23)
+    grc = type1(presets.binary_golay(), [ident, shift, ident])
+    twin = type1(presets.binary_golay(), [ident, shift, ident])
+    before = (repr(grc), hash(grc), grc_to_text(grc))
+    cfg = SimConfig(grc, Bsc(0.2), frames=100, seed=4, max_depth=4)
+    assert fer_simulate(cfg) == fer_simulate(cfg)
+    fer_simulate(replace(cfg, seed=5, threads=2))
+    assert len(tables) == 1
+    blocks = {grc.gen.data[:, b * 23 : (b + 1) * 23].tobytes() for b in range(4)}
+    assert len(blocks) == 2 and sorted(leaders) == sorted(blocks)
+    assert (repr(grc), hash(grc), grc_to_text(grc)) == before and grc == twin
+    # the decoder refers back to its code; nothing else keeps the code alive
+    ref = weakref.ref(grc)
+    del grc, cfg
+    gc.collect()
+    assert ref() is None
+
+
+def test_concurrent_first_uses_build_one_decoder(monkeypatch):
+    # more threads than cores ask a fresh code for its decoder at once
+    tables = []
+
+    def count_tables(*args, **kwargs):
+        tables.append(args)
+        return build_table(*args, **kwargs)
+
+    build_table = kernels.build_table
+    monkeypatch.setattr(kernels, "build_table", count_tables)
+    grc = presets.golay_type2_mixed()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            runs = [pool.submit(lambda: id(grc.decoder)) for _ in range(6)]
+            got = {run.result(timeout=60) for run in runs}
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == {id(grc.decoder)} and len(tables) == 1
+
+
 _SERIAL_CASES = {
     # binary Type-I, genie verification
     "golay-genie": lambda: SimConfig(presets.golay_type1_shift(4), Bsc(0.2), frames=40, seed=13,
@@ -527,6 +583,14 @@ _SERIAL_CASES = {
     # CRC verification with false accepts
     "golay-crc": lambda: SimConfig(presets.golay_type1_shift(4), Bsc(0.4), frames=150, seed=3,
                                    max_depth=2, crc=Poly.parse(GF2, "x^3+x+1")),
+    # the CRC's linear map over a prime field, with a non-monic generator
+    "gf3-crc": lambda: SimConfig(
+        type1_regular(presets.ternary_golay(), Permutation.cyclic_shift(11), 3), Bsc(0.3),
+        frames=120, seed=8, max_depth=3, crc=Poly.parse(field_create(3), "2x^2+x+1")),
+    # ... and over an extension field, where sums and products are not mod q
+    "gf4-crc": lambda: SimConfig(
+        type1_regular(LinearCode.from_rows(GF4, HEXACODE), Permutation.cyclic_shift(6), 3),
+        Bsc(0.3), frames=100, seed=4, max_depth=3, crc=Poly.parse(GF4, "2x^2+x+1")),
 }
 
 
@@ -542,7 +606,8 @@ def _check_frames_match_serial(case):
     grc = cfg.grc
     field, m, n, k = grc.field, grc.m, grc.n, grc.dim
     dec = GrcDecoder(grc)
-    rounds, index, sent = decoding._simulate_batch(cfg, dec, range(cfg.frames))
+    rems = None if cfg.crc is None else decoding._crc_remainders(cfg.crc, k)
+    rounds, index, sent = decoding._simulate_batch(cfg, dec, rems, range(cfg.frames))
     kinds = set()
     want_errors = [0] * cfg.max_depth
     for f in range(cfg.frames):
@@ -572,7 +637,7 @@ def _check_frames_match_serial(case):
     assert [s.frame_errors for s in fer_simulate(cfg).per_depth] == want_errors
     if case == "gf3-repetition":
         assert ("chase", True) in kinds
-    if case == "golay-crc":
+    if cfg.crc is not None:
         assert any(not correct for _, correct in kinds)
 
 

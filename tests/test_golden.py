@@ -7,7 +7,8 @@ runs of ``grc demo-example1 --frames 300 --seed 3`` and the catalog row 5
 [62,20] code on a BSC with an 8-bit CRC, as the benchmark's ``qc20-crc``
 config runs it, at 20 frames.  Two q-ary configs pin the bounded draws: over
 GF(3) the message digits have a nonzero rejection threshold, over GF(4) the
-symbol shifts do.  A seed of five 32-bit words pins the seeding hash on a
+symbol shifts do.  A GF(3) CRC with a non-monic generator pins the
+check digits and the accept test over an odd prime field.  A seed of five 32-bit words pins the seeding hash on a
 seed too long to be padded to the pool.
 """
 
@@ -22,6 +23,7 @@ from grclib.perms import Permutation
 from grclib.poly import Poly
 
 GF2 = field_create(2)
+GF3 = field_create(3)
 GF4 = field_create(2, 2)
 HEXACODE = [[1, 0, 0, 1, 2, 2], [0, 1, 0, 2, 1, 2], [0, 0, 1, 2, 2, 1]]  # 2 = alpha
 
@@ -60,6 +62,12 @@ QARY_ROWS = [
     "gf4-hexacode,bsc,0.3,1,200,24,0.120000,0,8",
     "gf4-hexacode,bsc,0.3,2,200,11,0.055000,0,8",
     "gf4-hexacode,bsc,0.3,3,200,8,0.040000,0,8",
+]
+
+GF3_CRC_ROWS = [
+    "gf3-crc,bsc,0.3,1,120,41,0.341667,16,8",
+    "gf3-crc,bsc,0.3,2,120,35,0.291667,19,8",
+    "gf3-crc,bsc,0.3,3,120,27,0.225000,20,8",
 ]
 
 LONG_SEED = 2**130 + 7
@@ -112,6 +120,13 @@ def test_qary_rows():
                   code_id="gf4-hexacode"),
     ]
     assert [row for cfg in cfgs for row in fer_simulate(cfg).csv_rows()] == QARY_ROWS
+
+
+def test_gf3_crc_rows():
+    grc = type1_regular(presets.ternary_golay(), Permutation.cyclic_shift(11), 3)
+    cfg = SimConfig(grc=grc, channel=Bsc(0.3), frames=120, seed=8, max_depth=3,
+                    crc=Poly.parse(GF3, "2x^2+x+1"), code_id="gf3-crc")
+    assert fer_simulate(cfg).csv_rows() == GF3_CRC_ROWS
 
 
 def test_long_seed_rows():
