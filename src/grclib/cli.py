@@ -97,7 +97,7 @@ def _base_code(args: argparse.Namespace) -> LinearCode:
         if args.n is None:
             raise UsageError("--cyclic-gen needs --n")
         field = _field_of_order(args.q)
-        return LinearCode.cyclic(field, args.n, Poly.parse(field, args.cyclic_gen))
+        return LinearCode.cyclic(field, args.n, Poly.parse_below(field, args.cyclic_gen, args.n))
     raise UsageError("pass --base FILE or --cyclic-gen POLY")
 
 
@@ -125,7 +125,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         else:
             if not args.charpoly:
                 raise UsageError("type2 needs --charpoly")
-            b = companion_matrix(Poly.parse(base.field, args.charpoly))
+            charpoly = Poly.parse_below(base.field, args.charpoly, base.k + 1)
+            if charpoly.degree != base.k:
+                raise UsageError(f"--charpoly must have degree k = {base.k}, got {charpoly.degree}")
+            b = companion_matrix(charpoly)
             grc = type2(base, b, args.m)
     out = grc_to_text(grc)
     if args.out:
@@ -192,7 +195,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     crc = None
     verifier = cfgmap.get("verifier", "genie").split(None, 1)
     if len(verifier) == 2 and verifier[0] == "crc":
-        crc = Poly.parse(grc.field, verifier[1])
+        crc = Poly.parse_below(grc.field, verifier[1], grc.dim)
     elif verifier != ["genie"]:
         raise UsageError("verifier must be 'genie' or 'crc POLY'")
     combining = cfgmap.get("combining", "on")
@@ -375,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError:  # its message is empty
+    except (MemoryError, OverflowError):  # a size past memory, or past an index
         print("error: input too large to hold in memory", file=sys.stderr)
         return 1
 

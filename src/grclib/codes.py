@@ -173,6 +173,8 @@ class LinearCode:
         """Cyclic code of length n with generator polynomial g(x)."""
         if g.field != field:
             raise ValueError("field mismatch")
+        if g.is_zero():
+            raise ValueError("the zero polynomial generates no cyclic code")
         g = g.monic()
         if not g.divides(Poly.xn_minus_1(field, n)):
             raise ValueError("generator polynomial does not divide x^n - 1")

@@ -5,22 +5,25 @@ Decoding is hard-decision throughout: the AWGN/BPSK channel is reduced to
 its induced binary symmetric channel, under which maximum-likelihood
 decoding is exact nearest-codeword search in the relevant metric.
 
-One decoding path: a ``GrcDecoder`` holds one codeword table, of the full
-code, and each candidate, like ``md_decode``, is a nearest-codeword search
-in it on a block subset, with ties going to the smallest message index.  A
-Chase candidate votes the Type-I copies aligned onto block 1 and decodes
-the result in block 1, so its message is numbered like every other.  A
-Hamming candidate on one block (round 1, and Chase's decode in block 1)
-decodes by syndrome, from the block's table of coset leaders
-(``kernels.coset_leaders``), built on its first use; other
-candidates, and a block that gets no leader table (rank below k, or more
-leaders than codewords), sweep the codeword table (``kernels.nearest``).
-Both give the same index.  One candidate loop, ``GrcDecoder.first_accepted``,
-walks the candidates once for a batch of frames and decodes every frame not
-yet accepted in one call per candidate; ``multi_round_decode`` is that loop
-on one frame, and the simulator runs it on batches of frames.  Both decode
-through the code's own decoder (``GrcCode.decoder``), so a code's tables
-are built once, however many simulations run on it.  The simulator's CRC
+One decoding path: a ``GrcDecoder`` holds the code's field, shape,
+generator and Type-I permutations, one codeword table of the full code, and
+the blocks' coset-leader tables, and no reference to the code.  Each
+candidate, like ``md_decode``, is a nearest-codeword search on a block
+subset, with ties going to the smallest message index, and a message index
+is read as base-q digits by ``kernels.message_digits``.  A Chase candidate
+votes the Type-I copies aligned onto block 1 and decodes the result in
+block 1, so its message is numbered like every other.  A Hamming candidate
+on one block (round 1, and Chase's decode in block 1) decodes by syndrome,
+from the block's leader table (``kernels.coset_leaders``), built on its
+first use; other candidates, and a block that gets no leader table (rank
+below k, or more leaders than codewords), sweep the codeword table
+(``kernels.nearest``).  Both give the same index.  One candidate loop,
+``GrcDecoder.first_accepted``, walks the candidates once for a batch of
+frames and decodes every frame not yet accepted in one call per candidate;
+``multi_round_decode`` is that loop on one frame, and the simulator runs it
+on batches of frames.  Both decode through the code's own decoder
+(``GrcCode.decoder``), so a code's tables are built once, however many
+simulations run on it, and freed with the code.  The simulator's CRC
 is one linear map, the remainders of x^i mod g: a batch's check digits and
 its accept test are each one product in the field.
 
@@ -44,7 +47,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations, groupby
 from typing import Callable, Iterator, Sequence
 
@@ -432,8 +435,13 @@ def md_decode(
     table = kernels.build_table(code.field, code.gen.rows(), m, cap=cap)
     words = kernels.pack_rows(code.field, [received], m)
     index, dist = kernels.nearest(table, words, range(m), not isinstance(metric, Hamming))
-    message = table.message(int(index[0]))
+    message = _message(code.field.q, index[0], code.k)
     return DecodeResult(message, code.encode(message), int(dist[0]))
+
+
+def _message(q: int, index: np.integer, k: int) -> tuple[int, ...]:
+    """The message of a message index, as a tuple of k Python ints."""
+    return tuple(kernels.message_digits(q, index, k).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -569,34 +577,26 @@ Acceptor = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class GrcDecoder:
-    """The codeword table of a GRC, and the candidate decodes run over it.
-
-    A single-block Hamming decode goes through the coset-leader table of its
-    block, built on first use; blocks with the same generator share one.
-    The decoder that a code keeps is ``GrcCode.decoder``.
+    """The decode state of a GRC, and the candidate decodes run over it:
+    the field, shape and generator, the Type-I permutations for Chase, the
+    codeword table, and each block's coset-leader table, built on first use
+    and shared by blocks with the same generator.  It holds no reference to
+    the code, so a code that keeps it (``GrcCode.decoder``) is freed with it.
     """
 
     def __init__(self, grc: GrcCode):
-        self.grc = grc
+        self.field, self.m, self.n, self.k = grc.field, grc.m, grc.n, grc.dim  # k: message length
+        self.gen = grc.gen.data
+        self.perms = grc.variant.perms if isinstance(grc.variant, TypeI) else ()
         self.table = kernels.build_table(grc.field, grc.gen.rows(), grc.m)
         self._lock = threading.Lock()  # the simulator's threads share one decoder
         self._leaders: dict[bytes, kernels.CosetLeaders | None] = {}
 
-    @cached_property
-    def full_code(self) -> LinearCode:
-        """The GRC as one linear code, built on first use: decoding and the
-        simulator's encoding read the table instead."""
-        return self.grc.full_code()
-
-    def split(self, received: Sequence[int]) -> list[tuple[int, ...]]:
-        n = self.grc.n
-        return [tuple(received[i * n : (i + 1) * n]) for i in range(self.grc.m)]
-
     def candidate_message(self, received: Sequence[int], cand: Candidate) -> tuple[int, ...]:
         """The message that one candidate decodes ``received`` to."""
-        symbols = np.array(received, dtype=np.int16).reshape(1, self.grc.m, self.grc.n)
+        symbols = np.array(received, dtype=np.int16).reshape(1, self.m, self.n)
         index = self._decode(symbols, self._pack(symbols), cand)
-        return self.table.message(int(index[0]))
+        return _message(self.field.q, index[0], self.k)
 
     def first_accepted(
         self, received: np.ndarray, cands: Sequence[Candidate], accepts: Acceptor
@@ -622,15 +622,14 @@ class GrcDecoder:
         return at, index
 
     def _pack(self, symbols: np.ndarray) -> np.ndarray:
-        return kernels.pack_rows(self.grc.field, symbols.reshape(len(symbols), -1), self.grc.m)
+        return kernels.pack_rows(self.field, symbols.reshape(len(symbols), -1), self.m)
 
     def _decode(self, symbols: np.ndarray, packed: np.ndarray, cand: Candidate) -> np.ndarray:
         """Message index of every frame under one candidate, from its blocks
         ``symbols`` (F, m, n) and their packed words ``packed`` (F, m, W)."""
         if cand.kind == "chase":
             # blocks 1..r, aligned onto block 1 and voted, decode in block 1
-            perms = self.grc.variant.perms[: len(cand.blocks) - 1]  # type: ignore[union-attr]
-            voted, _ = _vote(_align(symbols, perms), self.grc.field.q)
+            voted, _ = _vote(_align(symbols, self.perms[: len(cand.blocks) - 1]), self.field.q)
             return self._decode_block(0, voted)
         if cand.kind == "hamming" and len(cand.blocks) == 1:
             return self._decode_block(cand.blocks[0] - 1, symbols[:, cand.blocks[0] - 1])
@@ -644,19 +643,18 @@ class GrcDecoder:
         leaders = self._block_leaders(b)
         if leaders is not None:
             return leaders.decode(words)
-        packed = kernels.pack_rows(self.grc.field, words, 1)
+        packed = kernels.pack_rows(self.field, words, 1)
         return kernels.nearest(self.table, packed, [b], False)[0]
 
     def _block_leaders(self, b: int) -> kernels.CosetLeaders | None:
         """The coset-leader table of block b, or None where
         ``kernels.coset_leaders`` declines: a block of rank below k, or more
         leaders than codewords."""
-        n = self.grc.n
-        block = self.grc.gen.data[:, b * n : (b + 1) * n]
+        block = self.gen[:, b * self.n : (b + 1) * self.n]
         key = block.tobytes()
         with self._lock:
             if key not in self._leaders:
-                self._leaders[key] = kernels.coset_leaders(self.grc.field, block)
+                self._leaders[key] = kernels.coset_leaders(self.field, block)
             return self._leaders[key]
 
 
@@ -676,15 +674,16 @@ def multi_round_decode(
     dec = decoder or grc.decoder
     cands = list(iter_candidates(grc, depth, scheme=scheme, combining=combining))
     symbols = np.array(received, dtype=np.int16).reshape(1, grc.m, grc.n)
+    q, k = grc.field.q, grc.dim
 
     def accepts(frames: np.ndarray, index: np.ndarray) -> np.ndarray:
-        return np.array([verifier.accepts(dec.table.message(int(i))) for i in index], dtype=bool)
+        return np.array([verifier.accepts(_message(q, i, k)) for i in index], dtype=bool)
 
     at, index = dec.first_accepted(symbols, cands, accepts)
     if at[0] < 0:
         return MultiRoundResult(None, depth, len(cands), None)
     cand = cands[at[0]]
-    return MultiRoundResult(dec.table.message(int(index[0])), cand.round, int(at[0]) + 1, cand)
+    return MultiRoundResult(_message(q, index[0], k), cand.round, int(at[0]) + 1, cand)
 
 
 # ---------------------------------------------------------------------------
@@ -781,8 +780,7 @@ def _simulate_batch(
     if rems is not None:
         check = field.neg(_field_product(field, digits, rems[r:]))
         digits = np.concatenate([check, digits], axis=1)
-    powers = q ** np.arange(k, dtype=np.int64)
-    sent = digits @ powers
+    sent = kernels.message_index(q, digits)
     received = dec.table.codewords(sent, n)
     hit = uniform < p
     if q == 2:
@@ -795,8 +793,7 @@ def _simulate_batch(
         accepts: Acceptor = lambda live, index: index == sent[live]
     else:
         def accepts(live: np.ndarray, index: np.ndarray) -> np.ndarray:
-            message = index[:, None] // powers % q
-            return ~_field_product(field, message, rems).any(axis=1)
+            return ~_field_product(field, kernels.message_digits(q, index, k), rems).any(axis=1)
     at, index = dec.first_accepted(received, cands, accepts)
     rounds = np.array([c.round for c in cands] + [m + 1])[at]  # position -1: none accepted
     return rounds, np.where(at >= 0, index, -1), sent

@@ -72,6 +72,8 @@ __all__ = [
     "weight_histogram",
     "CodewordTable",
     "build_table",
+    "message_digits",
+    "message_index",
     "pack_rows",
     "nearest",
     "CosetLeaders",
@@ -155,8 +157,8 @@ class CodewordTable(NamedTuple):
     Chunk t holds the codewords ``low + highs[t]``, the message indices
     [t * C, (t + 1) * C).  ``low`` (m, W, C) is the span of the low rows,
     each (block, word) row contiguous over the C codewords; ``highs``
-    (q^k / C, m, W) holds the combinations of the high rows.  Message index
-    digits in base q (little-endian) are the message symbols.
+    (q^k / C, m, W) holds the combinations of the high rows.  A message
+    index's base-q digits (``message_digits``) are the message symbols.
     """
 
     field: Field
@@ -176,14 +178,6 @@ class CodewordTable(NamedTuple):
             return _unpack_bits(low ^ high, length)
         add, _ = self.field.tables()
         return add[low, high]
-
-    def message(self, index: int) -> tuple[int, ...]:
-        q, size, span, out = self.field.q, self.size, 1, []
-        while span < size:
-            out.append(index % q)
-            index //= q
-            span *= q
-        return tuple(out)
 
 
 def _span(field: Field, rows: np.ndarray) -> np.ndarray:
@@ -208,6 +202,17 @@ def _span(field: Field, rows: np.ndarray) -> np.ndarray:
             out[c * size : (c + 1) * size] = add[out[:size], mul[c, row]]
         size *= q
     return out
+
+
+def message_digits(q: int, index: np.ndarray, k: int) -> np.ndarray:
+    """The k base-q digits (..., k), little-endian, of each of ``index``: of
+    a message index, the message that ``_span`` numbers so."""
+    return index[..., None] // q ** np.arange(k, dtype=np.int64) % q
+
+
+def message_index(q: int, digits: np.ndarray) -> np.ndarray:
+    """The inverse of ``message_digits``: the base-q integers of ``digits``."""
+    return digits @ q ** np.arange(digits.shape[-1], dtype=np.int64)
 
 
 def build_table(
@@ -534,10 +539,9 @@ class CosetLeaders(NamedTuple):
         s(-r)."""
         p, e, k = self.field.p, self.field.e, self.k
         r = symbols.shape[1] - k
-        digits = symbols[..., None] // p ** np.arange(e) % p
-        out = digits.reshape(len(symbols), -1) @ self.maps % p
-        syndrome = -out[:, : r * e] % p @ p ** np.arange(r * e)
-        message = out[:, r * e :] @ p ** np.arange(k * e)
+        out = message_digits(p, symbols, e).reshape(len(symbols), -1) @ self.maps % p
+        syndrome = message_index(p, -out[:, : r * e] % p)
+        message = message_index(p, out[:, r * e :])
         first = self.start[syndrome]
         count = self.start[syndrome + 1] - first  # at least 1: every coset has a leader
         word, rows = _ranges(first, count)
@@ -557,10 +561,7 @@ def _add(field: Field, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
     if field.p == 2:
         return a ^ b  # symbols in base 2 add bit by bit
     q, (add, _) = field.q, field.tables()
-    out = 0
-    for i in range(width):
-        out = out + add[a // q**i % q, b // q**i % q] * q**i
-    return out
+    return message_index(q, add[message_digits(q, a, width), message_digits(q, b, width)])
 
 
 def coset_leaders(field: Field, block: np.ndarray) -> CosetLeaders | None:
@@ -592,9 +593,9 @@ def coset_leaders(field: Field, block: np.ndarray) -> CosetLeaders | None:
     gf_map[info, r:] = red.data[:, n:]
     powers = p ** np.arange(e)
     images = field.mul(powers[:, None], gf_map[:, None, :])  # (n, e, n): x^a times row j
-    maps = (images[..., None] // powers % p).reshape(n * e, n * e)
+    maps = message_digits(p, images, e).reshape(n * e, n * e)
     units = field.mul(np.arange(1, q)[:, None], gf_map[:, None, :])  # (n, q - 1, n): v e_j
-    unit_s, unit_u = units[..., :r] @ q ** np.arange(r), units[..., r:] @ q ** np.arange(k)
+    unit_s, unit_u = message_index(q, units[..., :r]), message_index(q, units[..., r:])
     weight = np.full(q**r, -1, dtype=np.int16)  # each coset's least weight, -1 until reached
     weight[0] = 0
     s, u, top = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.array([-1])

@@ -77,6 +77,17 @@ class Poly:
         return _from_terms(field, _parse_terms(field, text))
 
     @classmethod
+    def parse_below(cls, field: Field, text: str, bound: int) -> "Poly":
+        """``parse(field, text)``, refused when its degree is ``bound`` or
+        more.  The degree is read off the terms, so a huge exponent is
+        refused before any coefficient list is built."""
+        terms = _parse_terms(field, text)
+        degree = _degree(terms)
+        if degree >= bound:
+            raise ValueError(f"polynomial degree {degree} too large: must be below {bound}")
+        return _from_terms(field, terms)
+
+    @classmethod
     def parse_mod_xn(cls, field: Field, text: str, n: int) -> "Poly":
         """``parse(field, text) % (x^n - 1)``, each exponent reduced mod n as
         its term is read, so that no coefficient list grows past n."""
@@ -251,11 +262,17 @@ class Poly:
 _TERM_RE = re.compile(r"^(\d*)(x(?:\^(\d+))?)?$")
 
 
+def _degree(terms: dict[int, int]) -> int:
+    """The largest exponent of ``terms`` with a nonzero coefficient, -1 if none."""
+    return max((d for d, c in terms.items() if c), default=-1)
+
+
 def _from_terms(field: Field, terms: dict[int, int]) -> Poly:
     """The polynomial with coefficient c at each exponent d of ``terms``."""
-    coeffs = [0] * (max(terms, default=-1) + 1)
+    coeffs = [0] * (_degree(terms) + 1)
     for d, c in terms.items():
-        coeffs[d] = c
+        if c:
+            coeffs[d] = c
     return Poly.from_coeffs(field, coeffs)
 
 

@@ -28,7 +28,6 @@ from grclib.codetable import load_table, verify_table
 from grclib.decoding import (
     AwgnBpskHard,
     Candidate,
-    GrcDecoder,
     SimConfig,
     fer_simulate,
 )
@@ -328,48 +327,42 @@ def test_criterion_07_expansion_scaling_law():
 
 def test_criterion_08_decoder_radius(golay_shift4, golay_mixed, code_11_4_type2):
     rng = random.Random(77)
-    decoders = {
-        "type1": GrcDecoder(golay_shift4),
-        "type2": GrcDecoder(golay_mixed),
-        "11-4": GrcDecoder(code_11_4_type2),
-    }
-    tables = {
-        name: distance_profile(dec.grc).subset_table() for name, dec in decoders.items()
-    }
+    codes = {"type1": golay_shift4, "type2": golay_mixed, "11-4": code_11_4_type2}
+    fulls = {name: grc.full_code() for name, grc in codes.items()}
+    tables = {name: distance_profile(grc).subset_table() for name, grc in codes.items()}
     trials = 10_000
     failures = 0
     t0 = time.monotonic()
     for _ in range(trials):
-        name = rng.choice(list(decoders))
-        dec = decoders[name]
-        grc = dec.grc
+        name = rng.choice(list(codes))
+        grc = codes[name]
         n, m, k = grc.n, grc.m, grc.dim
         subset_table = tables[name]
         t = rng.choice(list(subset_table))
         d_block, d_ham = subset_table[t]
         use_hamming = rng.random() < 0.5
         msg = tuple(rng.randrange(2) for _ in range(k))
-        rec = list(dec.full_code.encode(msg))
+        rec = list(fulls[name].encode(msg))
         if use_hamming:
             radius = (d_ham - 1) // 2
             for row, col in rng.sample([(r, c) for r in t for c in range(n)], radius):
                 rec[(row - 1) * n + col] ^= 1
-            got = dec.candidate_message(rec, Candidate(len(t), t, "hamming"))
+            got = grc.decoder.candidate_message(rec, Candidate(len(t), t, "hamming"))
         else:
             radius = (d_block - 1) // 2
             for col in rng.sample(range(n), radius):
                 rows = rng.sample(t, rng.randint(1, len(t)))
                 for row in rows:
                     rec[(row - 1) * n + col] ^= 1
-            got = dec.candidate_message(rec, Candidate(len(t), t, "block"))
+            got = grc.decoder.candidate_message(rec, Candidate(len(t), t, "block"))
         if got != msg:
             failures += 1
     elapsed = time.monotonic() - t0
 
     from pattern_classes import TYPE1_CLASSES, TYPE2_CLASSES
 
-    class_results = [f(decoders["type1"]) for f in TYPE1_CLASSES] + [
-        f(decoders["type2"]) for f in TYPE2_CLASSES
+    class_results = [f(golay_shift4) for f in TYPE1_CLASSES] + [
+        f(golay_mixed) for f in TYPE2_CLASSES
     ]
     ok = failures == 0 and all(class_results)
     report(

@@ -7,7 +7,7 @@ import pytest
 from grclib.cli import main
 from grclib.decoding import AwgnBpskHard, Bsc, SimConfig, fer_simulate
 from grclib.grc import grc_from_text, grc_to_text
-from grclib import kernels, presets
+from grclib import cli, kernels, presets
 
 
 def run_cli(args, capsys):
@@ -451,6 +451,44 @@ def test_oversized_polynomials_are_errors(tmp_path, shift_file, capsys):
     code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "too large" in err
+
+
+# exponent 10^30: no coefficient list of that length fits an index
+HUGE_EXPONENT = "x^1000000000000000000000000000000+1"
+TYPE2_GOLAY = ["construct", "--kind", "type2", "--cyclic-gen", presets.GOLAY_GEN, "--n", "23",
+               "--m", "2", "--charpoly"]
+
+
+@pytest.mark.parametrize("flag", ["cyclic-gen", "charpoly", "crc"])
+def test_polynomial_exponents_beyond_an_index_are_errors(tmp_path, shift_file, capsys, flag):
+    # the degree is read off the terms and checked against its bound (below
+    # n, equal to k, below k) before any coefficient list is built
+    if flag == "crc":
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(
+            f"code = {shift_file}\nchannel = bsc 0.1\nframes = 5\nseed = 1\nmax_depth = 4\n"
+            f"verifier = crc {HUGE_EXPONENT}\n"
+        )
+        args = ["simulate", "--config", str(cfg)]
+    elif flag == "charpoly":
+        args = TYPE2_GOLAY + [HUGE_EXPONENT]
+    else:
+        args = ["construct", "--kind", "type1", "--cyclic-gen", HUGE_EXPONENT, "--n", "7",
+                "--m", "2", "--sigma", "cyclic"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(("error:", "usage error:")) and "degree" in err
+
+
+def test_charpoly_of_wrong_degree_builds_no_companion_matrix(capsys, monkeypatch):
+    def no_matrix(f):
+        raise AssertionError("a companion matrix was built for a charpoly of the wrong degree")
+
+    monkeypatch.setattr(cli, "companion_matrix", no_matrix)
+    for charpoly in ("x^3+x+1", "x^4000+x+1", HUGE_EXPONENT):
+        code, out, err = run_cli(TYPE2_GOLAY + [charpoly], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(("error:", "usage error:")) and "degree" in err
 
 
 def test_qc_generator_exponents_are_reduced_mod_n(tmp_path, capsys):

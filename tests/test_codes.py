@@ -547,6 +547,9 @@ def test_text_names_missing_parts():
 def test_cyclic_requires_divisor():
     with pytest.raises(ValueError):
         LinearCode.cyclic(GF2, 23, Poly.parse(GF2, "x^2+x+1"))
+    # the zero polynomial divides nothing: refused, not divided by
+    with pytest.raises(ValueError, match="zero polynomial"):
+        LinearCode.cyclic(GF2, 7, Poly.parse(GF2, "0"))
 
 
 def test_rank_check_skips_only_staggered_generators(golay, monkeypatch):

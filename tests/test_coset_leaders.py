@@ -125,6 +125,19 @@ def test_tie_heavy_words_match_nearest(name, data):
     assert leaders.decode(words).tolist() == _nearest(table, words).tolist()
 
 
+def test_qary_indices_beyond_int16_match_nearest():
+    """GF(3) blocks of dimension 10 and 11, whose message indices pass 2^15:
+    a leader's base-q sums must not be taken in the int16 of the field's add
+    table, where they wrapped (k = 10) or overflowed (k = 11)."""
+    rng = np.random.default_rng(1)
+    for k, n in ((10, 15), (11, 17)):
+        block = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, 3, (k, n - k))])
+        leaders = kernels.coset_leaders(FIELDS[3], block)
+        table = kernels.build_table(FIELDS[3], block.tolist(), 1)
+        words = rng.integers(0, 3, (200, n)).astype(np.int16)
+        assert leaders.decode(words).tolist() == _nearest(table, words).tolist(), k
+
+
 def test_leader_counts():
     """Every minimum-weight leader: 2^11 cosets of the [31, 20] block, 12
     leaders per coset on average and 186 at most; the perfect Golay code has
@@ -168,12 +181,12 @@ def test_single_block_block_metric_candidate_sweeps():
     dec = GrcDecoder(presets.golay_type1_shift(2))
     rng = np.random.default_rng(5)
     for _ in range(20):
-        received = rng.integers(0, 2, dec.grc.m * dec.grc.n).tolist()
+        received = rng.integers(0, 2, dec.m * dec.n).tolist()
         for b in (1, 2):
-            packed = kernels.pack_rows(GF2, np.array([received]), dec.grc.m)
+            packed = kernels.pack_rows(GF2, np.array([received]), dec.m)
             want = kernels.nearest(dec.table, packed[:, [b - 1]], [b - 1], True)[0][0]
             got = dec.candidate_message(received, Candidate(1, (b,), "block"))
-            assert got == dec.table.message(int(want))
+            assert got == tuple(kernels.message_digits(2, want, dec.k).tolist())
 
 
 def test_identical_blocks_share_a_table():

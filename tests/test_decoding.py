@@ -40,13 +40,13 @@ MSG = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0)
 
 
 @pytest.fixture(scope="module")
-def dec1():
-    return presets.golay_type1_shift(4).decoder
+def grc1():
+    return presets.golay_type1_shift(4)
 
 
 @pytest.fixture(scope="module")
-def dec2():
-    return presets.golay_type2_mixed().decoder
+def grc2():
+    return presets.golay_type2_mixed()
 
 
 def _corrupt(codeword, row_cols, n=23):
@@ -55,6 +55,11 @@ def _corrupt(codeword, row_cols, n=23):
     for row, col in row_cols:
         rec[(row - 1) * n + col] ^= 1
     return rec
+
+
+def _split(word, n):
+    """The blocks of length n of ``word``."""
+    return [tuple(word[i : i + n]) for i in range(0, len(word), n)]
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +151,12 @@ def test_decode_golay_three_flips(golay):
     assert res.message == MSG and res.distance == 3
 
 
-def test_decode_pair_subblock_five_columns(dec1):
+def test_decode_pair_subblock_five_columns(grc1):
     # sbdh_2 = 11 corrects 5 column errors on any two rows
-    cw = dec1.full_code.encode(MSG)
+    cw = grc1.full_code().encode(MSG)
     cols = [2, 5, 9, 13, 20]
     rec = _corrupt(cw, [(1, c) for c in cols] + [(2, c) for c in cols])
-    got = dec1.candidate_message(rec, Candidate(2, (1, 2), "block"))
+    got = grc1.decoder.candidate_message(rec, Candidate(2, (1, 2), "block"))
     assert got == MSG
 
 
@@ -168,20 +173,17 @@ def test_decode_block_metric_function(golay_shift4):
 # chase combining
 
 
-def test_chase_identical_blocks(dec1):
-    grc = dec1.grc
-    cw = dec1.full_code.encode(MSG)
-    blocks = dec1.split(cw)
-    combined = chase_combine(blocks, grc.variant.perms, field=GF2)
+def test_chase_identical_blocks(grc1):
+    blocks = _split(grc1.full_code().encode(MSG), 23)
+    combined = chase_combine(blocks, grc1.variant.perms, field=GF2)
     assert combined == blocks[0]
 
 
-def test_chase_one_block_fully_corrupted(dec1):
-    grc = dec1.grc
-    blocks = dec1.split(dec1.full_code.encode(MSG))
+def test_chase_one_block_fully_corrupted(grc1):
+    blocks = _split(grc1.full_code().encode(MSG), 23)
     bad = tuple(1 ^ b for b in blocks[2])
     combined = chase_combine(
-        [blocks[0], blocks[1], bad, blocks[3]], grc.variant.perms, field=GF2
+        [blocks[0], blocks[1], bad, blocks[3]], grc1.variant.perms, field=GF2
     )
     assert combined == blocks[0]
 
@@ -235,30 +237,30 @@ def test_chase_rejects_malformed_blocks():
 # multi-round decoding
 
 
-def test_noiseless_depth1(dec1):
-    cw = dec1.full_code.encode(MSG)
-    res = multi_round_decode(dec1.grc, cw, 1, GenieVerifier(MSG), decoder=dec1)
+def test_noiseless_depth1(grc1):
+    cw = grc1.full_code().encode(MSG)
+    res = multi_round_decode(grc1, cw, 1, GenieVerifier(MSG))
     assert res.message == MSG
     assert res.rounds_used == 1 and res.subsets_tried == 1
 
 
-def test_eleven_bits_three_rows_depth3(dec2):
+def test_eleven_bits_three_rows_depth3(grc2):
     # 11 bit errors over rows {1,2,3} are inside the depth-3 guarantee
-    cw = dec2.full_code.encode(MSG)
+    cw = grc2.full_code().encode(MSG)
     hits = [(1, c) for c in (0, 5, 9, 14)] + [(2, c) for c in (1, 6, 11, 16)] + [
         (3, c) for c in (2, 7, 12)
     ]
     rec = _corrupt(cw, hits)
-    res = multi_round_decode(dec2.grc, rec, 3, GenieVerifier(MSG), decoder=dec2)
+    res = multi_round_decode(grc2, rec, 3, GenieVerifier(MSG))
     assert res.message == MSG
     # the triple decode alone also recovers (11 <= (24-1)/2)
-    got = dec2.candidate_message(rec, Candidate(3, (1, 2, 3), "hamming"))
+    got = grc2.decoder.candidate_message(rec, Candidate(3, (1, 2, 3), "hamming"))
     assert got == MSG
 
 
-def test_seventeen_bits_depth4_guarantee(dec2):
+def test_seventeen_bits_depth4_guarantee(grc2):
     # 17 bits across all four rows sit exactly at the depth-4 radius
-    cw = dec2.full_code.encode(MSG)
+    cw = grc2.full_code().encode(MSG)
     hits = (
         [(1, c) for c in (0, 3, 5, 7)]
         + [(2, c) for c in (1, 5, 10, 14)]
@@ -267,13 +269,13 @@ def test_seventeen_bits_depth4_guarantee(dec2):
     )
     assert len(hits) == 17
     rec = _corrupt(cw, hits)
-    res = multi_round_decode(dec2.grc, rec, 4, GenieVerifier(MSG), decoder=dec2)
+    res = multi_round_decode(grc2, rec, 4, GenieVerifier(MSG))
     assert res.message == MSG
-    got = dec2.candidate_message(rec, Candidate(4, (1, 2, 3, 4), "hamming"))
+    got = grc2.decoder.candidate_message(rec, Candidate(4, (1, 2, 3, 4), "hamming"))
     assert got == MSG
 
 
-def test_depth_separation_witness(dec2):
+def test_depth_separation_witness(grc2):
     # frozen 24-bit pattern: every depth-3 candidate fails, depth 4 recovers
     rows = [
         (1, (0, 3, 5, 7, 11, 17)),
@@ -282,16 +284,16 @@ def test_depth_separation_witness(dec2):
         (4, (0, 5, 6, 11, 14, 20)),
     ]
     hits = [(r, c) for r, cols in rows for c in cols]
-    rec = _corrupt(dec2.full_code.encode(MSG), hits)
+    rec = _corrupt(grc2.full_code().encode(MSG), hits)
     v = GenieVerifier(MSG)
-    r3 = multi_round_decode(dec2.grc, rec, 3, v, decoder=dec2)
+    r3 = multi_round_decode(grc2, rec, 3, v)
     assert r3.message is None
-    r4 = multi_round_decode(dec2.grc, rec, 4, v, decoder=dec2)
+    r4 = multi_round_decode(grc2, rec, 4, v)
     assert r4.message == MSG
 
 
-def test_candidate_order_type2(dec2):
-    cands = list(iter_candidates(dec2.grc, 2))
+def test_candidate_order_type2(grc2):
+    cands = list(iter_candidates(grc2, 2))
     assert cands[:4] == [
         Candidate(1, (1,), "hamming"),
         Candidate(1, (2,), "hamming"),
@@ -303,24 +305,24 @@ def test_candidate_order_type2(dec2):
     assert all(c.kind != "chase" for c in cands)
 
 
-def test_candidate_order_type1(dec1):
-    cands = list(iter_candidates(dec1.grc, 4))
+def test_candidate_order_type1(grc1):
+    cands = list(iter_candidates(grc1, 4))
     assert cands[-1] == Candidate(4, (1, 2, 3, 4), "chase")
     assert Candidate(2, (1, 2), "block") in cands
     assert Candidate(2, (1, 2), "hamming") not in cands
     # chase can be disabled
-    no_chase = list(iter_candidates(dec1.grc, 4, combining=False))
+    no_chase = list(iter_candidates(grc1, 4, combining=False))
     assert all(c.kind != "chase" for c in no_chase)
 
 
-def test_candidate_schemes(dec1):
-    ir = list(iter_candidates(dec1.grc, 3, scheme="ir"))
+def test_candidate_schemes(grc1):
+    ir = list(iter_candidates(grc1, 3, scheme="ir"))
     assert ir == [
         Candidate(1, (1,), "hamming"),
         Candidate(2, (1, 2), "hamming"),
         Candidate(3, (1, 2, 3), "hamming"),
     ]
-    bs = list(iter_candidates(dec1.grc, 4, scheme="bsymbol"))
+    bs = list(iter_candidates(grc1, 4, scheme="bsymbol"))
     assert bs[:4] == [Candidate(1, (i,), "hamming") for i in (1, 2, 3, 4)]
     assert Candidate(4, (1, 2, 3, 4), "block") in bs
     assert len(bs) == 6  # 4 singles + full block + chase
@@ -333,13 +335,13 @@ from pattern_classes import TYPE1_CLASSES, TYPE2_CLASSES, chase_frame
 
 
 @pytest.mark.parametrize("scenario", TYPE1_CLASSES, ids=lambda f: f.__name__)
-def test_type1_pattern_classes(dec1, scenario):
-    assert scenario(dec1)
+def test_type1_pattern_classes(grc1, scenario):
+    assert scenario(grc1)
 
 
 @pytest.mark.parametrize("scenario", TYPE2_CLASSES, ids=lambda f: f.__name__)
-def test_type2_pattern_classes(dec2, scenario):
-    assert scenario(dec2)
+def test_type2_pattern_classes(grc2, scenario):
+    assert scenario(grc2)
 
 
 # ---------------------------------------------------------------------------
@@ -347,36 +349,36 @@ def test_type2_pattern_classes(dec2, scenario):
 
 
 @pytest.fixture(scope="module")
-def dec_shifted():
+def grc_shifted():
     """QC Type-I code whose block 1 is generated by x g, not by the base g."""
     g = Poly.parse(GF2, presets.GOLAY_GEN)
     gens = [Poly.monomial(GF2, t) * g for t in (1, 2, 3, 4)]
-    return GrcDecoder(from_qc_generators(23, gens))
+    return from_qc_generators(23, gens)
 
 
-def test_chase_message_on_shifted_qc_code(dec_shifted):
+def test_chase_message_on_shifted_qc_code(grc_shifted):
     chase = Candidate(4, (1, 2, 3, 4), "chase")
-    cw = dec_shifted.full_code.encode(MSG)
-    assert dec_shifted.candidate_message(cw, chase) == MSG
+    cw = grc_shifted.full_code().encode(MSG)
+    assert grc_shifted.decoder.candidate_message(cw, chase) == MSG
     # pattern class 5: the vote leaves three wrong columns, within radius 3
-    rec = [x for z in chase_frame(dec_shifted) for x in z]
-    assert dec_shifted.candidate_message(rec, chase) == MSG
-    res = multi_round_decode(dec_shifted.grc, rec, 4, GenieVerifier(MSG), decoder=dec_shifted)
+    rec = [x for z in chase_frame(grc_shifted) for x in z]
+    assert grc_shifted.decoder.candidate_message(rec, chase) == MSG
+    res = multi_round_decode(grc_shifted, rec, 4, GenieVerifier(MSG))
     assert res.message == MSG
 
 
-def test_chase_candidate_accepts_inside_the_ladder(dec1):
+def test_chase_candidate_accepts_inside_the_ladder(grc1):
     """Five errors per block, on aligned columns disjoint across the blocks:
     every Hamming and block candidate of the ladder fails, and the vote of
     the aligned copies removes every error.  The columns come from a seeded
     search over random disjoint choices (3 such frames in 3,000)."""
     groups = [(6, 10, 11, 12, 19), (0, 1, 3, 8, 9), (16, 18, 20, 21, 22), (2, 5, 7, 13, 14)]
-    base = dec1.split(dec1.full_code.encode(MSG))[0]
+    base = grc1.full_code().encode(MSG)[:23]
     rec = []
     for b, cols in enumerate(groups):
         z = tuple(x ^ (j in cols) for j, x in enumerate(base))
-        rec += z if b == 0 else dec1.grc.variant.perms[b - 1].apply(z)
-    res = multi_round_decode(dec1.grc, rec, 4, GenieVerifier(MSG), decoder=dec1)
+        rec += z if b == 0 else grc1.variant.perms[b - 1].apply(z)
+    res = multi_round_decode(grc1, rec, 4, GenieVerifier(MSG))
     assert res.accepted_by == Candidate(4, (1, 2, 3, 4), "chase")
     assert res.message == MSG
 
@@ -407,9 +409,9 @@ def _oracle(codewords, n, received, blocks, metric):
 @pytest.mark.parametrize("grc", _qary_codes(), ids=lambda g: f"gf{g.field.q}")
 def test_qary_decoding_matches_oracle(grc):
     q, k, m, n = grc.field.q, grc.dim, grc.m, grc.n
-    dec = GrcDecoder(grc)
+    dec, full = GrcDecoder(grc), grc.full_code()
     messages = [tuple(i // q**j % q for j in range(k)) for i in range(q**k)]
-    codewords = [dec.full_code.encode(msg) for msg in messages]
+    codewords = [full.encode(msg) for msg in messages]
     rng = random.Random(q)
     words = [[rng.randrange(q) for _ in range(m * n)] for _ in range(4)]
     for _ in range(4):  # codewords with a few symbol errors
@@ -422,7 +424,7 @@ def test_qary_decoding_matches_oracle(grc):
             (Hamming(), m * n, [0], "hamming"),
             (Block(m), n, range(m), "block"),
         ):
-            res = md_decode(dec.full_code, rec, metric)
+            res = md_decode(full, rec, metric)
             index, dist = _oracle(codewords, nb, rec, blocks, kind)
             assert (res.message, res.codeword, res.distance) == (
                 messages[index], codewords[index], dist
@@ -433,7 +435,7 @@ def test_qary_decoding_matches_oracle(grc):
             if cand.kind == "chase":
                 r = len(cand.blocks)
                 combined = chase_combine(
-                    dec.split(rec)[:r], grc.variant.perms[: r - 1], field=grc.field
+                    _split(rec, n)[:r], grc.variant.perms[: r - 1], field=grc.field
                 )
                 index, _ = _oracle(codewords, n, combined, [0], "hamming")
             else:
@@ -445,20 +447,20 @@ def test_qary_decoding_matches_oracle(grc):
 # randomized radius property (smoke; the full 10k-trial run is in acceptance)
 
 
-def test_radius_property_smoke(dec2):
+def test_radius_property_smoke(grc2):
     rng = random.Random(17)
-    grc = dec2.grc
+    full = grc2.full_code()
     prof_table = {(1, 2): (12, 14), (1, 2, 3): (16, 24)}
     for _ in range(100):
         t = rng.choice(list(prof_table))
         d_block, d_ham = prof_table[t]
         msg = tuple(rng.randrange(2) for _ in range(12))
-        cw = dec2.full_code.encode(msg)
+        cw = full.encode(msg)
         if rng.random() < 0.5:
             radius = (d_ham - 1) // 2
             positions = rng.sample([(r, c) for r in t for c in range(23)], radius)
             rec = _corrupt(cw, positions)
-            got = dec2.candidate_message(rec, Candidate(len(t), t, "hamming"))
+            got = grc2.decoder.candidate_message(rec, Candidate(len(t), t, "hamming"))
         else:
             radius = (d_block - 1) // 2
             cols = rng.sample(range(23), radius)
@@ -467,7 +469,7 @@ def test_radius_property_smoke(dec2):
                 rows = rng.sample(t, rng.randrange(1, len(t) + 1))
                 positions.extend((r, c) for r in rows)
             rec = _corrupt(cw, positions)
-            got = dec2.candidate_message(rec, Candidate(len(t), t, "block"))
+            got = grc2.decoder.candidate_message(rec, Candidate(len(t), t, "block"))
         assert got == msg
 
 
@@ -475,36 +477,36 @@ def test_radius_property_smoke(dec2):
 # FER simulation
 
 
-def test_fer_zero_noise(dec1):
-    cfg = SimConfig(dec1.grc, Bsc(0.0), frames=20, seed=1, max_depth=4)
+def test_fer_zero_noise(grc1):
+    cfg = SimConfig(grc1, Bsc(0.0), frames=20, seed=1, max_depth=4)
     res = fer_simulate(cfg)
     assert all(s.fer == 0.0 for s in res.per_depth)
 
 
-def test_fer_half_noise_is_bad(dec1):
-    cfg = SimConfig(dec1.grc, Bsc(0.5), frames=60, seed=2, max_depth=4)
+def test_fer_half_noise_is_bad(grc1):
+    cfg = SimConfig(grc1, Bsc(0.5), frames=60, seed=2, max_depth=4)
     res = fer_simulate(cfg)
     assert res.per_depth[-1].fer > 0.5
 
 
-def test_fer_depth_monotone_and_reproducible(dec2):
-    cfg = SimConfig(dec2.grc, AwgnBpskHard(-5.0), frames=120, seed=11, max_depth=4)
+def test_fer_depth_monotone_and_reproducible(grc2):
+    cfg = SimConfig(grc2, AwgnBpskHard(-5.0), frames=120, seed=11, max_depth=4)
     res = fer_simulate(cfg)
     fers = [s.fer for s in res.per_depth]
     assert all(a >= b for a, b in zip(fers, fers[1:]))
     assert fer_simulate(cfg) == res
 
 
-def test_fer_threads_match_serial(dec2):
-    base = SimConfig(dec2.grc, Bsc(0.2), frames=60, seed=5, max_depth=3)
-    threaded = SimConfig(dec2.grc, Bsc(0.2), frames=60, seed=5, max_depth=3, threads=2)
+def test_fer_threads_match_serial(grc2):
+    base = SimConfig(grc2, Bsc(0.2), frames=60, seed=5, max_depth=3)
+    threaded = SimConfig(grc2, Bsc(0.2), frames=60, seed=5, max_depth=3, threads=2)
     assert fer_simulate(base).per_depth == fer_simulate(threaded).per_depth
 
 
-def test_fer_threads_stress_match_serial(dec1):
+def test_fer_threads_stress_match_serial(grc1):
     # more threads than cores, small batches and frequent switches: the
     # threads share the decoder's table and write nothing shared
-    cfg = SimConfig(dec1.grc, Bsc(0.2), frames=120, seed=21, max_depth=4)
+    cfg = SimConfig(grc1, Bsc(0.2), frames=120, seed=21, max_depth=4)
     want = fer_simulate(cfg).per_depth
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -543,11 +545,15 @@ def test_code_keeps_one_decoder(monkeypatch):
     blocks = {grc.gen.data[:, b * 23 : (b + 1) * 23].tobytes() for b in range(4)}
     assert len(blocks) == 2 and sorted(leaders) == sorted(blocks)
     assert (repr(grc), hash(grc), grc_to_text(grc)) == before and grc == twin
-    # the decoder refers back to its code; nothing else keeps the code alive
+    # the decoder keeps no reference to its code, so the code and its tables
+    # are freed at its last reference, without the cyclic collector
     ref = weakref.ref(grc)
-    del grc, cfg
-    gc.collect()
-    assert ref() is None
+    gc.disable()
+    try:
+        del grc, cfg
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_concurrent_first_uses_build_one_decoder(monkeypatch):
@@ -605,7 +611,7 @@ def _check_frames_match_serial(case):
     cfg = _SERIAL_CASES[case]()
     grc = cfg.grc
     field, m, n, k = grc.field, grc.m, grc.n, grc.dim
-    dec = GrcDecoder(grc)
+    dec, full = GrcDecoder(grc), grc.full_code()
     rems = None if cfg.crc is None else decoding._crc_remainders(cfg.crc, k)
     rounds, index, sent = decoding._simulate_batch(cfg, dec, rems, range(cfg.frames))
     kinds = set()
@@ -619,17 +625,17 @@ def _check_frames_match_serial(case):
             verifier = CrcVerifier(cfg.crc)
             payload = msg_rng.integers(0, field.q, size=k - verifier.ncheck)
             msg = verifier.attach(tuple(int(x) for x in payload))
-        cw = dec.full_code.encode(msg)
+        cw = full.encode(msg)
         rec = []
         for b in range(m):
             block = cw[b * n : (b + 1) * n]
             rec.extend(transmit(block, cfg.channel, rng_for(cfg.seed, f, b), field))
         out = multi_round_decode(grc, rec, cfg.max_depth, verifier, decoder=dec, scheme=cfg.scheme)
-        assert dec.table.message(int(sent[f])) == msg, (case, f)
+        assert decoding._message(field.q, sent[f], k) == msg, (case, f)
         if out.message is None:
             assert (rounds[f], index[f]) == (m + 1, -1), (case, f)
         else:
-            got = (rounds[f], dec.table.message(int(index[f])))
+            got = (rounds[f], decoding._message(field.q, index[f], k))
             assert got == (out.rounds_used, out.message), (case, f)
             kinds.add((out.accepted_by.kind, out.message == msg))
         for d in range(cfg.max_depth):
@@ -641,30 +647,30 @@ def _check_frames_match_serial(case):
         assert any(not correct for _, correct in kinds)
 
 
-def test_fer_crc_counts_false_accepts(dec1):
+def test_fer_crc_counts_false_accepts(grc1):
     crc = Poly.parse(GF2, "x^3+x+1")
-    cfg = SimConfig(dec1.grc, Bsc(0.4), frames=150, seed=3, max_depth=2, crc=crc)
+    cfg = SimConfig(grc1, Bsc(0.4), frames=150, seed=3, max_depth=2, crc=crc)
     res = fer_simulate(cfg)
     assert any(s.false_accepts > 0 for s in res.per_depth)
     assert all(s.false_accepts <= s.frame_errors for s in res.per_depth)
 
 
-def test_sim_config_validation(dec1):
+def test_sim_config_validation(grc1):
     with pytest.raises(ValueError):
-        SimConfig(dec1.grc, Bsc(0.1), frames=0, seed=1, max_depth=4)
+        SimConfig(grc1, Bsc(0.1), frames=0, seed=1, max_depth=4)
     with pytest.raises(ValueError):
-        SimConfig(dec1.grc, Bsc(0.1), frames=5, seed=1, max_depth=9)
+        SimConfig(grc1, Bsc(0.1), frames=5, seed=1, max_depth=9)
     # a CRC of degree >= k leaves no payload bits
     with pytest.raises(ValueError, match="CRC"):
-        SimConfig(dec1.grc, Bsc(0.1), frames=5, seed=1, max_depth=4,
+        SimConfig(grc1, Bsc(0.1), frames=5, seed=1, max_depth=4,
                   crc=Poly.parse(GF2, "x^13+x+1"))
     with pytest.raises(ValueError, match="seed"):
-        SimConfig(dec1.grc, Bsc(0.1), frames=5, seed=-1, max_depth=4)
+        SimConfig(grc1, Bsc(0.1), frames=5, seed=-1, max_depth=4)
     with pytest.raises(ValueError, match="scheme"):
-        SimConfig(dec1.grc, Bsc(0.1), frames=5, seed=1, max_depth=4, scheme="harq")
+        SimConfig(grc1, Bsc(0.1), frames=5, seed=1, max_depth=4, scheme="harq")
     for threads in (0, -3):
         with pytest.raises(ValueError, match="threads"):
-            SimConfig(dec1.grc, Bsc(0.1), frames=5, seed=1, max_depth=4, threads=threads)
+            SimConfig(grc1, Bsc(0.1), frames=5, seed=1, max_depth=4, threads=threads)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**32 + 5, 2**70 + 1, 2**100 + 3, 2**130 + 7])
@@ -717,13 +723,12 @@ def test_type2_grc_decoding_11_4(gf2):
         ],
     )
     grc = type2(base, companion_matrix(Poly.parse(GF2, "x^4+x+1")), 4)
-    dec = GrcDecoder(grc)
     msg = (1, 0, 1, 1)
-    cw = dec.full_code.encode(msg)
+    cw = grc.full_code().encode(msg)
     # block radius of the full set: (11 - 1) // 2 = 5 column errors
     rec = list(cw)
     for c in (0, 2, 5, 7, 9):
         for r in range(4):
             rec[r * 11 + c] ^= 1
-    got = dec.candidate_message(rec, Candidate(4, (1, 2, 3, 4), "block"))
+    got = grc.decoder.candidate_message(rec, Candidate(4, (1, 2, 3, 4), "block"))
     assert got == msg

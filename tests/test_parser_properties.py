@@ -1,7 +1,9 @@
 """Malformed input never ends in a traceback: every command that reads a
 file gets valid GRC files, plain code files, simulate configs and catalog
-CSVs, and mutations of them, and must return one of the documented exit
-codes (0 ok, 1 usage or input error, 2 mismatch, 3 cap exceeded)."""
+CSVs, and mutations of them, and ``construct`` gets valid and bad values of
+its flags; each must return one of the documented exit codes (0 ok, 1 usage
+or input error, 2 mismatch, 3 cap exceeded).  Polynomial exponents, in
+flags and in a config's CRC, take the huge values too."""
 
 from __future__ import annotations
 
@@ -43,6 +45,10 @@ CATALOG = "no,n,k,g1_hex,g2_hex,d1,d2,ud2\n" + "".join(
 # non-integer values
 HUGE = ["10" * 15, str(2**61 - 1)]
 BAD_VALUES = ["0", "-1", "-7", "2", *HUGE, "nan", "inf", "-inf", "1.5", "x", "0x10", "-"]
+# polynomials in both text forms, malformed ones, and exponents past any index
+POLYS = ["x^3+x+1", "x^3+x^2+1", "x^4+x^3+x^2+1", "x^2+x+1", "x+1", "1", "0", "x^3",
+         "(1,1,0,1)", "2x^2+1", "", "x^", "+"]
+HUGE_POLYS = [*(f"x^{h}+1" for h in HUGE), f"x^{HUGE[0]}+x+1", f"x^{HUGE[1]}+x^{HUGE[1]}+x+1"]
 UNKNOWN_LINES = ["bogus 1 2", "variant", "variant type1", "perm 0 1", "transform 1",
                  "qc-n", "qc-n 7", "qc-gen", "qc-gen x+1", "= 3", "channel", "#"]
 
@@ -82,7 +88,7 @@ def config_text(code_path: str) -> st.SearchStrategy[str]:
         "seed": st.integers(0, 2**70).map(str),
         "max_depth": st.sampled_from(["1", "2", "5", *HUGE]),
         "scheme": st.sampled_from(["multiround", "repetition", "bsymbol", "ir"]),
-        "verifier": st.sampled_from(["genie", "crc x^3+x+1"]),
+        "verifier": st.sampled_from(["genie", "crc x^3+x+1", *(f"crc {f}" for f in HUGE_POLYS)]),
         "combining": st.sampled_from(["on", "off"]),
     })
     return values.map(
@@ -119,4 +125,50 @@ def test_malformed_inputs_end_in_an_exit_code(tmp_path, capsys, data):
         if command == "bounds" and flags == ["--subsets"]:
             flags = []
         _check_exit_code([command, "--code", str(code_file), "--cap", "8", *flags])
+    capsys.readouterr()
+
+
+# a valid command line per construction, and the values each flag may take
+CONSTRUCT = [
+    {"--kind": "qc", "--n": "7", "--gens": "x^3+x+1;x^3+x^2+1"},
+    {"--kind": "qc", "--q": "3", "--n": "4", "--gens": "x^2+1;2x^2+2"},
+    {"--kind": "type1", "--cyclic-gen": "x^3+x+1", "--n": "7", "--m": "2", "--sigma": "cyclic"},
+    {"--kind": "type2", "--cyclic-gen": "x^4+x^3+x^2+1", "--n": "7", "--m": "3",
+     "--charpoly": "x^3+x+1"},
+]
+polys = st.one_of(st.sampled_from(POLYS), st.sampled_from(HUGE_POLYS))
+FLAG_VALUES = {
+    "--kind": st.sampled_from(["qc", "type1", "type2", "bogus"]),
+    "--q": st.sampled_from(["2", "3", "4", "0", "-1", "6", "x"]),
+    "--n": st.sampled_from(["7", "4", "8", "0", "-1", "x", *HUGE]),
+    # a huge block count is a long run, not malformed input
+    "--m": st.sampled_from(["1", "2", "4", "0", "-1", "x", "1.5"]),
+    "--sigma": st.sampled_from(["cyclic", "extended", "2,3,4,5,6,7,1", "1,1,2", "0,1", "x",
+                                f"1,{HUGE[0]}"]),
+    "--gens": st.lists(polys, min_size=1, max_size=3).map(";".join),
+    "--cyclic-gen": polys,
+    "--charpoly": polys,
+}
+
+
+@st.composite
+def construct_flags(draw) -> list[str]:
+    """A valid ``construct`` command line after one to three mutations: a
+    flag set to a valid or bad value (one of another construction
+    included), or dropped."""
+    flags = dict(draw(st.sampled_from(CONSTRUCT)))
+    for _ in range(draw(st.integers(1, 3))):
+        flag = draw(st.sampled_from(sorted(FLAG_VALUES)))
+        if draw(st.integers(0, 2)):
+            flags[flag] = draw(FLAG_VALUES[flag])
+        else:
+            flags.pop(flag, None)
+    return [x for flag, value in flags.items() for x in (flag, value)]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=construct_flags())
+def test_malformed_construct_flags_end_in_an_exit_code(tmp_path, capsys, flags):
+    _check_exit_code(["construct", *flags, "--out", str(tmp_path / "c.grc")])
     capsys.readouterr()
