@@ -89,15 +89,29 @@ def _parse_config(path: str) -> dict[str, str]:
     return out
 
 
+# entries of the largest generator ``construct`` builds; the catalog's largest has 4,284
+GEN_CEILING = 1 << 20
+
+
+def _check_size(k: int, m: int, n: int) -> None:
+    """Refuse a k x (m n) generator above the ceiling before building it."""
+    if min(k, m, n) > 0 and k * m * n > GEN_CEILING:
+        raise ValueError(f"generator too large: {k} x {m * n} is above {GEN_CEILING} entries")
+
+
 def _base_code(args: argparse.Namespace) -> LinearCode:
     if args.base:
         code, _ = LinearCode.from_text(Path(args.base).read_text())
+        _check_size(code.k, args.m, code.n)
         return code
     if args.cyclic_gen:
         if args.n is None:
             raise UsageError("--cyclic-gen needs --n")
+        _check_size(1, args.m, args.n)  # before g, whose degree may reach n
         field = _field_of_order(args.q)
-        return LinearCode.cyclic(field, args.n, Poly.parse_below(field, args.cyclic_gen, args.n))
+        g = Poly.parse_below(field, args.cyclic_gen, args.n)
+        _check_size(args.n - g.degree, args.m, args.n)
+        return LinearCode.cyclic(field, args.n, g)
     raise UsageError("pass --base FILE or --cyclic-gen POLY")
 
 
@@ -105,13 +119,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.kind == "qc":
         if args.n is None or not args.gens:
             raise UsageError("qc construction needs --n and --gens")
+        _check_size(args.n, args.gens.count(";") + 1, args.n)  # k <= n
         field = _field_of_order(args.q)
         gens = [Poly.parse_mod_xn(field, s, args.n) for s in args.gens.split(";")]
         grc = from_qc_generators(args.n, gens)
     else:
-        base = _base_code(args)
         if args.m is None:
             raise UsageError("--m is required for type1/type2")
+        base = _base_code(args)
         if args.kind == "type1":
             if args.sigma == "cyclic":
                 sigma = Permutation.cyclic_shift(base.n)

@@ -24,9 +24,12 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import kernels
+from .codes import _circulant_rows
 from .fields import Field, field_create
-from .grc import GrcCode, distance_profile, from_qc_generators
+from .grc import distance_profile, from_qc_generators
 from .poly import Poly, factor_xn_minus_1, poly_gcd, poly_gcd_many
 
 __all__ = [
@@ -124,35 +127,17 @@ def hex_decode_candidates(nibbles: str, field: Field | None = None) -> list[tupl
     return out
 
 
-def hex_decode(
-    nibbles: str,
-    n: int | None = None,
-    *,
-    field: Field | None = None,
-    degree: int | None = None,
-    expected_k: int | None = None,
-) -> Poly:
-    """Decode one polynomial, disambiguating the pad by degree or by the
-    dimension n - deg(gcd(p, x^n - 1)) of its cyclic code."""
-    field = field or field_create(2)
-    cands = hex_decode_candidates(nibbles, field)
+def hex_decode(nibbles: str, *, degree: int | None = None) -> Poly:
+    """Decode one binary polynomial, disambiguating the pad by degree."""
+    cands = hex_decode_candidates(nibbles)
     if not cands:
         raise ValueError("nibbles decode to the zero polynomial")
     if degree is not None:
         cands = [(r, p) for r, p in cands if p.degree == degree]
-    if expected_k is not None:
-        if n is None:
-            raise ValueError("expected_k needs the length n")
-        xn1 = Poly.xn_minus_1(field, n)
-        cands = [
-            (r, p) for r, p in cands if n - poly_gcd(p % xn1, xn1).degree == expected_k
-        ]
-    if not cands:
-        raise ValueError("no interpretation matches the given constraints")
-    if degree is None and len({p.degree for _, p in cands}) > 1:
-        raise ValueError(
-            "ambiguous padding; pass degree= or expected_k= to disambiguate"
-        )
+        if not cands:
+            raise ValueError(f"no interpretation has degree {degree}")
+    elif len(cands) > 1:
+        raise ValueError("ambiguous padding; pass degree= to disambiguate")
     return cands[0][1]
 
 
@@ -284,16 +269,16 @@ def _interpretations(entry: CodeTableEntry, field: Field):
 
 
 def _triple(
-    grc: GrcCode, cap: int | None, listed: tuple[int, int, int] | None = None
+    field: Field, gen: np.ndarray, cap: int | None, listed: tuple[int, int, int] | None = None
 ) -> tuple[int, int, int]:
-    """(d1, d2, ud2) of a two-block code.  Given the ``listed`` triple, the
-    sweep stops at the first codeword below a listed value, so a triple with
-    some value below ``listed`` is an upper bound; any other is exact."""
+    """(d1, d2, ud2) of the two-block code the rows of ``gen`` generate.  With
+    ``listed``, the sweep stops at its first codeword below a listed value:
+    a triple with a value below ``listed`` is then a bound, any other exact."""
     floor = None
     if listed is not None:
         d1, d2, ud2 = listed
         floor = ([0, d1, d1, d2], [0, d1, d1, ud2])
-    bm, hm = kernels.subset_minima(grc.field, grc.gen.rows(), grc.m, cap=cap, floor=floor)
+    bm, hm = kernels.subset_minima(field, gen, 2, cap=cap, floor=floor)
     return min(int(bm[1]), int(bm[2])), int(bm[3]), int(hm[3])
 
 
@@ -315,8 +300,11 @@ def _attempt_line(tag: str, pads: tuple[int, int], triple, witnesses=()) -> str:
 def verify_entry(
     entry: CodeTableEntry, *, cap: int | None = VERIFY_CAP
 ) -> EntryReport:
-    """Rebuild the entry's code from the hex pair and compare all three
+    """Rebuild the entry's generator from the hex pair and compare all three
     listed distances, searching consistent hex interpretations.
+
+    Each admitted reading (a, b) has gcd(a, b, x^n - 1) of degree n - k, so
+    the rows x^i (a, b), i < k, of its two circulants generate its code.
 
     An interpretation's sweep stops at its first codeword below a listed
     distance.  If no interpretation verifies, those stopped early are swept
@@ -344,8 +332,8 @@ def verify_entry(
     attempted: list[str] = []
     tried = []
     for tag, pads, a, b in candidates:
-        grc = from_qc_generators(entry.n, [a, b])
-        triple = _triple(grc, cap, listed)
+        gen = np.hstack([_circulant_rows(p, entry.n, entry.k) for p in (a, b)])
+        triple = _triple(field, gen, cap, listed)
         witnesses = _witnesses(triple, listed)
         attempted.append(_attempt_line(tag, pads, triple, witnesses))
         if triple == listed:
@@ -361,11 +349,11 @@ def verify_entry(
                 note=tag,
                 elapsed=time.monotonic() - t0,
             )
-        tried.append((tag, pads, grc, None if witnesses else triple))
+        tried.append((tag, pads, gen, None if witnesses else triple))
     attempted = []
     closest: tuple[int, int, int] | None = None
-    for tag, pads, grc, triple in tried:
-        triple = triple or _triple(grc, cap)  # bounds are swept again, in full
+    for tag, pads, gen, triple in tried:
+        triple = triple or _triple(field, gen, cap)  # bounds are swept again, in full
         attempted.append(_attempt_line(tag, pads, triple))
         if closest is None or triple[0] == entry.d1:
             closest = triple
@@ -491,8 +479,6 @@ def search_qc_type2(
         if poly_gcd_many(cofs + [xn1]).degree != 0:
             continue
         grc = from_qc_generators(n, [(f * g) % xn1 for f in cofs])
-        if grc.k != target_k:
-            continue
         prof = distance_profile(grc, cap=cap)
         cand = SearchCandidate(n, g, tuple(cofs), prof.sbdh, prof.shdh)
         dominated = False

@@ -107,15 +107,14 @@ def solomon_stiffler(
     delta: int = 0,
     *,
     cap: int | None = None,
-    verify: bool = True,
 ) -> LinearCode:
     """Griesmer code from s copies of PG(k-1, q) minus nested subspaces.
 
     Removes, for each k_i, the points of the span of the first k_i basis
     vectors (k > k_1 > k_2 > ...), then `delta` further points chosen as the
     lexicographically smallest still present.  Column multiplicities must
-    stay nonnegative.  With ``verify`` the minimum distance is computed
-    (k <= cap) and Griesmer equality n = g_q(k, d) is enforced.
+    stay nonnegative.  The minimum distance is computed (k <= cap) and
+    Griesmer equality n = g_q(k, d) is enforced.
     """
     ks = [k1s] if isinstance(k1s, int) else list(k1s)
     if any(not 1 <= x < k for x in ks) or sorted(ks, reverse=True) != ks or len(set(ks)) != len(ks):
@@ -153,10 +152,9 @@ def solomon_stiffler(
     expected_n = s * n_points(q, k) - sum(n_points(q, ki) for ki in ks) - delta
     if code.n != expected_n:
         raise ConstructionError(f"length {code.n} != expected {expected_n}")
-    if verify:
-        d = code.min_distance(cap=cap)
-        if code.n != griesmer_g(q, k, d):
-            raise ConstructionError(
-                f"not a Griesmer code: n={code.n}, g_q({k},{d})={griesmer_g(q, k, d)}"
-            )
+    d = code.min_distance(cap=cap)
+    if code.n != griesmer_g(q, k, d):
+        raise ConstructionError(
+            f"not a Griesmer code: n={code.n}, g_q({k},{d})={griesmer_g(q, k, d)}"
+        )
     return code

@@ -63,8 +63,8 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
-    def monomial(cls, field: Field, degree: int, coeff: int = 1) -> "Poly":
-        return cls.from_coeffs(field, [0] * degree + [coeff])
+    def monomial(cls, field: Field, degree: int) -> "Poly":
+        return cls(field, (0,) * degree + (1,))
 
     @classmethod
     def xn_minus_1(cls, field: Field, n: int) -> "Poly":

@@ -453,6 +453,24 @@ def test_oversized_polynomials_are_errors(tmp_path, shift_file, capsys):
     assert err.startswith("error:") and "too large" in err
 
 
+def test_construct_refuses_a_huge_generator_before_building(capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("a structure of the refused size was built")
+
+    monkeypatch.setattr(cli, "type1_regular", build)
+    monkeypatch.setattr(cli, "from_qc_generators", build)
+    monkeypatch.setattr(cli.Poly, "xn_minus_1", build)
+    type1 = ["construct", "--kind", "type1", "--cyclic-gen", "x^3+x+1", "--sigma", "cyclic"]
+    for args in (
+        type1 + ["--n", "7", "--m", "1000000000"],
+        type1 + ["--n", "10000000", "--m", "2"],
+        ["construct", "--kind", "qc", "--n", "10000000", "--gens", "x^3+x+1;x+1"],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "generator too large" in err
+
+
 # exponent 10^30: no coefficient list of that length fits an index
 HUGE_EXPONENT = "x^1000000000000000000000000000000+1"
 TYPE2_GOLAY = ["construct", "--kind", "type2", "--cyclic-gen", presets.GOLAY_GEN, "--n", "23",

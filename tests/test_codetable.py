@@ -1,10 +1,11 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grclib import kernels
+from grclib import codetable, kernels
 from grclib.codetable import (
     CodeTableEntry,
     _interpretations,
@@ -162,6 +163,67 @@ def test_early_rejected_lines_name_a_witness():
     assert rep.attempted[-1] == "cof2 pads 3/0: d1=11 d2=19 ud2=24"
 
 
+def _report_fields(rep):
+    return (rep.status, rep.computed_d1, rep.computed_d2, rep.computed_ud2,
+            rep.chosen_pads, rep.note, rep.attempted)
+
+
+def test_verification_builds_no_code(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_entry built a GrcCode")
+
+    monkeypatch.setattr(codetable, "from_qc_generators", refuse)
+    table = load_table()
+    assert _report_fields(verify_entry(table[0])) == (
+        "verified", 15, 23, 31, (2, 1), "joint", ("joint pads 2/1: d1=15 d2=23 ud2=31",),
+    )
+    assert _report_fields(verify_entry(table[2])) == (
+        "verified", 11, 19, 24, (3, 0), "cof2", (
+            "cof2 pads 3/1: d2<=18 (listed 19)",
+            "cof2 pads 2/1: d2<=15 (listed 19)",
+            "cof2 pads 3/0: d1=11 d2=19 ud2=24",
+        ),
+    )
+    # no reading verifies, so every early-stopped sweep is run again in full
+    e = table[2]
+    bad = CodeTableEntry(e.no, e.n, e.k, e.g1_hex, e.g2_hex, e.d1 + 1, e.d2, e.ud2)
+    assert _report_fields(verify_entry(bad)) == (
+        "undecodable", 11, 18, 24, None,
+        "listed (d1,d2,ud2) not reproduced by any interpretation", (
+            "cof2 pads 3/1: d1=11 d2=18 ud2=24",
+            "cof2 pads 2/1: d1=11 d2=15 ud2=24",
+            "cof2 pads 3/0: d1=11 d2=19 ud2=24",
+            "cof2 pads 1/1: d1=11 d2=18 ud2=24",
+            "cof2 pads 0/1: d1=11 d2=18 ud2=24",
+        ),
+    )
+
+
+def test_swept_generators_are_the_codes_of_the_readings(monkeypatch):
+    # each reading's sweep gets the generator from_qc_generators builds
+    # for it; the stub's zero minima make every reading a witness, so each
+    # is swept twice, once per phase, and nothing is enumerated
+    swept = []
+
+    def record(field, rows, m, *, cap=None, floor=None):
+        swept.append((field.q, m, np.array(rows)))
+        return np.zeros(1 << m, np.int64), np.zeros(1 << m, np.int64)
+
+    monkeypatch.setattr(kernels, "subset_minima", record)
+    table = load_table()
+    tags = set()
+    for e in (table[0], table[6], table[8], table[18], table[36]):
+        swept.clear()
+        verify_entry(e)
+        readings = list(_interpretations(e, GF2))
+        tags |= {tag for tag, _, _, _ in readings}
+        assert len(swept) == 2 * len(readings)
+        for (q, m, rows), (_, _, a, b) in zip(swept, readings + readings):
+            assert (q, m) == (2, 2)
+            assert np.array_equal(rows, from_qc_generators(e.n, [a, b]).gen.data)
+    assert tags == {"joint", "cof1", "cof2"}
+
+
 def test_wrong_dimension_is_undecodable():
     e = load_table()[0]
     bad = CodeTableEntry(e.no, e.n, e.k + 1, e.g1_hex, e.g2_hex, e.d1, e.d2, e.ud2)
@@ -209,8 +271,9 @@ def test_search_candidates_meet_qc_bounds():
     cands = search_qc_type2(31, 10, 30, seed=5)
     assert cands
     for c in cands:
-        base = from_qc_generators(c.n, [(f * c.g) for f in c.cofactors]).base
-        d = base.min_distance()
+        grc = from_qc_generators(c.n, [(f * c.g) for f in c.cofactors])
+        assert grc.k == 10
+        d = grc.base.min_distance()
         for r in range(1, 3):
             assert c.sbdh[r - 1] >= griesmer_g(2, r, d)
             assert c.shdh[r - 1] >= r * d

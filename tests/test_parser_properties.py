@@ -140,9 +140,8 @@ polys = st.one_of(st.sampled_from(POLYS), st.sampled_from(HUGE_POLYS))
 FLAG_VALUES = {
     "--kind": st.sampled_from(["qc", "type1", "type2", "bogus"]),
     "--q": st.sampled_from(["2", "3", "4", "0", "-1", "6", "x"]),
-    "--n": st.sampled_from(["7", "4", "8", "0", "-1", "x", *HUGE]),
-    # a huge block count is a long run, not malformed input
-    "--m": st.sampled_from(["1", "2", "4", "0", "-1", "x", "1.5"]),
+    "--n": st.sampled_from(["7", "4", "8", "0", "-1", "x", "10000000", *HUGE]),
+    "--m": st.sampled_from(["1", "2", "4", "0", "-1", "x", "1.5", "1000000000", *HUGE]),
     "--sigma": st.sampled_from(["cyclic", "extended", "2,3,4,5,6,7,1", "1,1,2", "0,1", "x",
                                 f"1,{HUGE[0]}"]),
     "--gens": st.lists(polys, min_size=1, max_size=3).map(";".join),
