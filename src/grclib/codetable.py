@@ -249,17 +249,27 @@ def _interpretations(entry: CodeTableEntry, field: Field):
     xn1 = Poly.xn_minus_1(field, entry.n)
     c1 = hex_decode_candidates(entry.g1_hex, field)
     c2 = hex_decode_candidates(entry.g2_hex, field)
+    alignments = list(_alignments(c1, c2))
+    # the alignments differ by powers of x, a unit mod x^n - 1, so the
+    # residues' zeros and their gcds with x^n - 1 are the first one's
+    _, p1, p2 = alignments[0]
+    p1r, p2r = p1 % xn1, p2 % xn1
+    if p1r.is_zero() or p2r.is_zero():
+        return
+    g1, g2 = poly_gcd(p1r, xn1), poly_gcd(p2r, xn1)
+    # each reading's dimension is n - deg g, with g its code's g(x):
+    # gcd(p1r, p2r, x^n - 1) = gcd(g1, g2) for the joint reading
+    tags = [
+        (tag, g)
+        for tag, g in (("joint", poly_gcd(g1, g2)), ("cof2", g1), ("cof1", g2))
+        if entry.n - g.degree == entry.k
+    ]
+    if not tags:
+        return
     seen: set[tuple] = set()
-    for pads, p1, p2 in _alignments(c1, c2):
+    for pads, p1, p2 in alignments:
         p1r, p2r = p1 % xn1, p2 % xn1
-        if p1r.is_zero() or p2r.is_zero():
-            continue
-        g1, g2 = poly_gcd(p1r, xn1), poly_gcd(p2r, xn1)
-        # each reading's dimension is n - deg g, with g its code's g(x):
-        # gcd(p1r, p2r, x^n - 1) = gcd(g1, g2) for the joint reading
-        for tag, g in (("joint", poly_gcd(g1, g2)), ("cof2", g1), ("cof1", g2)):
-            if entry.n - g.degree != entry.k:
-                continue
+        for tag, g in tags:
             a = p1 * g2 % xn1 if tag == "cof1" else p1r
             b = p2 * g1 % xn1 if tag == "cof2" else p2r
             key = (a.coeffs, b.coeffs)
@@ -442,6 +452,13 @@ def search_qc_type2(
 ) -> list[SearchCandidate]:
     """Seeded random search over cofactor tuples meeting the QC Type-II
     preconditions; returns the Pareto-optimal profiles found."""
+    # the m cofactor degrees are distinct values below n - 1
+    if not 1 <= m <= n - 1:
+        raise ValueError(f"block count {m} outside 1 <= m <= n - 1 = {n - 1}")
+    if not 1 <= target_k <= n:
+        raise ValueError(f"dimension {target_k} outside 1 <= k <= n = {n}")
+    if budget < 0:
+        raise ValueError(f"budget {budget} outside budget >= 0")
     field = field or field_create(2)
     xn1 = Poly.xn_minus_1(field, n)
     factors = [f for f, mult in factor_xn_minus_1(n, field) for _ in range(mult)]

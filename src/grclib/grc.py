@@ -144,13 +144,9 @@ def type1(base: LinearCode, perms: Sequence[Permutation]) -> GrcCode:
     for p in perms:
         if p.size != base.n:
             raise ValueError("permutation size does not match code length")
-    rows = []
-    for r in base.gen.rows():
-        out = list(r)
-        for p in perms:
-            out.extend(p.apply(r))
-        rows.append(out)
-    gen = Matrix.from_rows(base.field, rows)
+    g = base.gen.data
+    gen = np.hstack([g] + [g[:, np.subtract(p.images, 1)] for p in perms])
+    gen = Matrix(base.field, base.k, gen.shape[1], gen)
     return GrcCode(base, len(perms) + 1, gen, TypeI(perms))
 
 
@@ -199,16 +195,16 @@ def from_qc_generators(n: int, gens: Sequence[Poly]) -> GrcCode:
     """Quasi-cyclic blocked code generated by a(x) (a g_1, ..., a g_m).
 
     The dimension is derived as n - deg(gcd(g_1, ..., g_m, x^n - 1)), never
-    trusted from the caller.  The base code is the cyclic code of the gcd g;
-    when every cofactor f_j = g_j / g is a monomial the result is tagged
-    Type-I (cyclic shifts).  Otherwise the Type-II test and transforms are
-    read off the generator matrix.  Block j's rows x^i f_j g are M(f_j) C,
-    with M(f_j) multiplication by f_j on F_q[x]/(h), h = (x^n - 1)/g, and C
-    the rows x^s g for s < k.  C's first k columns are upper triangular with
-    diagonal g(0) != 0, so block j's k x k head is invertible exactly when
-    f_j is a unit mod h.  When every head is, the code is tagged Type-II
-    with B_j = head_j head_1^-1 = M(f_1)^-1 M(f_j), as multiplications
-    mod h commute.
+    trusted from the caller.  The base code is the cyclic code of the gcd g.
+    The variant is read off the generator matrix, whose block j has rows
+    x^i g_j: when every block's row 0 is x^s g_1, the least such s gives
+    A_j = shift^-s and the code is tagged Type-I.  Otherwise block j's rows
+    are M(f_j) C, with f_j = g_j / g, M(f_j) multiplication by f_j on
+    F_q[x]/(h), h = (x^n - 1)/g, and C the rows x^s g for s < k.  C's first
+    k columns are upper triangular with diagonal g(0) != 0, so block j's
+    k x k head is invertible exactly when f_j is a unit mod h.  When every
+    head is, the code is tagged Type-II with B_j = head_j head_1^-1 =
+    M(f_1)^-1 M(f_j), as multiplications mod h commute.
     """
     gens = list(gens)
     if not gens:
@@ -225,16 +221,14 @@ def from_qc_generators(n: int, gens: Sequence[Poly]) -> GrcCode:
     cofactors = tuple((gi // g) for gi in gens)
     m = len(gens)
     gen = Matrix(field, k, m * n, np.hstack([_circulant_rows(gi, n, k) for gi in gens]))
-
-    base = LinearCode.cyclic(field, n, g)
+    # g divides x^n - 1, and its rows' staggered leads skip the rank check
+    base = LinearCode(field, n, k, Matrix(field, k, n, _circulant_rows(g, n, k)), cyclic_gen=g)
     variant: TypeI | TypeII | None = None
-    if all(_is_monomial(c) for c in cofactors):
+    # shifts[j, s]: block j's row 0 is x^s g_1 mod x^n - 1
+    shifts = (gen.data[0].reshape(m, 1, n) == _circulant_rows(gens[0], n, n)).all(axis=2)
+    if shifts.any(axis=1).all():
         shift = Permutation.cyclic_shift(n)
-        t0 = cofactors[0].degree
-        perms = tuple(
-            shift ** (-((c.degree - t0) % n)) for c in cofactors[1:]
-        )
-        variant = TypeI(perms)
+        variant = TypeI(tuple(shift ** -int(s) for s in shifts[1:].argmax(axis=1)))
     else:
         heads = [Matrix(field, k, k, gen.data[:, j * n : j * n + k]) for j in range(m)]
         if all(head.is_invertible() for head in heads[1:]):
@@ -245,10 +239,6 @@ def from_qc_generators(n: int, gens: Sequence[Poly]) -> GrcCode:
                 pass
     qc = QcStructure(n, g, tuple(gens), cofactors)
     return GrcCode(base, m, gen, variant, qc)
-
-
-def _is_monomial(f: Poly) -> bool:
-    return not f.is_zero() and f.coeffs.count(0) == f.degree and f.leading() == 1
 
 
 def as_blocked(code: LinearCode, m: int) -> GrcCode:
@@ -435,20 +425,23 @@ def check_qc_type2_bounds(
 # serialization
 
 
+def _variant_name(variant: TypeI | TypeII | None) -> str:
+    if variant is None:
+        return "none"
+    return "type1" if isinstance(variant, TypeI) else "type2"
+
+
 def grc_to_text(grc: GrcCode) -> str:
     lines = [f"{grc.field.q} {grc.gen.ncols} {grc.dim} {grc.m}"]
     for r in grc.gen.rows():
         lines.append(" ".join(str(x) for x in r))
+    lines.append(f"variant {_variant_name(grc.variant)}")
     if isinstance(grc.variant, TypeI):
-        lines.append("variant type1")
         for p in grc.variant.perms:
             lines.append("perm " + " ".join(str(i) for i in p.images))
     elif isinstance(grc.variant, TypeII):
-        lines.append("variant type2")
         for b in grc.variant.transforms:
             lines.append("transform " + " ".join(str(x) for x in b.flatten()))
-    else:
-        lines.append("variant none")
     if grc.qc is not None:
         lines.append(f"qc-n {grc.qc.n}")
         for gi in grc.qc.generators:
@@ -483,6 +476,9 @@ def grc_from_text(text: str) -> GrcCode:
         rebuilt = from_qc_generators(n, gens)
         if rebuilt.gen != gen:
             raise ValueError("stored generator disagrees with QC reconstruction")
+        if _variant_name(rebuilt.variant) != variant_name:
+            raise ValueError(f"stored variant {variant_name} disagrees with QC reconstruction "
+                             f"({_variant_name(rebuilt.variant)})")
         return rebuilt
     n = total_n // m
     block1 = Matrix.from_rows(field, [r[:n] for r in rows])

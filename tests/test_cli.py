@@ -36,6 +36,17 @@ def test_profile_prints_published_values(mixed_file, capsys):
     assert "SBDH 7 12 16 19 / SHDH 7 14 24 36" in out
 
 
+def test_qc_file_with_a_wrong_variant_is_refused(tmp_path, capsys):
+    """A QC file's variant line must name the variant its qc-gen lines
+    rebuild: the Type-II mixed code relabelled type1 is an input error."""
+    text = grc_to_text(presets.golay_type2_mixed()).replace("variant type2", "variant type1")
+    path = tmp_path / "relabelled.grc"
+    path.write_text("".join(ln for ln in text.splitlines(True) if not ln.startswith("transform")))
+    code, out, err = run_cli(["profile", "--code", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: stored variant type1 disagrees with QC reconstruction (type2)\n"
+
+
 def test_profile_subset_table(shift_file, capsys):
     code, out, _ = run_cli(["profile", "--code", shift_file, "--subsets"], capsys)
     assert code == 0

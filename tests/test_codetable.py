@@ -246,6 +246,18 @@ def test_verify_threads_deterministic():
     ]
 
 
+def test_catalog_row_gcds_are_computed_once(monkeypatch):
+    """A row's alignments differ by powers of x, a unit mod x^n - 1, so one
+    row takes at most three gcds: g1, g2 and gcd(g1, g2)."""
+    calls = []
+    gcd = codetable.poly_gcd
+    monkeypatch.setattr(codetable, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    for entry in load_table():
+        calls.clear()
+        list(_interpretations(entry, GF2))
+        assert len(calls) <= 3, entry
+
+
 # ---------------------------------------------------------------------------
 # search
 
@@ -257,6 +269,34 @@ def test_search_budget_zero_empty():
 def test_search_infeasible_k():
     with pytest.raises(ValueError):
         search_qc_type2(31, 7, 5, seed=1)  # no degree-24 divisor of x^31-1
+
+
+def _no_factoring(*args):
+    raise AssertionError("x^n - 1 factored before the flags were checked")
+
+
+@pytest.mark.parametrize(
+    "n, k, budget, m, match",
+    [
+        (31, 6, 5, 0, r"block count 0 outside 1 <= m <= n - 1 = 30"),
+        (7, 4, 5, 7, r"block count 7 outside 1 <= m <= n - 1 = 6"),
+        (31, 0, 5, 2, r"dimension 0 outside 1 <= k <= n = 31"),
+        (7, 9, 5, 2, r"dimension 9 outside 1 <= k <= n = 7"),
+        (31, 6, -1, 2, r"budget -1 outside budget >= 0"),
+    ],
+    ids=["m0", "m-n", "k0", "k-above-n", "budget-negative"],
+)
+def test_search_rejects_flags_that_can_find_nothing(monkeypatch, n, k, budget, m, match):
+    monkeypatch.setattr(codetable, "factor_xn_minus_1", _no_factoring)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        search_qc_type2(n, k, budget, seed=1, m=m)
+
+
+def test_search_accepts_the_ends_of_its_ranges():
+    for k, m, budget in ((1, 6, 40), (1, 1, 4), (7, 1, 4), (7, 2, 8)):
+        cands = search_qc_type2(7, k, budget, seed=3, m=m)
+        assert cands
+        assert all((len(c.cofactors), 7 - c.g.degree) == (m, k) for c in cands)
 
 
 def test_search_finds_d1_15_at_n31_k6():

@@ -27,10 +27,13 @@ from grclib.decoding import (
     transmit,
 )
 from grclib.fields import field_create
-from grclib.grc import from_qc_generators, grc_to_text, type1, type1_regular, type2
+from grclib.grc import (
+    distance_profile, from_qc_generators, grc_to_text, type1, type1_regular, type2,
+)
 from grclib.perms import Permutation
 from grclib.poly import Poly, companion_matrix
 from grclib import presets
+from grclib.verification import bound_suite
 
 GF2 = field_create(2)
 GF4 = field_create(2, 2)
@@ -313,6 +316,23 @@ def test_candidate_order_type1(grc1):
     # chase can be disabled
     no_chase = list(iter_candidates(grc1, 4, combining=False))
     assert all(c.kind != "chase" for c in no_chase)
+
+
+def test_wrapped_shift_code_decodes_as_type1():
+    """golay_type1_shift(13)'s last block x^12 g wraps mod x^23 - 1, and the
+    code is still Type-I: its ladder ends with Chase, the repetition scheme
+    runs on it, and its bound suite checks the Type-I bounds."""
+    grc = presets.golay_type1_shift(13)
+    assert list(iter_candidates(grc, 13))[-1] == Candidate(13, tuple(range(1, 14)), "chase")
+    res = fer_simulate(SimConfig(grc, Bsc(0.3), frames=40, seed=11, max_depth=13,
+                                 scheme="repetition"))
+    errors = [d.frame_errors for d in res.per_depth]
+    assert errors == sorted(errors, reverse=True) and errors[0] > 0
+    verdicts = {}
+    for rep in bound_suite(grc, distance_profile(grc)):
+        verdicts.setdefault(rep.name, set()).add(rep.verdict)
+    assert verdicts["type1-upper"] == verdicts["cyclic-kappa-lower"] == {"not-applicable"}
+    assert "qc-type2-lower" not in verdicts
 
 
 def test_candidate_schemes(grc1):

@@ -148,10 +148,21 @@ def _mult_mod_matrix(f, h):
     return Matrix.from_rows(f.field, rows)
 
 
+def _rotation(a, b, n):
+    """The least s with b = x^s a mod x^n - 1, or None."""
+    xn1 = Poly.xn_minus_1(a.field, n)
+    for s in range(n):
+        if a == b:
+            return s
+        a = a.shift(1) % xn1
+    return None
+
+
 def test_from_qc_generator_rows_match_polynomial_products():
     """Row i of block j is x^i g_j mod x^n - 1, for every catalog reading and
-    two GF(3) codes.  A code with non-monomial cofactors f_j is Type-II
-    exactly when every f_j is a unit mod h = (x^n - 1)/g, with transforms
+    two GF(3) codes.  A code is Type-I exactly when every g_j is a rotation
+    x^s g_1, with A_j = shift^-s.  Any other code is Type-II exactly when
+    every cofactor f_j is a unit mod h = (x^n - 1)/g, with transforms
     B_j = M(f_1)^-1 M(f_j) from polynomial multiplication and B_j G_1 = G_j."""
     cases = [
         (entry.n, [a, b])
@@ -160,8 +171,9 @@ def test_from_qc_generator_rows_match_polynomial_products():
         for _, _, a, b in _interpretations(entry, GF2)
     ]
     g3 = Poly.parse(GF3, "x^3+2x^2+x+2")  # h = x^5+x^4+x+1; 2x^2+1 shares x+1 with h
-    for cofs in (["x+2", "2x^3+x+1", "x^4+x+2"], ["x+2", "2x^2+1"]):
+    for cofs in (["x+2", "2x^3+x+1", "x^4+x+2"], ["x+2", "2x^2+1"], ["x^2", "x^6", "x^9"]):
         cases.append((8, [Poly.parse(GF3, f) * g3 for f in cofs]))
+    cases.append((23, list(presets.golay_type1_shift(13).qc.generators)))
     seen = set()
     for n, gens in cases:
         field = gens[0].field
@@ -172,10 +184,14 @@ def test_from_qc_generator_rows_match_polynomial_products():
             products = [(Poly.monomial(field, i) * g) % xn1 for g in gens]
             want.append([p.coeff(j) for p in products for j in range(n)])
         assert [list(r) for r in grc.gen.rows()] == want
-        cofs = grc.qc.cofactors
-        if all(c.degree == c.coeffs.count(0) and c.leading() == 1 for c in cofs):
-            assert isinstance(grc.variant, TypeI)
+        shifts = [_rotation(grc.qc.generators[0], gj, n) for gj in grc.qc.generators]
+        assert isinstance(grc.variant, TypeI) == (None not in shifts)
+        if None not in shifts:
+            shift = Permutation.cyclic_shift(n)
+            assert grc.variant.perms == tuple(shift ** -s for s in shifts[1:])
+            seen.add((field.q, "type1"))
             continue
+        cofs = grc.qc.cofactors
         h = xn1 // grc.qc.g
         units = all(poly_gcd(c, h).degree == 0 for c in cofs)
         assert isinstance(grc.variant, TypeII) == units
@@ -185,7 +201,41 @@ def test_from_qc_generator_rows_match_polynomial_products():
             for j, b in enumerate(grc.variant.transforms, start=2):
                 assert b == m1_inv @ _mult_mod_matrix(cofs[j - 1], h)
                 assert b @ grc.block_matrix(1) == grc.block_matrix(j)
-    assert seen == {(2, True), (2, False), (3, True), (3, False)}
+    assert seen == {(2, True), (2, False), (3, True), (3, False), (2, "type1"), (3, "type1")}
+
+
+@pytest.mark.parametrize("m", [4, 12, 13, 23])
+def test_golay_shift_family_is_type1(m):
+    """(g, x g, ..., x^(m-1) g) is Type-I with A_j = shift^-(j-1), also when
+    x^(m-1) g wraps mod x^23 - 1 (m >= 13), and its file round-trips."""
+    grc = presets.golay_type1_shift(m)
+    shift = Permutation.cyclic_shift(23)
+    assert grc.variant == TypeI(tuple(shift ** -(j - 1) for j in range(2, m + 1)))
+    back = grc_from_text(grc_to_text(grc))
+    assert (back.gen, back.variant) == (grc.gen, grc.variant)
+
+
+@pytest.mark.parametrize(
+    "field, n, gens, shifts",
+    [
+        (GF2, 7, ["x^3+x+1", "x^4+x^2+x"], [1]),
+        (GF2, 7, ["x^3+x+1", "x^8+x^6+x^5"], [5]),  # x^5 g wraps mod x^7 - 1
+        (GF3, 8, ["x^3+2x^2+x+2", "x^9+2x^8+x^7+2x^6"], [6]),  # x^6 g wraps
+        # f_1 = x^2+x+1 is a unit mod h but no monomial
+        (GF2, 7, ["x^5+x^4+1", "x^6+x^5+x"], [1]),
+        (GF2, 7, ["x^5+x^4+1"], []),  # m = 1
+        # row 0 1 1 0 1 1 0 has period 3: x^4 g_1 = x g_1, the least shift
+        (GF2, 6, ["x^4+x^3+x+1", "x^8+x^7+x^5+x^4"], [1]),
+    ],
+    ids=["shift", "wrapped", "gf3-wrapped", "unit-f1", "m1", "periodic"],
+)
+def test_qc_rotations_are_type1(field, n, gens, shifts):
+    grc = from_qc_generators(n, [Poly.parse(field, g) for g in gens])
+    shift = Permutation.cyclic_shift(n)
+    assert grc.variant == TypeI(tuple(shift ** -s for s in shifts))
+    rows = grc.block_matrix(1).rows()
+    for j, perm in enumerate(grc.variant.perms, start=2):
+        assert [perm.apply(r) for r in rows] == grc.block_matrix(j).rows()
 
 
 def test_from_qc_rejects_zero():

@@ -1,9 +1,10 @@
 """Malformed input never ends in a traceback: every command that reads a
 file gets valid GRC files, plain code files, simulate configs and catalog
-CSVs, and mutations of them, and ``construct`` gets valid and bad values of
-its flags; each must return one of the documented exit codes (0 ok, 1 usage
-or input error, 2 mismatch, 3 cap exceeded).  Polynomial exponents, in
-flags and in a config's CRC, take the huge values too."""
+CSVs, and mutations of them, and ``construct`` and ``search`` get valid and
+bad values of their flags; each must return one of the documented exit
+codes (0 ok, 1 usage or input error, 2 mismatch, 3 cap exceeded).
+Polynomial exponents, in flags and in a config's CRC, take the huge values
+too."""
 
 from __future__ import annotations
 
@@ -151,15 +152,15 @@ FLAG_VALUES = {
 
 
 @st.composite
-def construct_flags(draw) -> list[str]:
-    """A valid ``construct`` command line after one to three mutations: a
-    flag set to a valid or bad value (one of another construction
-    included), or dropped."""
-    flags = dict(draw(st.sampled_from(CONSTRUCT)))
+def mutated_flags(draw, lines: list[dict[str, str]], values: dict) -> list[str]:
+    """One of the valid command lines ``lines`` after one to three
+    mutations: a flag set to a valid or bad value from ``values`` (one of
+    another line included), or dropped."""
+    flags = dict(draw(st.sampled_from(lines)))
     for _ in range(draw(st.integers(1, 3))):
-        flag = draw(st.sampled_from(sorted(FLAG_VALUES)))
+        flag = draw(st.sampled_from(sorted(values)))
         if draw(st.integers(0, 2)):
-            flags[flag] = draw(FLAG_VALUES[flag])
+            flags[flag] = draw(values[flag])
         else:
             flags.pop(flag, None)
     return [x for flag, value in flags.items() for x in (flag, value)]
@@ -167,7 +168,29 @@ def construct_flags(draw) -> list[str]:
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(flags=construct_flags())
+@given(flags=mutated_flags(CONSTRUCT, FLAG_VALUES))
 def test_malformed_construct_flags_end_in_an_exit_code(tmp_path, capsys, flags):
     _check_exit_code(["construct", *flags, "--out", str(tmp_path / "c.grc")])
+    capsys.readouterr()
+
+
+# ``search`` flags: a block length up to 63 and small dimensions keep every
+# candidate's profile cheap; a huge --n is a long factorisation, not
+# malformed input
+SEARCH = {"--n": "31", "--k": "6", "--budget": "3", "--seed": "1", "--m": "2"}
+SEARCH_VALUES = {
+    "--n": st.sampled_from(["7", "15", "31", "63", "2", "1", "0", "-1", "x", "1.5"]),
+    "--k": st.sampled_from(["1", "4", "6", "7", "9", "0", "-1", "64", "x"]),
+    "--budget": st.sampled_from(["0", "1", "3", "-1", "x"]),
+    "--seed": st.sampled_from(["0", "1", "-1", str(2**70), "x"]),
+    "--m": st.sampled_from(["1", "2", "3", "6", "7", "0", "-1", "x"]),
+    "--cap": st.sampled_from(["8", "0", "-1", "x"]),
+}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=mutated_flags([SEARCH], SEARCH_VALUES))
+def test_malformed_search_flags_end_in_an_exit_code(capsys, flags):
+    _check_exit_code(["search", *flags])
     capsys.readouterr()
