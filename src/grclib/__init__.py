@@ -26,7 +26,6 @@ from .kernels import DEFAULT_CAP, DimensionCapError
 from .grc import (
     DistanceProfile,
     GrcCode,
-    QcStructure,
     TypeI,
     TypeII,
     as_blocked,
@@ -98,7 +97,7 @@ __all__ = [
     "Block", "BlockView", "Hamming", "LinearCode", "WeightDistribution",
     "block_weight", "hamming_weight", "DEFAULT_CAP", "DimensionCapError",
     # repetition codes
-    "GrcCode", "TypeI", "TypeII", "QcStructure", "DistanceProfile",
+    "GrcCode", "TypeI", "TypeII", "DistanceProfile",
     "type1", "type1_regular", "type2", "from_qc_generators", "as_blocked",
     "distance_profile", "degeneracy_and_regularity",
     "check_cyclic_lower_bound", "check_qc_type2_bounds",

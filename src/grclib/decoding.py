@@ -714,6 +714,8 @@ class SimConfig:
             raise ValueError("threads must be >= 1")
         if not 1 <= self.max_depth <= self.grc.m:
             raise ValueError("max_depth must be in [1, m]")
+        if self.crc is not None and self.crc.field != self.grc.field:
+            raise ValueError(f"CRC over {self.crc.field} on a code over the field {self.grc.field}")
         if self.crc is not None and self.crc.degree < 1:
             raise ValueError("CRC generator must have degree >= 1")
         if self.crc is not None and self.crc.degree >= self.grc.dim:

@@ -33,7 +33,6 @@ if TYPE_CHECKING:
 __all__ = [
     "TypeI",
     "TypeII",
-    "QcStructure",
     "GrcCode",
     "DistanceProfile",
     "type1",
@@ -64,14 +63,6 @@ class TypeII:
     transforms: tuple[Matrix, ...]  # B_1 .. B_{m-1}
 
 
-@dataclass(frozen=True)
-class QcStructure:
-    n: int
-    g: Poly  # gcd(generators..., x^n - 1), monic
-    generators: tuple[Poly, ...]  # block generators reduced mod x^n - 1
-    cofactors: tuple[Poly, ...]  # generators[i] / g
-
-
 _DECODER_LOCK = threading.Lock()
 
 
@@ -81,7 +72,7 @@ class GrcCode:
     m: int
     gen: Matrix  # k x (m n) full generator
     variant: TypeI | TypeII | None
-    qc: QcStructure | None = None
+    qc: tuple[Poly, ...] | None = None  # QC block generators, reduced mod x^n - 1
 
     @property
     def field(self) -> Field:
@@ -218,7 +209,6 @@ def from_qc_generators(n: int, gens: Sequence[Poly]) -> GrcCode:
     k = n - g.degree
     if k < 1:
         raise ValueError("generators span the zero code")
-    cofactors = tuple((gi // g) for gi in gens)
     m = len(gens)
     gen = Matrix(field, k, m * n, np.hstack([_circulant_rows(gi, n, k) for gi in gens]))
     # g divides x^n - 1, and its rows' staggered leads skip the rank check
@@ -237,8 +227,7 @@ def from_qc_generators(n: int, gens: Sequence[Poly]) -> GrcCode:
                 variant = TypeII(tuple(head @ inv for head in heads[1:]))
             except ValueError:  # head 1 is singular
                 pass
-    qc = QcStructure(n, g, tuple(gens), cofactors)
-    return GrcCode(base, m, gen, variant, qc)
+    return GrcCode(base, m, gen, variant, tuple(gens))
 
 
 def as_blocked(code: LinearCode, m: int) -> GrcCode:
@@ -384,32 +373,26 @@ class QcType2Report:
     implied_shdh_lower: tuple[int, ...]
 
 
-def check_qc_type2_bounds(
-    n: int, gens: Sequence[Poly], *, cap: int | None = None
-) -> QcType2Report:
+def check_qc_type2_bounds(grc: GrcCode, *, cap: int | None = None) -> QcType2Report:
     """Check the QC Type-II sufficient conditions on (f_1 g, ..., f_m g):
     strictly increasing cofactor degrees and every cofactor coprime to
     (x^n - 1)/g; when they hold, sbdh_r >= g_q(r, d) and shdh_r >= r d."""
-    grc = from_qc_generators(n, gens)
-    qc = grc.qc
-    assert qc is not None
-    field = grc.field
-    h = Poly.xn_minus_1(field, n) // qc.g
-    cofs = qc.cofactors
-    degrees_increasing = all(
-        cofs[i].degree < cofs[i + 1].degree for i in range(len(cofs) - 1)
-    )
-    coprime = tuple(
-        (not c.is_zero()) and poly_gcd(c, h).degree == 0 for c in cofs
-    )
-    joint = poly_gcd_many(list(cofs) + [Poly.xn_minus_1(field, n)]).degree == 0
+    if grc.qc is None:
+        raise ValueError("no quasi-cyclic generators attached to this code")
+    g = grc.base.cyclic_gen
+    xn1 = Poly.xn_minus_1(grc.field, grc.n)
+    h = xn1 // g
+    cofs = tuple(gi // g for gi in grc.qc)
+    degrees_increasing = all(a.degree < b.degree for a, b in zip(cofs, cofs[1:]))
+    coprime = tuple(not c.is_zero() and poly_gcd(c, h).degree == 0 for c in cofs)
+    joint = poly_gcd_many(list(cofs) + [xn1]).degree == 0
     d = grc.base.min_distance(cap=cap)
-    q = field.q
+    q = grc.field.q
     implied_sbdh = tuple(griesmer_g(q, r, d) for r in range(1, grc.m + 1))
     implied_shdh = tuple(r * d for r in range(1, grc.m + 1))
     return QcType2Report(
-        n=n,
-        g=qc.g,
+        n=grc.n,
+        g=g,
         cofactors=cofs,
         degrees_increasing=degrees_increasing,
         cofactor_coprime=coprime,
@@ -443,8 +426,8 @@ def grc_to_text(grc: GrcCode) -> str:
         for b in grc.variant.transforms:
             lines.append("transform " + " ".join(str(x) for x in b.flatten()))
     if grc.qc is not None:
-        lines.append(f"qc-n {grc.qc.n}")
-        for gi in grc.qc.generators:
+        lines.append(f"qc-n {grc.n}")
+        for gi in grc.qc:
             lines.append("qc-gen " + gi.to_tuple_str())
     return "\n".join(lines) + "\n"
 

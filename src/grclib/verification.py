@@ -25,7 +25,6 @@ from .grc import (
     DistanceProfile,
     GrcCode,
     TypeI,
-    TypeII,
     check_cyclic_lower_bound,
     check_qc_type2_bounds,
     degeneracy_and_regularity,
@@ -69,39 +68,31 @@ def bound_suite(
             )
 
     # Type-I-only upper bound n - k + r; Type-II codes may exceed it
-    structure = None
+    is_type1 = isinstance(grc.variant, TypeI)
     if grc.variant is not None:
         structure = degeneracy_and_regularity(grc)
-    if isinstance(grc.variant, TypeI):
-        max_cycle = max(p.max_cycle_length() for p in grc.variant.perms) if grc.variant.perms else 1
-        applicable = structure.regular and type1_upper_applicable(
-            grc.base.is_full_length(), max_cycle, k, m
+        applicable = is_type1 and structure.regular and type1_upper_applicable(
+            grc.base.is_full_length(),
+            max((p.max_cycle_length() for p in grc.variant.perms), default=1),
+            k,
+            m,
         )
         for r in range(1, m + 1):
             bound = type1_upper(n, k, r)
             d_r = profile.sbdh[r - 1]
             if applicable:
-                verdict = "satisfied" if d_r <= bound else "violated"
-                note = ""
+                verdict, note = ("satisfied" if d_r <= bound else "violated"), ""
+            elif is_type1:
+                verdict, note = "not-applicable", "preconditions not met"
             else:
                 verdict = "not-applicable"
-                note = "preconditions not met"
+                note = "exceeds the Type-I-only bound" if d_r > bound else ""
             reports.append(
                 BoundReport.build(
                     "type1-upper", {"n": n, "k": k, "r": r}, bound, d_r, verdict, note
                 )
             )
-    elif isinstance(grc.variant, TypeII):
-        for r in range(1, m + 1):
-            bound = type1_upper(n, k, r)
-            d_r = profile.sbdh[r - 1]
-            note = f"exceeds the Type-I-only bound" if d_r > bound else ""
-            reports.append(
-                BoundReport.build(
-                    "type1-upper", {"n": n, "k": k, "r": r}, bound, d_r, "not-applicable", note
-                )
-            )
-        if structure is not None and structure.non_degenerate:
+        if not is_type1 and structure.non_degenerate:
             bound = shdh_tradeoff_upper(q, m, profile.sbdh[m - 1], profile.shdh[0])
             actual = profile.shdh[m - 1]
             reports.append(
@@ -114,45 +105,31 @@ def bound_suite(
                 )
             )
 
-    if grc.base.cyclic_gen is not None and isinstance(grc.variant, TypeI):
+    if grc.base.cyclic_gen is not None and is_type1:
         rep = check_cyclic_lower_bound(grc, cap=cap)
         if rep.satisfied:
-            ok = all(
-                profile.sbdh[r - 1] >= rep.implied_sbdh_lower[r - 1] for r in range(1, m + 1)
-            )
-            reports.append(
-                BoundReport.build(
-                    "cyclic-kappa-lower",
-                    {"n": n, "m": m, "kappa": rep.kappa_value, "d": rep.base_distance},
-                    rep.implied_sbdh_lower,
-                    profile.sbdh,
-                    "satisfied" if ok else "violated",
-                )
-            )
+            ok = all(a >= b for a, b in zip(profile.sbdh, rep.implied_sbdh_lower))
+            verdict, note = ("satisfied" if ok else "violated"), ""
         else:
-            reports.append(
-                BoundReport.build(
-                    "cyclic-kappa-lower",
-                    {"n": n, "m": m, "kappa": rep.kappa_value, "d": rep.base_distance},
-                    rep.implied_sbdh_lower,
-                    profile.sbdh,
-                    "not-applicable",
-                    note=f"m={m} exceeds kappa={rep.kappa_value}",
-                )
+            verdict, note = "not-applicable", f"m={m} exceeds kappa={rep.kappa_value}"
+        reports.append(
+            BoundReport.build(
+                "cyclic-kappa-lower",
+                {"n": n, "m": m, "kappa": rep.kappa_value, "d": rep.base_distance},
+                rep.implied_sbdh_lower,
+                profile.sbdh,
+                verdict,
+                note,
             )
+        )
 
-    if grc.qc is not None and not isinstance(grc.variant, TypeI):
-        rep = check_qc_type2_bounds(grc.qc.n, grc.qc.generators, cap=cap)
+    if grc.qc is not None and not is_type1:
+        rep = check_qc_type2_bounds(grc, cap=cap)
         if rep.satisfied:
-            ok = all(
-                profile.sbdh[r - 1] >= rep.implied_sbdh_lower[r - 1]
-                and profile.shdh[r - 1] >= rep.implied_shdh_lower[r - 1]
-                for r in range(1, m + 1)
-            )
-            verdict = "satisfied" if ok else "violated"
-            note = ""
+            implied = rep.implied_sbdh_lower + rep.implied_shdh_lower
+            ok = all(a >= b for a, b in zip(profile.sbdh + profile.shdh, implied))
+            verdict, note = ("satisfied" if ok else "violated"), ""
         else:
-            verdict = "not-applicable"
             conds = []
             if not rep.degrees_increasing:
                 conds.append("cofactor degrees not strictly increasing")
@@ -160,11 +137,11 @@ def bound_suite(
                 conds.append("cofactor shares a factor with (x^n-1)/g")
             if not rep.joint_gcd_one:
                 conds.append("joint gcd not 1")
-            note = "; ".join(conds)
+            verdict, note = "not-applicable", "; ".join(conds)
         reports.append(
             BoundReport.build(
                 "qc-type2-lower",
-                {"n": grc.qc.n, "m": m, "d": rep.base_distance},
+                {"n": n, "m": m, "d": rep.base_distance},
                 (rep.implied_sbdh_lower, rep.implied_shdh_lower),
                 (profile.sbdh, profile.shdh),
                 verdict,

@@ -280,8 +280,9 @@ def test_criterion_06_bound_suite(
     # QC Type-II bounds on a precondition-satisfying pair
     g = Poly.parse(GF2, presets.GOLAY_GEN)
     gens = [g, Poly.parse(GF2, "x^3+x+1") * g]
-    rep9 = check_qc_type2_bounds(23, gens)
-    prof9 = distance_profile(from_qc_generators(23, gens))
+    qc9 = from_qc_generators(23, gens)
+    rep9 = check_qc_type2_bounds(qc9)
+    prof9 = distance_profile(qc9)
     if not rep9.satisfied:
         problems.append("qc type2 preconditions unexpectedly violated")
     for r in (1, 2):

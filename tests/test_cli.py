@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import time
@@ -539,3 +540,82 @@ def test_qc_generator_exponents_are_reduced_mod_n(tmp_path, capsys):
     text = outputs[0][1].replace("qc-gen (1,0,0,0,0,0,1)", "qc-gen x^20000000+1")
     assert text != outputs[0][1]
     assert grc_from_text(text) == grc_from_text(outputs[0][1])
+
+
+# ``grc demo-example1 --frames 20 --seed 3``, FER timings stripped
+DEMO_OUTPUT = """\
+== constructions ==
+type1 shift GrcCode[(23,4),12]_2:type1: SBDH 7 11 13 15 / SHDH 7 14 21 28
+type2 mixed GrcCode[(23,4),12]_2:type2: SBDH 7 12 16 19 / SHDH 7 14 24 36
+classical repetition GrcCode[(23,4),12]_2:type1: full Hamming distance 28
+b-symbol view: 4-symbol distance 15
+ir-linear comparator: [92,12,36] (the type2 code under prefix decoding)
+== bounds ==
+bound,inputs,bound_value,actual,verdict,note
+singleton-block,n=23;r=1;k=12,12,7,satisfied,neither
+griesmer-block,q=2;n=23;r=1;k=12;d_r=7,22,23,satisfied,
+singleton-block,n=23;r=2;k=12,18,11,satisfied,neither
+griesmer-block,q=2;n=23;r=2;k=12;d_r=11,51,69,satisfied,
+singleton-block,n=23;r=3;k=12,20,13,satisfied,neither
+griesmer-block,q=2;n=23;r=3;k=12;d_r=13,110,161,satisfied,
+singleton-block,n=23;r=4;k=12,21,15,satisfied,neither
+griesmer-block,q=2;n=23;r=4;k=12;d_r=15,244,345,satisfied,
+type1-upper,n=23;k=12;r=1,12,7,satisfied,
+type1-upper,n=23;k=12;r=2,13,11,satisfied,
+type1-upper,n=23;k=12;r=3,14,13,satisfied,
+type1-upper,n=23;k=12;r=4,15,15,satisfied,
+cyclic-kappa-lower,n=23;m=4;kappa=11;d=7,(7, 11, 13, 14),(7, 11, 13, 15),satisfied,
+singleton-block,n=23;r=1;k=12,12,7,satisfied,neither
+griesmer-block,q=2;n=23;r=1;k=12;d_r=7,22,23,satisfied,
+singleton-block,n=23;r=2;k=12,18,12,satisfied,neither
+griesmer-block,q=2;n=23;r=2;k=12;d_r=12,54,69,satisfied,
+singleton-block,n=23;r=3;k=12,20,16,satisfied,neither
+griesmer-block,q=2;n=23;r=3;k=12;d_r=16,132,161,satisfied,
+singleton-block,n=23;r=4;k=12,21,19,satisfied,neither
+griesmer-block,q=2;n=23;r=4;k=12;d_r=19,309,345,satisfied,
+type1-upper,n=23;k=12;r=1,12,7,not-applicable,
+type1-upper,n=23;k=12;r=2,13,12,not-applicable,
+type1-upper,n=23;k=12;r=3,14,16,not-applicable,exceeds the Type-I-only bound
+type1-upper,n=23;k=12;r=4,15,19,not-applicable,exceeds the Type-I-only bound
+shdh-tradeoff-upper,q=2;m=4;d_m=19;d1=7,75,36,satisfied,
+qc-type2-lower,n=23;m=4;d=7,((7, 11, 13, 14), (7, 14, 21, 28)),((7, 12, 16, 19), (7, 14, 24, 36)),not-applicable,cofactor degrees not strictly increasing
+== notes ==
+note,golay-dimension,the binary Golay code is [23,12,7]: its degree-11 generator forces dimension 12 even where the m=11 repetition is quoted with dimension 11
+note,levenshtein-count,literal channel-count formula gives 70 for (n=23, d=7, t=4); the worked value 1+C(7,3)=36 is also recorded; not reconciled
+note,shdh-tradeoff-example,for (q=2, m=2, d_2=11, d_1=6) the trade-off formula gives 16; the worked example claims a maximum of 12; formula implemented as printed
+note,simplex-d2,the [15,4] Simplex m=4 repetition has second sub-block distance exactly 12 (only the lower bound 12 is quoted elsewhere)
+== fer comparison ==
+channel: awgn -5.0 dB -> induced crossover 0.2132
+type1-shift: D1=0.3000 D2=0.0500 D3=0.0500 D4=0.0000
+type2-mixed: D1=0.3000 D2=0.0000 D3=0.0000 D4=0.0000
+classical-repetition: D1=0.3000 D2=0.3000 D3=0.1000 D4=0.0500
+bsymbol: D1=0.3000 D2=0.3000 D3=0.3000 D4=0.0000
+ir-linear: D1=0.8500 D2=0.4000 D3=0.0500 D4=0.0000
+code_id,channel,snr_db_or_p,depth,frames,frame_errors,fer,false_accepts,seed
+type1-shift,awgn-bpsk-hard,-5.0,1,20,6,0.300000,0,3
+type1-shift,awgn-bpsk-hard,-5.0,2,20,1,0.050000,0,3
+type1-shift,awgn-bpsk-hard,-5.0,3,20,1,0.050000,0,3
+type1-shift,awgn-bpsk-hard,-5.0,4,20,0,0.000000,0,3
+type2-mixed,awgn-bpsk-hard,-5.0,1,20,6,0.300000,0,3
+type2-mixed,awgn-bpsk-hard,-5.0,2,20,0,0.000000,0,3
+type2-mixed,awgn-bpsk-hard,-5.0,3,20,0,0.000000,0,3
+type2-mixed,awgn-bpsk-hard,-5.0,4,20,0,0.000000,0,3
+classical-repetition,awgn-bpsk-hard,-5.0,1,20,6,0.300000,0,3
+classical-repetition,awgn-bpsk-hard,-5.0,2,20,6,0.300000,0,3
+classical-repetition,awgn-bpsk-hard,-5.0,3,20,2,0.100000,0,3
+classical-repetition,awgn-bpsk-hard,-5.0,4,20,1,0.050000,0,3
+bsymbol,awgn-bpsk-hard,-5.0,1,20,6,0.300000,0,3
+bsymbol,awgn-bpsk-hard,-5.0,2,20,6,0.300000,0,3
+bsymbol,awgn-bpsk-hard,-5.0,3,20,6,0.300000,0,3
+bsymbol,awgn-bpsk-hard,-5.0,4,20,0,0.000000,0,3
+ir-linear,awgn-bpsk-hard,-5.0,1,20,17,0.850000,0,3
+ir-linear,awgn-bpsk-hard,-5.0,2,20,8,0.400000,0,3
+ir-linear,awgn-bpsk-hard,-5.0,3,20,1,0.050000,0,3
+ir-linear,awgn-bpsk-hard,-5.0,4,20,0,0.000000,0,3
+"""
+
+
+def test_demo_prints_constructions_bounds_notes_and_fer(capsys):
+    code, out, err = run_cli(["demo-example1", "--frames", "20", "--seed", "3"], capsys)
+    assert (code, err) == (0, "")
+    assert re.sub(r"  \(\d+\.\ds\)$", "", out, flags=re.M) == DEMO_OUTPUT

@@ -693,6 +693,15 @@ def test_sim_config_validation(grc1):
             SimConfig(grc1, Bsc(0.1), frames=5, seed=1, max_depth=4, threads=threads)
 
 
+def test_sim_config_refuses_a_crc_over_another_field(grc1):
+    """The CRC's remainders are computed in its own field and read in the
+    code's: a CRC over GF(3) or GF(4) on a binary code is an error, not a
+    run whose checks are silently reduced mod 2."""
+    for crc in (Poly.parse(field_create(3), "x^3+2x+1"), Poly.parse(GF4, "x^3+x+1")):
+        with pytest.raises(ValueError, match="field"):
+            SimConfig(grc1, Bsc(0.05), frames=200, seed=1, max_depth=4, crc=crc)
+
+
 @pytest.mark.parametrize("seed", [0, 3, 2**32 + 5, 2**70 + 1, 2**100 + 3, 2**130 + 7])
 def test_keyed_streams_match_rng_for(seed):
     # seeds of one to five uint32 words (four fill SeedSequence's pool and

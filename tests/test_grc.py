@@ -134,8 +134,8 @@ def test_from_qc_derives_dimension():
     g = Poly.parse(GF2, presets.GOLAY_GEN)
     grc = presets.golay_type1_shift(4)
     assert grc.dim == 12
-    assert grc.qc.g == g.monic()
-    assert [str(c) for c in grc.qc.cofactors] == ["1", "x", "x^2", "x^3"]
+    assert grc.base.cyclic_gen == g.monic()
+    assert [str(gi // g) for gi in grc.qc] == ["1", "x", "x^2", "x^3"]
 
 
 def _mult_mod_matrix(f, h):
@@ -173,7 +173,7 @@ def test_from_qc_generator_rows_match_polynomial_products():
     g3 = Poly.parse(GF3, "x^3+2x^2+x+2")  # h = x^5+x^4+x+1; 2x^2+1 shares x+1 with h
     for cofs in (["x+2", "2x^3+x+1", "x^4+x+2"], ["x+2", "2x^2+1"], ["x^2", "x^6", "x^9"]):
         cases.append((8, [Poly.parse(GF3, f) * g3 for f in cofs]))
-    cases.append((23, list(presets.golay_type1_shift(13).qc.generators)))
+    cases.append((23, list(presets.golay_type1_shift(13).qc)))
     seen = set()
     for n, gens in cases:
         field = gens[0].field
@@ -184,15 +184,16 @@ def test_from_qc_generator_rows_match_polynomial_products():
             products = [(Poly.monomial(field, i) * g) % xn1 for g in gens]
             want.append([p.coeff(j) for p in products for j in range(n)])
         assert [list(r) for r in grc.gen.rows()] == want
-        shifts = [_rotation(grc.qc.generators[0], gj, n) for gj in grc.qc.generators]
+        shifts = [_rotation(grc.qc[0], gj, n) for gj in grc.qc]
         assert isinstance(grc.variant, TypeI) == (None not in shifts)
         if None not in shifts:
             shift = Permutation.cyclic_shift(n)
             assert grc.variant.perms == tuple(shift ** -s for s in shifts[1:])
             seen.add((field.q, "type1"))
             continue
-        cofs = grc.qc.cofactors
-        h = xn1 // grc.qc.g
+        g = grc.base.cyclic_gen
+        cofs = [gj // g for gj in grc.qc]
+        h = xn1 // g
         units = all(poly_gcd(c, h).degree == 0 for c in cofs)
         assert isinstance(grc.variant, TypeII) == units
         seen.add((field.q, units))
@@ -405,7 +406,7 @@ def test_qc_type2_conditions_gf11():
         Poly.parse(gf11, "10x^6+5x^5+7x^4+7x^2+9x+2"),
         Poly.parse(gf11, "9x^6+4x^5+7x^4+6x^2+6"),
     ]
-    rep = check_qc_type2_bounds(10, [f * g for f in fs])
+    rep = check_qc_type2_bounds(from_qc_generators(10, [f * g for f in fs]))
     assert all(rep.cofactor_coprime)
     assert rep.joint_gcd_one
     # all three cofactors have degree 6: the degree condition fails honestly
@@ -418,12 +419,17 @@ def test_qc_type2_conditions_satisfied_case():
     g = Poly.parse(GF2, presets.GOLAY_GEN)
     f1 = Poly.one(GF2)
     f2 = Poly.parse(GF2, "x^3+x+1")
-    rep = check_qc_type2_bounds(23, [f1 * g, f2 * g])
-    assert rep.satisfied
     grc = from_qc_generators(23, [f1 * g, f2 * g])
+    rep = check_qc_type2_bounds(grc)
+    assert rep.satisfied
     prof = distance_profile(grc)
     assert all(a >= b for a, b in zip(prof.sbdh, rep.implied_sbdh_lower))
     assert all(a >= b for a, b in zip(prof.shdh, rep.implied_shdh_lower))
+
+
+def test_qc_type2_check_needs_qc_generators():
+    with pytest.raises(ValueError, match="quasi-cyclic"):
+        check_qc_type2_bounds(presets.golay_classical_repetition(2))
 
 
 # ---------------------------------------------------------------------------

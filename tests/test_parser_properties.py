@@ -37,8 +37,8 @@ CODE_FILES = [HAMMING.to_text(), SIMPLEX.to_text(2), TERNARY.to_text(2)]
 CATALOG = "no,n,k,g1_hex,g2_hex,d1,d2,ud2\n" + "".join(
     f"{no},7,4,{hex_encode(a)},{hex_encode(b)},{d1},{d2},{ud2}\n"
     for no, (a, b), (d1, d2, ud2) in (
-        (1, QC.qc.generators, (3, 4, 6)),
-        (2, QC.qc.generators, (3, 5, 6)),
+        (1, QC.qc, (3, 4, 6)),
+        (2, QC.qc, (3, 5, 6)),
     )
 )
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from grclib.fields import field_create
 from grclib.matrices import Matrix
@@ -275,3 +277,37 @@ def test_zero_and_canonical_form():
     assert Poly.parse(gf2, "0").is_zero()
     assert str(Poly.zero(gf2)) == "0"
     assert Poly.from_coeffs(gf2, [1, 1, 0]).coeffs == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# ring operations, checked pointwise at every field element
+
+RING_FIELDS = [field_create(2), field_create(3), field_create(2, 2)]
+
+
+@st.composite
+def _poly_pairs(draw):
+    f = draw(st.sampled_from(RING_FIELDS))
+    coeffs = st.lists(st.integers(0, f.q - 1), max_size=6)
+    a, b = (Poly.from_coeffs(f, draw(coeffs)) for _ in range(2))
+    return a, b, draw(st.integers(0, f.q - 1))
+
+
+@seed(20)
+@given(_poly_pairs())
+@settings(max_examples=150)
+def test_ring_operations_agree_with_evaluation(pair):
+    a, b, c = pair
+    f = a.field
+    zero = Poly.zero(f)
+    assert (a + -a).is_zero()
+    assert a - b == a + -b
+    assert a.scale(c) == a * Poly.from_coeffs(f, [c])
+    for x in range(f.q):
+        assert (a + b)(x) == f.add(a(x), b(x))
+        assert (a * b)(x) == f.mul(a(x), b(x))
+        assert (-a)(x) == f.neg(a(x))
+    if not a.is_zero():
+        assert a.leading() == a.coeffs[-1] != 0
+    with pytest.raises(ValueError):
+        zero.leading()
