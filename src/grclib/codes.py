@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import kernels
 from .fields import Field, field_create
 from .matrices import Matrix, vec_mat_mul
 from .perms import Permutation
-from .poly import Poly
+from .poly import Poly, poly_gcd_many
 
 __all__ = [
     "Hamming",
@@ -143,7 +144,6 @@ class LinearCode:
     n: int
     k: int
     gen: Matrix
-    cyclic_gen: Poly | None = dc_field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.gen.nrows != self.k or self.gen.ncols != self.n:
@@ -181,7 +181,7 @@ class LinearCode:
         k = n - g.degree
         if k < 1:
             raise ValueError("trivial cyclic code")
-        return cls(field, n, k, Matrix(field, k, n, _circulant_rows(g, n, k)), cyclic_gen=g)
+        return cls(field, n, k, Matrix(field, k, n, _circulant_rows(g, n, k)))
 
     # -- basics ---------------------------------------------------------------
 
@@ -192,11 +192,17 @@ class LinearCode:
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         return vec_mat_mul(message, self.gen)
 
-    def is_cyclic(self) -> bool:
-        shift = Permutation.cyclic_shift(self.n)
-        shifted = Matrix.from_rows(self.field, [shift.apply(r) for r in self.gen.rows()])
-        joined = Matrix.from_rows(self.field, list(self.gen.rows()) + list(shifted.rows()))
-        return joined.rank() == self.k
+    @cached_property
+    def cyclic_gen(self) -> Poly | None:
+        """The monic generator polynomial when the code is cyclic, else None.
+
+        g = gcd(rows, x^n - 1) generates the least cyclic code containing
+        this one, of dimension n - deg g, so the two are equal exactly when
+        deg g = n - k.  Read off the rows, it survives any generator basis
+        and a GRC file."""
+        rows = [Poly.from_coeffs(self.field, r) for r in self.gen.rows()]
+        g = poly_gcd_many(rows + [Poly.xn_minus_1(self.field, self.n)])
+        return g if g.degree == self.n - self.k else None
 
     # -- distances --------------------------------------------------------------
 

@@ -212,7 +212,7 @@ def from_qc_generators(n: int, gens: Sequence[Poly]) -> GrcCode:
     m = len(gens)
     gen = Matrix(field, k, m * n, np.hstack([_circulant_rows(gi, n, k) for gi in gens]))
     # g divides x^n - 1, and its rows' staggered leads skip the rank check
-    base = LinearCode(field, n, k, Matrix(field, k, n, _circulant_rows(g, n, k)), cyclic_gen=g)
+    base = LinearCode(field, n, k, Matrix(field, k, n, _circulant_rows(g, n, k)))
     variant: TypeI | TypeII | None = None
     # shifts[j, s]: block j's row 0 is x^s g_1 mod x^n - 1
     shifts = (gen.data[0].reshape(m, 1, n) == _circulant_rows(gens[0], n, n)).all(axis=2)
@@ -334,16 +334,30 @@ class CyclicLowerBoundReport:
     n: int
     m: int
     kappa_value: float
+    shift_construction: bool
     satisfied: bool
     base_distance: int
     implied_sbdh_lower: tuple[int, ...]
 
 
 def check_cyclic_lower_bound(grc: GrcCode, *, cap: int | None = None) -> CyclicLowerBoundReport:
+    """Gate of the lower bound sbdh_r >= g_q(r, d) on a cyclic base code
+    with generator g.  It is proved for A_j = sigma^j (j < m), or every
+    A_j = sigma^-j, with sigma the cyclic shift, and m <= kappa.  Block j is
+    then x^(+-j) c(x), so any r blocks combine to (sum_j lambda_j x^(+-j))
+    c(x).  That multiplier, times a unit power of x, has degree below
+    m <= kappa, so it shares no irreducible factor of degree >= 2 with
+    h = (x^n - 1)/g.  Other permutations, other powers of sigma too, leave
+    ``shift_construction`` false."""
     g = grc.base.cyclic_gen
     if g is None:
-        raise ValueError("base code has no cyclic generator attached")
+        raise ValueError("base code is not cyclic")
     kap = kappa(g, grc.n)
+    shift = Permutation.cyclic_shift(grc.n)
+    perms = grc.variant.perms if isinstance(grc.variant, TypeI) else None
+    shift_construction = any(
+        perms == tuple(shift ** (sign * j) for j in range(1, grc.m)) for sign in (1, -1)
+    )
     d = grc.base.min_distance(cap=cap)
     q = grc.field.q
     implied = tuple(griesmer_g(q, r, d) for r in range(1, grc.m + 1))
@@ -351,7 +365,8 @@ def check_cyclic_lower_bound(grc: GrcCode, *, cap: int | None = None) -> CyclicL
         n=grc.n,
         m=grc.m,
         kappa_value=kap,
-        satisfied=grc.m <= kap,
+        shift_construction=shift_construction,
+        satisfied=shift_construction and grc.m <= kap,
         base_distance=d,
         implied_sbdh_lower=implied,
     )

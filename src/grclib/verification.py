@@ -105,13 +105,15 @@ def bound_suite(
                 )
             )
 
-    if grc.base.cyclic_gen is not None and is_type1:
+    if is_type1 and grc.base.cyclic_gen is not None:
         rep = check_cyclic_lower_bound(grc, cap=cap)
-        if rep.satisfied:
+        if not rep.shift_construction:
+            verdict, note = "not-applicable", "not a cyclic-shift construction"
+        elif not rep.satisfied:
+            verdict, note = "not-applicable", f"m={m} exceeds kappa={rep.kappa_value}"
+        else:
             ok = all(a >= b for a, b in zip(profile.sbdh, rep.implied_sbdh_lower))
             verdict, note = ("satisfied" if ok else "violated"), ""
-        else:
-            verdict, note = "not-applicable", f"m={m} exceeds kappa={rep.kappa_value}"
         reports.append(
             BoundReport.build(
                 "cyclic-kappa-lower",

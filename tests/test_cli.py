@@ -78,26 +78,14 @@ def test_construct_qc_roundtrip(tmp_path, capsys):
     assert code2 == 0
 
 
+# the README's Type-I example: the Golay code under the cyclic shift, m = 4
+README_TYPE1 = ["construct", "--kind", "type1", "--cyclic-gen", "x^11+x^9+x^7+x^6+x^5+x+1",
+                "--n", "23", "--sigma", "cyclic", "--m", "4", "--out"]
+
+
 def test_construct_type1_cyclic(tmp_path, capsys):
     out_file = tmp_path / "t1.grc"
-    code, _, _ = run_cli(
-        [
-            "construct",
-            "--kind",
-            "type1",
-            "--cyclic-gen",
-            "x^11+x^9+x^7+x^6+x^5+x+1",
-            "--n",
-            "23",
-            "--sigma",
-            "cyclic",
-            "--m",
-            "4",
-            "--out",
-            str(out_file),
-        ],
-        capsys,
-    )
+    code, _, _ = run_cli(README_TYPE1 + [str(out_file)], capsys)
     assert code == 0
     code2, out2, _ = run_cli(["profile", "--code", str(out_file)], capsys)
     assert "SBDH 7 11 13 15" in out2
@@ -109,6 +97,18 @@ def test_bounds_command(mixed_file, capsys):
     assert out.startswith("bound,inputs,bound_value,actual,verdict,note")
     assert "singleton-block" in out
     assert "violated" not in out
+
+
+def test_bounds_of_a_type1_file_check_the_kappa_bound(tmp_path, capsys):
+    """A Type-I file keeps no generator polynomial, yet its base's is read
+    off the rows: the file gets the kappa row the Python-built code gets."""
+    out_file = tmp_path / "shift.grc"
+    assert run_cli(README_TYPE1 + [str(out_file)], capsys)[0] == 0
+    code, out, _ = run_cli(["bounds", "--code", str(out_file)], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "cyclic-kappa-lower,n=23;m=4;kappa=11;d=7,(7, 11, 13, 14),(7, 11, 13, 15),satisfied,"
+    )
 
 
 def test_verify_table_single_row(capsys):

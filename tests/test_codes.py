@@ -22,7 +22,8 @@ from grclib.fields import field_create
 from grclib.grc import distance_profile, from_qc_generators
 from grclib.kernels import DimensionCapError
 from grclib.matrices import Matrix
-from grclib.poly import Poly
+from grclib.perms import Permutation
+from grclib.poly import Poly, factor_xn_minus_1
 
 GF2 = field_create(2)
 GF3 = field_create(3)
@@ -568,6 +569,66 @@ def test_rank_check_skips_only_staggered_generators(golay, monkeypatch):
 
 
 def test_is_cyclic(golay, simplex):
-    assert golay.is_cyclic()
-    assert simplex.is_cyclic()
-    assert not LinearCode.from_rows(GF2, [[1, 0, 0]]).is_cyclic()
+    assert golay.cyclic_gen is not None
+    assert simplex.cyclic_gen is not None
+    assert LinearCode.from_rows(GF2, [[1, 0, 0]]).cyclic_gen is None
+
+
+def _closed_under_shift(code):
+    """Rank oracle: the code is cyclic iff [G; shift(G)] has rank k."""
+    shift = Permutation.cyclic_shift(code.n)
+    rows = list(code.gen.rows()) + [shift.apply(r) for r in code.gen.rows()]
+    return Matrix.from_rows(code.field, rows).rank() == code.k
+
+
+def _divisors(field, n):
+    """Every monic divisor of x^n - 1 over the field."""
+    divs = [Poly.one(field)]
+    for factor, mult in factor_xn_minus_1(n, field):
+        powers = [Poly.one(field)]
+        for _ in range(mult):
+            powers.append(powers[-1] * factor)
+        divs = [d * p for d in divs for p in powers]
+    return divs
+
+
+def _random_rows(rng, field, k, n):
+    return [[rng.randrange(field.q) for _ in range(n)] for _ in range(k)]
+
+
+def _random_invertible(rng, field, k):
+    while True:
+        mat = Matrix.from_rows(field, _random_rows(rng, field, k, k))
+        if mat.is_invertible():
+            return mat
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, field_create(2, 2)], ids=["gf2", "gf3", "gf4"])
+def test_cyclic_gen_is_read_off_any_basis(field):
+    """The generator polynomial is derived from the rows alone: every cyclic
+    code gives back g, also from a scrambled basis, and random codes, cyclic
+    or not, agree with the rank-of-[G; shift(G)] oracle."""
+    rng = random.Random(2101 + field.q)
+    seen = set()
+    for n in range(1, 10):
+        for g in _divisors(field, n):
+            if g.degree == n:
+                continue
+            code = LinearCode.cyclic(field, n, g)
+            scrambled = LinearCode.span(field, _random_invertible(rng, field, code.k) @ code.gen)
+            assert code.cyclic_gen == g.monic()
+            assert scrambled.cyclic_gen == g.monic()
+            assert _closed_under_shift(scrambled)
+        for _ in range(12):
+            k = rng.randint(1, n)
+            rows = _random_rows(rng, field, k, n)
+            if not any(map(any, rows)):
+                continue
+            code = LinearCode.span(field, Matrix.from_rows(field, rows))
+            cyclic = _closed_under_shift(code)
+            assert (code.cyclic_gen is not None) == cyclic
+            if cyclic:  # the same row space as the cyclic code of g
+                rows = code.gen.rows() + LinearCode.cyclic(field, n, code.cyclic_gen).gen.rows()
+                assert Matrix.from_rows(field, rows).rank() == code.k
+            seen.add(cyclic)
+    assert seen == {True, False}

@@ -25,6 +25,7 @@ from grclib.matrices import Matrix
 from grclib.perms import Permutation
 from grclib.poly import Poly, companion_matrix, poly_gcd
 from grclib import presets
+from grclib.verification import bound_suite
 
 GF2 = field_create(2)
 GF3 = field_create(3)
@@ -391,11 +392,25 @@ def test_cyclic_lower_bound_violated_for_hamming_m6():
     assert not rep.satisfied
 
 
-def test_cyclic_lower_bound_needs_provenance():
-    code = LinearCode.from_rows(GF2, [[1, 0, 1], [0, 1, 1]])
+def test_cyclic_lower_bound_needs_a_cyclic_base():
+    code = LinearCode.from_rows(GF2, [[1, 1, 0]])
     grc = type1_regular(code, Permutation.identity(3), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not cyclic"):
         check_cyclic_lower_bound(grc)
+
+
+def test_cyclic_lower_bound_only_for_shift_powers(golay):
+    """The kappa gate holds only for A_j = sigma^j or sigma^-j, j < m."""
+    shift, ident = Permutation.cyclic_shift(23), Permutation.identity(23)
+    outside = (type1(golay, [ident, ident, ident]), type1(golay, [shift, shift]))
+    for grc in outside:
+        rep = check_cyclic_lower_bound(grc)
+        assert not rep.shift_construction and not rep.satisfied
+    inside = (presets.golay_type1_shift(4), type1_regular(golay, shift, 11),
+              type1_regular(golay, shift, 1))
+    for grc in inside:
+        rep = check_cyclic_lower_bound(grc)
+        assert rep.shift_construction and rep.satisfied
 
 
 def test_qc_type2_conditions_gf11():
@@ -436,12 +451,16 @@ def test_qc_type2_check_needs_qc_generators():
 # serialization
 
 
-def test_grc_roundtrip_type1(golay_shift4):
-    text = grc_to_text(golay_shift4)
-    back = grc_from_text(text)
-    assert back.gen == golay_shift4.gen
-    assert back.m == golay_shift4.m
-    assert isinstance(back.variant, TypeI)
+def test_grc_roundtrip_type1(golay, golay_shift4):
+    # a QC file and a permutation file, whose base keeps no polynomial
+    for grc in (golay_shift4, type1_regular(golay, Permutation.cyclic_shift(23), 4)):
+        back = grc_from_text(grc_to_text(grc))
+        assert back.gen == grc.gen
+        assert back.m == grc.m
+        assert isinstance(back.variant, TypeI)
+        rows = [rep.csv_row() for rep in bound_suite(grc, distance_profile(grc))]
+        assert [rep.csv_row() for rep in bound_suite(back, distance_profile(back))] == rows
+        assert rows[-1].startswith("cyclic-kappa-lower,")
 
 
 def test_grc_roundtrip_type2():

@@ -1,7 +1,8 @@
 """The bound suite's CSV rows, pinned as literals for one code of every
 kind it treats differently: Type-I with the kappa gate met and not met,
-irregular Type-I, QC Type-II with its preconditions met and not met, QC
-codes left untagged, a companion-matrix Type-II and a plain blocked code."""
+irregular Type-I, the classical repetition, QC Type-II with its
+preconditions met and not met, QC codes left untagged, a companion-matrix
+Type-II and a plain blocked code."""
 
 from __future__ import annotations
 
@@ -62,6 +63,7 @@ CODES = {
     "untagged_gf3": _untagged_gf3,
     "gf11": _gf11,
     "irregular": _irregular,
+    "classical4": lambda: presets.golay_classical_repetition(4),
     "companion": _companion,
     "blocked": _blocked,
 }
@@ -186,7 +188,22 @@ griesmer-block,q=2;n=23;r=3;k=12;d_r=11,94,161,satisfied,
 type1-upper,n=23;k=12;r=1,12,7,not-applicable,preconditions not met
 type1-upper,n=23;k=12;r=2,13,7,not-applicable,preconditions not met
 type1-upper,n=23;k=12;r=3,14,11,not-applicable,preconditions not met
-cyclic-kappa-lower,n=23;m=3;kappa=11;d=7,(7, 11, 13),(7, 7, 11),violated,
+cyclic-kappa-lower,n=23;m=3;kappa=11;d=7,(7, 11, 13),(7, 7, 11),not-applicable,not a cyclic-shift construction
+""",
+    "classical4": """\
+singleton-block,n=23;r=1;k=12,12,7,satisfied,neither
+griesmer-block,q=2;n=23;r=1;k=12;d_r=7,22,23,satisfied,
+singleton-block,n=23;r=2;k=12,18,7,satisfied,neither
+griesmer-block,q=2;n=23;r=2;k=12;d_r=7,35,69,satisfied,
+singleton-block,n=23;r=3;k=12,20,7,satisfied,neither
+griesmer-block,q=2;n=23;r=3;k=12;d_r=7,62,161,satisfied,
+singleton-block,n=23;r=4;k=12,21,7,satisfied,neither
+griesmer-block,q=2;n=23;r=4;k=12;d_r=7,117,345,satisfied,
+type1-upper,n=23;k=12;r=1,12,7,not-applicable,preconditions not met
+type1-upper,n=23;k=12;r=2,13,7,not-applicable,preconditions not met
+type1-upper,n=23;k=12;r=3,14,7,not-applicable,preconditions not met
+type1-upper,n=23;k=12;r=4,15,7,not-applicable,preconditions not met
+cyclic-kappa-lower,n=23;m=4;kappa=11;d=7,(7, 11, 13, 14),(7, 7, 7, 7),not-applicable,not a cyclic-shift construction
 """,
     "companion": """\
 singleton-block,n=7;r=1;k=3,5,4,satisfied,neither
