@@ -453,35 +453,21 @@ def chase_combine(
     perms: Sequence[Permutation],
     *,
     field: Field,
-    tie_policy: str = "first-block",
-    rng: np.random.Generator | None = None,
 ) -> tuple[int, ...]:
     """Align received blocks onto block 1 by undoing the Type-I permutations,
     then take a per-column majority vote: the alignment and vote of a
-    ``GrcDecoder`` Chase candidate, on one frame.
-
-    ``tie_policy`` is 'first-block' (deterministic: the earliest block among
-    the tied symbols wins) or 'random': each tied column, left to right,
-    draws ``rng.choice`` over its tied symbols in ascending order.
+    ``GrcDecoder`` Chase candidate, on one frame.  A tie goes to the earliest
+    block whose symbol is among the most frequent.
     """
     m = len(blocks)
     if len(perms) != m - 1:
         raise ValueError("need one permutation per retransmitted block")
-    if tie_policy not in ("first-block", "random"):
-        raise ValueError(f"unknown tie policy {tie_policy!r}")
-    if tie_policy == "random" and rng is None:
-        raise ValueError("tie policy 'random' needs an rng")
     symbols = np.array(blocks, dtype=np.int64)[None]
     if any(p.size != symbols.shape[2] for p in perms):
         raise ValueError("permutation size does not match block length")
     if ((symbols < 0) | (symbols >= field.q)).any():
         raise ValueError(f"symbol out of range for {field}")
-    voted, tops = _vote(_align(symbols, perms), field.q)
-    out = voted[0]
-    if tie_policy == "random":
-        for j in np.flatnonzero(tops[0].sum(axis=1) > 1):
-            out[j] = rng.choice(np.flatnonzero(tops[0, j]))
-    return tuple(int(x) for x in out)
+    return tuple(int(x) for x in _vote(_align(symbols, perms), field.q)[0])
 
 
 def _align(symbols: np.ndarray, perms: Sequence[Permutation]) -> np.ndarray:
@@ -493,15 +479,14 @@ def _align(symbols: np.ndarray, perms: Sequence[Permutation]) -> np.ndarray:
     return np.take_along_axis(symbols[:, : len(index)], index[None], axis=2)
 
 
-def _vote(aligned: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _vote(aligned: np.ndarray, q: int) -> np.ndarray:
     """Column-wise majority (F, n) of the aligned blocks (F, r, n) of every
-    frame, and the mask (F, n, q) of each column's most frequent symbols; a
-    column with more than one is a tie.  The majority breaks a tie by the
-    'first-block' policy: the earliest block whose symbol is among them."""
+    frame.  A column with more than one most frequent symbol is a tie, which
+    goes to the earliest block whose symbol is among them."""
     counts = (aligned[..., None] == np.arange(q)).sum(axis=1)  # (F, n, q)
     tops = counts == counts.max(axis=2, keepdims=True)
     first = np.take_along_axis(tops, aligned.transpose(0, 2, 1), axis=2).argmax(axis=2)
-    return np.take_along_axis(aligned, first[:, None, :], axis=1)[:, 0], tops
+    return np.take_along_axis(aligned, first[:, None, :], axis=1)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +614,7 @@ class GrcDecoder:
         ``symbols`` (F, m, n) and their packed words ``packed`` (F, m, W)."""
         if cand.kind == "chase":
             # blocks 1..r, aligned onto block 1 and voted, decode in block 1
-            voted, _ = _vote(_align(symbols, self.perms[: len(cand.blocks) - 1]), self.field.q)
+            voted = _vote(_align(symbols, self.perms[: len(cand.blocks) - 1]), self.field.q)
             return self._decode_block(0, voted)
         if cand.kind == "hamming" and len(cand.blocks) == 1:
             return self._decode_block(cand.blocks[0] - 1, symbols[:, cand.blocks[0] - 1])

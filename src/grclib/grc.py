@@ -221,12 +221,9 @@ def from_qc_generators(n: int, gens: Sequence[Poly]) -> GrcCode:
         variant = TypeI(tuple(shift ** -int(s) for s in shifts[1:].argmax(axis=1)))
     else:
         heads = [Matrix(field, k, k, gen.data[:, j * n : j * n + k]) for j in range(m)]
-        if all(head.is_invertible() for head in heads[1:]):
-            try:
-                inv = heads[0].inverse()
-                variant = TypeII(tuple(head @ inv for head in heads[1:]))
-            except ValueError:  # head 1 is singular
-                pass
+        if all(head.is_invertible() for head in heads):
+            inv = heads[0].inverse()
+            variant = TypeII(tuple(head @ inv for head in heads[1:]))
     return GrcCode(base, m, gen, variant, tuple(gens))
 
 
@@ -270,28 +267,15 @@ def distance_profile(grc: GrcCode, *, cap: int | None = None) -> DistanceProfile
     block_min, ham_min = kernels.subset_minima(
         grc.field, grc.gen.rows(), grc.m, cap=cap
     )
+    sbdh, shdh = kernels.hierarchies(block_min, ham_min)
     inf = np.iinfo(np.int64).max
-    m = grc.m
     per_subset = []
-    sbdh: list[int] = []
-    shdh: list[int] = []
-    best_block = [inf] * (m + 1)
-    best_ham = [inf] * (m + 1)
-    for t in range(1, 1 << m):
-        members = tuple(i + 1 for i in range(m) if t >> i & 1)
-        r = len(members)
-        b = int(block_min[t])
-        h = int(ham_min[t])
+    for t in range(1, 1 << grc.m):
+        members = tuple(i + 1 for i in range(grc.m) if t >> i & 1)
+        b, h = int(block_min[t]), int(ham_min[t])
         per_subset.append((members, None if b == inf else b, None if h == inf else h))
-        best_block[r] = min(best_block[r], b)
-        best_ham[r] = min(best_ham[r], h)
-    for r in range(1, m + 1):
-        if best_block[r] == inf:
-            raise ValueError(f"every size-{r} projection is zero; profile undefined")
-        sbdh.append(best_block[r])
-        shdh.append(best_ham[r])
     per_subset.sort(key=lambda rec: (len(rec[0]), rec[0]))
-    return DistanceProfile(m, tuple(sbdh), tuple(shdh), tuple(per_subset))
+    return DistanceProfile(grc.m, sbdh, shdh, tuple(per_subset))
 
 
 # ---------------------------------------------------------------------------

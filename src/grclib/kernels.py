@@ -68,6 +68,7 @@ __all__ = [
     "DEFAULT_CAP",
     "DimensionCapError",
     "subset_minima",
+    "hierarchies",
     "min_block_distance",
     "weight_histogram",
     "CodewordTable",
@@ -406,6 +407,22 @@ def subset_minima(
         if (block_min < block_floor).any() or (ham_min < ham_floor).any():
             break
     return block_min, ham_min
+
+
+def hierarchies(
+    block_min: np.ndarray, ham_min: np.ndarray
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(SBDH, SHDH) read off ``subset_minima``'s result: entry r - 1 of each
+    is the least minimum over the subsets of r blocks."""
+    size = np.array([bin(t).count("1") for t in range(len(block_min))])
+    sbdh, shdh = [], []
+    for r in range(1, size[-1] + 1):
+        b, h = int(block_min[size == r].min()), int(ham_min[size == r].min())
+        if b == _INF:
+            raise ValueError(f"every size-{r} projection is zero; profile undefined")
+        sbdh.append(b)
+        shdh.append(h)
+    return tuple(sbdh), tuple(shdh)
 
 
 def _fold_subsets(

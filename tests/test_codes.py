@@ -212,6 +212,14 @@ def test_kernels_match_oracle_across_chunks(code, data):
         table = kernels.build_table(field, rows, m)
     assert [None if b == inf else int(b) for b in block_min[1:]] == want_block[1:]
     assert [None if h == inf else int(h) for h in ham_min[1:]] == want_ham[1:]
+    # the hierarchies are the least minima over the subsets of each size
+    size = [bin(t).count("1") for t in range(1 << m)]
+    want = tuple(
+        tuple(min(w[t] for t in range(1, 1 << m) if size[t] == r and w[t] is not None)
+              for r in range(1, m + 1))
+        for w in (want_block, want_ham)
+    )
+    assert kernels.hierarchies(block_min, ham_min) == want
     # a floored sweep returns upper bounds, exact unless one is below its floor
     for got, want in zip(floored, exact):
         assert all(g >= w for g, w in zip(got.tolist(), want))
@@ -294,6 +302,12 @@ def test_weights_at_and_past_the_uint8_boundary():
         assert kernels.min_block_distance(field, [[1] * 300], 1) == 300
         hist = kernels.weight_histogram(field, [[1] * 300], 1)
         assert (hist[0], hist[300], hist.sum()) == (1, field.q - 1, field.q)
+
+
+def test_hierarchies_need_a_nonzero_projection_of_each_size():
+    inf = np.iinfo(np.int64).max
+    with pytest.raises(ValueError, match="every size-1 projection is zero"):
+        kernels.hierarchies(np.full(4, inf), np.full(4, inf))
 
 
 def test_concurrent_sweeps_share_no_state():

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grclib import codetable, kernels
+from grclib import grc as grc_module
 from grclib.codetable import (
     CodeTableEntry,
+    _divisors,
     _interpretations,
     hex_decode,
     hex_decode_candidates,
@@ -19,7 +22,7 @@ from grclib.codetable import (
 )
 from grclib.fields import field_create
 from grclib.grc import distance_profile, from_qc_generators
-from grclib.poly import Poly
+from grclib.poly import Poly, factor_xn_minus_1
 
 GF2 = field_create(2)
 
@@ -290,6 +293,32 @@ def test_search_rejects_flags_that_can_find_nothing(monkeypatch, n, k, budget, m
     monkeypatch.setattr(codetable, "factor_xn_minus_1", _no_factoring)
     with pytest.raises(ValueError, match=re.escape(match)):
         search_qc_type2(n, k, budget, seed=1, m=m)
+
+
+def _no_code(*args, **kwargs):
+    raise AssertionError("the search built a code")
+
+
+def test_search_sweeps_circulants_without_building_a_code(monkeypatch):
+    for name in ("from_qc_generators", "distance_profile"):
+        monkeypatch.setattr(codetable, name, _no_code)
+        monkeypatch.setattr(grc_module, name, _no_code)
+    cands = search_qc_type2(31, 10, 25, seed=9)
+    assert cands and all(len(c.sbdh) == 2 for c in cands)
+
+
+@pytest.mark.parametrize("q, n", [(2, 21), (2, 30), (2, 31), (3, 26)])
+def test_divisors_are_each_built_once(q, n):
+    field = field_create(q)
+    xn1 = Poly.xn_minus_1(field, n)
+    factors = factor_xn_minus_1(n, field)
+    for degree in range(n + 1):
+        divs = list(_divisors(factors, degree, (Poly.one(field),)))
+        # one divisor per exponent vector (e_i <= multiplicity) of that degree
+        vectors = itertools.product(*(range(mult + 1) for _, mult in factors))
+        count = sum(sum(e * f.degree for e, (f, _) in zip(v, factors)) == degree for v in vectors)
+        assert len(divs) == len({g.coeffs for g in divs}) == count
+        assert all(g.degree == degree and (xn1 % g).is_zero() for g in divs)
 
 
 def test_search_accepts_the_ends_of_its_ranges():

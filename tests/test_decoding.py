@@ -201,27 +201,7 @@ def test_chase_odd_m_majority():
 def test_chase_tie_policies():
     perms = [Permutation.identity(3)] * 3
     blocks = [(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0)]
-    first = chase_combine(blocks, perms, field=GF2, tie_policy="first-block")
-    assert first == (1, 0, 0)
-    rng = rng_for(5, 0, 0)
-    rnd = chase_combine(blocks, perms, field=GF2, tie_policy="random", rng=rng)
-    assert all(x in (0, 1) for x in rnd)
-    with pytest.raises(ValueError):
-        chase_combine(blocks, perms, field=GF2, tie_policy="random")
-    with pytest.raises(ValueError):
-        chase_combine(blocks, perms, field=GF2, tie_policy="bogus")
-
-
-def test_chase_random_ties_draw_in_column_order():
-    # GF(3): four three-way ties in the first call, three 2-2 ties in the
-    # second; each tied column draws once from the one rng
-    gf3 = field_create(3)
-    rng = np.random.default_rng(2024)
-    three = [(0, 1, 2, 0, 1), (1, 2, 0, 0, 2), (2, 0, 1, 0, 0)]
-    two = [(0, 1, 2, 1), (1, 0, 2, 1), (0, 1, 1, 2), (1, 0, 1, 0)]
-    kw = dict(field=gf3, tie_policy="random", rng=rng)
-    assert chase_combine(three, [Permutation.identity(5)] * 2, **kw) == (0, 2, 0, 0, 0)
-    assert chase_combine(two, [Permutation.identity(4)] * 3, **kw) == (0, 0, 2, 1)
+    assert chase_combine(blocks, perms, field=GF2) == (1, 0, 0)
 
 
 def test_chase_needs_matching_perm_count():

@@ -10,11 +10,19 @@ GF(3) the message digits have a nonzero rejection threshold, over GF(4) the
 symbol shifts do.  A GF(3) CRC with a non-monic generator pins the
 check digits and the accept test over an odd prime field.  A seed of five 32-bit words pins the seeding hash on a
 seed too long to be padded to the pool.
+
+``grc search`` output is pinned too: three CLI runs over GF(2), one at
+n = 30, where x^30 - 1 has repeated factors, and one with m = 3, and three
+GF(3) searches at the API, as (g, cofactors, sbdh, shdh) coefficient tuples.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from grclib import presets
+from grclib.cli import main
+from grclib.codetable import search_qc_type2
 from grclib.codes import LinearCode
 from grclib.decoding import AwgnBpskHard, Bsc, SimConfig, fer_simulate
 from grclib.fields import field_create
@@ -133,3 +141,86 @@ def test_long_seed_rows():
     cfg = SimConfig(grc=presets.golay_type1_shift(4), channel=AwgnBpskHard(-5.0), frames=100,
                     seed=LONG_SEED, max_depth=4, code_id="long-seed")
     assert fer_simulate(cfg).csv_rows() == LONG_SEED_ROWS
+
+
+SEARCH_ROWS = {
+    "--n 31 --k 6 --budget 60 --seed 7": [
+        "31,6,263CADD,1;31087,15|23,15|30",
+        "31,6,367A571,657;0F99F649,15|23,15|30",
+        "31,6,2ED4F19,9DE1;0ACAD,15|23,15|30",
+        "31,6,367A571,1;115CE21,15|23,15|30",
+        "31,6,32DEA27,1;5C1,15|23,15|30",
+        "31,6,32DEA27,A7;F29B1,15|23,15|30",
+        "31,6,367A571,057;1D202C7,15|23,15|30",
+        "31,6,3915ED3,0D1D;21CB3F3,15|23,15|30",
+        "31,6,263CADD,B;11EF5C77,15|23,15|30",
+        "31,6,2ED4F19,D27;1A363FDD,15|23,15|30",
+        "31,6,32DEA27,0B;182B3B,15|23,15|30",
+        "31,6,263CADD,31;15AF3,15|23,15|30",
+        "31,6,2ED4F19,25;A643,15|23,15|30",
+        "31,6,367A571,7;12DD549F,15|23,15|30",
+        "31,6,32DEA27,0B;622D,15|23,15|30",
+        "31,6,367A571,1;B3,15|23,15|30",
+        "31,6,23A979B,1;120637,15|23,15|30",
+        "31,6,263CADD,15;117,15|23,15|30",
+        "31,6,3915ED3,B;0C1,15|23,15|30",
+    ],
+    "--n 30 --k 12 --budget 80 --seed 4": [
+        "30,12,62F1F,2DD;345EBD,8|18,8|20",
+        "30,12,5BD6F,1E0B0F;0C99B7,8|16,8|22",
+    ],
+    "--n 15 --k 7 --m 3 --budget 60 --seed 9": [
+        "15,7,1D1,1;1A3;0717,5|8|11,5|10|15",
+    ],
+}
+
+# (n, k, budget, seed, m) -> the search's candidates over GF(3)
+GF3_SEARCHES = {
+    (13, 7, 80, 5, 2): [
+        ((1, 0, 2, 2, 2, 0, 1), ((0, 1, 1, 2), (1, 0, 2, 2, 1, 1)), (5, 9), (5, 14)),
+    ],
+    (13, 7, 60, 1, 3): [
+        ((1, 1, 2, 0, 2, 1, 1),
+         ((0, 0, 0, 1, 1), (1, 1, 0, 1, 2, 0, 2), (2, 1, 2, 2, 1, 2, 0, 0, 2, 1)),
+         (5, 8, 11), (5, 12, 20)),
+        ((1, 0, 2, 2, 2, 0, 1),
+         ((0, 1), (0, 2, 1, 0, 0, 1, 1), (2, 0, 0, 2, 0, 1, 1, 2, 1, 2, 1, 2)),
+         (5, 8, 11), (5, 12, 20)),
+        ((1, 1, 0, 0, 1, 0, 1),
+         ((1, 0, 1), (1, 2, 2, 1, 0, 2, 1, 2), (0, 1, 2, 2, 0, 0, 2, 1, 2, 1)),
+         (4, 9, 11), (4, 11, 18)),
+        ((1, 2, 2, 2, 1, 2, 1),
+         ((1,), (1, 0, 0, 1, 0, 2), (0, 2, 2, 0, 2, 0, 2)),
+         (4, 8, 11), (4, 11, 21)),
+        ((1, 2, 2, 2, 1, 2, 1),
+         ((0, 2, 2), (2, 1, 1, 2, 2, 1, 2, 1, 0, 0, 2), (2, 1, 1, 1, 2, 1, 1, 2, 2, 2, 1, 1)),
+         (4, 8, 11), (4, 11, 21)),
+        ((1, 1, 0, 0, 1, 0, 1),
+         ((0, 0, 2), (1, 1, 1, 0, 0, 2, 0, 2), (0, 0, 0, 1, 1, 1, 0, 0, 1)),
+         (4, 8, 11), (4, 11, 21)),
+        ((1, 0, 1, 0, 0, 1, 1),
+         ((0, 1, 0, 2, 1), (0, 0, 0, 0, 1, 1), (1, 2, 0, 2, 0, 0, 2, 0, 1, 2)),
+         (4, 8, 10), (4, 12, 21)),
+    ],
+    (26, 13, 16, 2, 2): [
+        ((1, 0, 1, 1, 0, 2, 2, 1, 0, 2, 2, 1, 2, 1),
+         ((2,), (1, 2, 2, 2, 0, 1, 1, 2, 2, 0, 1, 0, 0, 2, 2, 2)),
+         (8, 16), (8, 22)),
+    ],
+}
+
+
+@pytest.mark.parametrize("flags", list(SEARCH_ROWS), ids=["n31-k6", "n30-k12", "n15-k7-m3"])
+def test_search_rows(capsys, flags):
+    assert main(["search", *flags.split()]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["n,k,g_hex,cofactor_hexes,sbdh,shdh", *SEARCH_ROWS[flags]]
+
+
+@pytest.mark.parametrize("params", list(GF3_SEARCHES), ids=["n13-k7", "n13-k7-m3", "n26-k13"])
+def test_gf3_search_candidates(params):
+    n, k, budget, seed, m = params
+    cands = search_qc_type2(n, k, budget, seed, m=m, field=GF3)
+    got = [(c.g.coeffs, tuple(f.coeffs for f in c.cofactors), c.sbdh, c.shdh) for c in cands]
+    assert got == GF3_SEARCHES[params]
+    assert all(c.n == n for c in cands)
