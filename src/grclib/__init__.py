@@ -29,8 +29,6 @@ from .grc import (
     TypeI,
     TypeII,
     as_blocked,
-    check_cyclic_lower_bound,
-    check_qc_type2_bounds,
     degeneracy_and_regularity,
     distance_profile,
     from_qc_generators,
@@ -42,6 +40,8 @@ from .grc import (
 )
 from .bounds import (
     BoundReport,
+    check_cyclic_lower_bound,
+    check_qc_type2_bounds,
     classify_mds,
     griesmer_g,
     griesmer_gm,

@@ -11,6 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .grc import DistanceProfile, GrcCode, TypeI
+from .perms import Permutation
+from .poly import Poly, kappa, poly_gcd, poly_gcd_many
+
 __all__ = [
     "BoundReport",
     "griesmer_g",
@@ -27,6 +31,8 @@ __all__ = [
     "type1_upper_applicable",
     "shdh_tradeoff_upper",
     "levenshtein_min_channels",
+    "check_cyclic_lower_bound",
+    "check_qc_type2_bounds",
 ]
 
 
@@ -205,6 +211,87 @@ def qc_type1_sandwich(
         lo = min(lo, (ell - delta) * n)
         hi = min(hi, (ell - 1) * n)
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# lower bounds gated on cyclic structure
+
+
+def _meets(actual: tuple[int, ...], implied: tuple[int, ...]) -> str:
+    return "satisfied" if all(a >= b for a, b in zip(actual, implied)) else "violated"
+
+
+def check_cyclic_lower_bound(
+    grc: GrcCode, profile: DistanceProfile, *, cap: int | None = None
+) -> BoundReport:
+    """The lower bound sbdh_r >= g_q(r, d) on a cyclic base code with
+    generator g.  It is proved for A_j = sigma^j (j < m), or every
+    A_j = sigma^-j, with sigma the cyclic shift, and m <= kappa.  Block j is
+    then x^(+-j) c(x), so any r blocks combine to (sum_j lambda_j x^(+-j))
+    c(x).  That multiplier, times a unit power of x, has degree below
+    m <= kappa, so it shares no irreducible factor of degree >= 2 with
+    h = (x^n - 1)/g.  Other permutations, other powers of sigma too, and
+    m > kappa make the row not-applicable."""
+    g = grc.base.cyclic_gen
+    if g is None:
+        raise ValueError("base code is not cyclic")
+    n, m = grc.n, grc.m
+    kap = kappa(g, n)
+    shift = Permutation.cyclic_shift(n)
+    perms = grc.variant.perms if isinstance(grc.variant, TypeI) else None
+    d = grc.base.min_distance(cap=cap)
+    implied = tuple(griesmer_g(grc.field.q, r, d) for r in range(1, m + 1))
+    if not any(perms == tuple(shift ** (sign * j) for j in range(1, m)) for sign in (1, -1)):
+        verdict, note = "not-applicable", "not a cyclic-shift construction"
+    elif m > kap:
+        verdict, note = "not-applicable", f"m={m} exceeds kappa={kap}"
+    else:
+        verdict, note = _meets(profile.sbdh, implied), ""
+    return BoundReport.build(
+        "cyclic-kappa-lower",
+        {"n": n, "m": m, "kappa": kap, "d": d},
+        implied,
+        profile.sbdh,
+        verdict,
+        note,
+    )
+
+
+def check_qc_type2_bounds(
+    grc: GrcCode, profile: DistanceProfile, *, cap: int | None = None
+) -> BoundReport:
+    """The QC Type-II bounds sbdh_r >= g_q(r, d) and shdh_r >= r d on
+    (f_1 g, ..., f_m g), proved under three conditions: strictly increasing
+    cofactor degrees, every cofactor coprime to (x^n - 1)/g, and joint gcd
+    1.  The note names each condition that fails, and the row is then
+    not-applicable."""
+    if grc.qc is None:
+        raise ValueError("no quasi-cyclic generators attached to this code")
+    n, m = grc.n, grc.m
+    g = grc.base.cyclic_gen
+    xn1 = Poly.xn_minus_1(grc.field, n)
+    h = xn1 // g
+    cofs = [gi // g for gi in grc.qc]
+    conditions = (
+        (all(a.degree < b.degree for a, b in zip(cofs, cofs[1:])),
+         "cofactor degrees not strictly increasing"),
+        (all(not c.is_zero() and poly_gcd(c, h).degree == 0 for c in cofs),
+         "cofactor shares a factor with (x^n-1)/g"),
+        (poly_gcd_many(cofs + [xn1]).degree == 0, "joint gcd not 1"),
+    )
+    failed = [text for held, text in conditions if not held]
+    d = grc.base.min_distance(cap=cap)
+    sbdh = tuple(griesmer_g(grc.field.q, r, d) for r in range(1, m + 1))
+    shdh = tuple(r * d for r in range(1, m + 1))
+    verdict = "not-applicable" if failed else _meets(profile.sbdh + profile.shdh, sbdh + shdh)
+    return BoundReport.build(
+        "qc-type2-lower",
+        {"n": n, "m": m, "d": d},
+        (sbdh, shdh),
+        (profile.sbdh, profile.shdh),
+        verdict,
+        "; ".join(failed),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -112,12 +112,12 @@ def _nibbles_to_bits(nibbles: str) -> list[int]:
     return bits
 
 
-def hex_decode_candidates(nibbles: str, field: Field | None = None) -> list[tuple[int, Poly]]:
-    """All (pad, poly) readings: pad leading zeros stripped, pad in [0, 3].
+def hex_decode_candidates(nibbles: str) -> list[tuple[int, Poly]]:
+    """All binary (pad, poly) readings: pad leading zeros stripped, pad in [0, 3].
 
     Candidates are x-shifts of one another; larger pad means lower degree.
     """
-    field = field or field_create(2)
+    field = field_create(2)
     bits = _nibbles_to_bits(nibbles)
     out = []
     for pad in range(4):
@@ -250,8 +250,8 @@ def _interpretations(entry: CodeTableEntry, field: Field):
     if entry.n - entry.k >= 4 * max(len(entry.g1_hex), len(entry.g2_hex)):
         return
     xn1 = Poly.xn_minus_1(field, entry.n)
-    c1 = hex_decode_candidates(entry.g1_hex, field)
-    c2 = hex_decode_candidates(entry.g2_hex, field)
+    c1 = hex_decode_candidates(entry.g1_hex)
+    c2 = hex_decode_candidates(entry.g2_hex)
     alignments = list(_alignments(c1, c2))
     # the alignments differ by powers of x, a unit mod x^n - 1, so the
     # residues' zeros and their gcds with x^n - 1 are the first one's
@@ -469,13 +469,14 @@ def search_qc_type2(
     g_choices = sorted(divisors, key=lambda p: p.coeffs)
     if not g_choices:
         raise ValueError(f"no divisor of x^{n}-1 has degree {n - target_k}")
+    # the tries cycle through the divisors: each one tried is paired with h once
+    pairs = [(g, xn1 // g) for g in g_choices[:budget]]
 
     rng = random.Random(seed)
     pareto: list[SearchCandidate] = []
     tried = 0
     while tried < budget:
-        g = g_choices[tried % len(g_choices)]
-        h = xn1 // g
+        g, h = pairs[tried % len(pairs)]
         # strictly increasing degrees, each cofactor a unit mod h
         degs = sorted(rng.sample(range(n - 1), m))
         cofs = []

@@ -20,12 +20,13 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import kernels
-from .bounds import griesmer_g
 from .codes import LinearCode, _circulant_rows, _read_code_text
 from .fields import Field
 from .matrices import Matrix
 from .perms import Permutation
-from .poly import Poly, kappa, poly_gcd, poly_gcd_many
+from .poly import Poly, poly_gcd_many
+# not called here: the catalog benchmark's tracer patches this name in this module
+from .poly import poly_gcd  # noqa: F401
 
 if TYPE_CHECKING:
     from .decoding import GrcDecoder
@@ -46,10 +47,6 @@ __all__ = [
     "distance_profile",
     "degeneracy_and_regularity",
     "StructureReport",
-    "check_cyclic_lower_bound",
-    "CyclicLowerBoundReport",
-    "check_qc_type2_bounds",
-    "QcType2Report",
 ]
 
 
@@ -309,98 +306,6 @@ def degeneracy_and_regularity(grc: GrcCode) -> StructureReport:
     flat = [Matrix.identity(grc.field, size).flatten()] + [a.flatten() for a in mats]
     rank = Matrix.from_rows(grc.field, flat).rank()
     return StructureReport(regular=regular, non_degenerate=rank == len(flat))
-
-
-@dataclass(frozen=True)
-class CyclicLowerBoundReport:
-    """kappa-gate for the cyclic Type-I lower bound sbdh_r >= g_q(r, d)."""
-
-    n: int
-    m: int
-    kappa_value: float
-    shift_construction: bool
-    satisfied: bool
-    base_distance: int
-    implied_sbdh_lower: tuple[int, ...]
-
-
-def check_cyclic_lower_bound(grc: GrcCode, *, cap: int | None = None) -> CyclicLowerBoundReport:
-    """Gate of the lower bound sbdh_r >= g_q(r, d) on a cyclic base code
-    with generator g.  It is proved for A_j = sigma^j (j < m), or every
-    A_j = sigma^-j, with sigma the cyclic shift, and m <= kappa.  Block j is
-    then x^(+-j) c(x), so any r blocks combine to (sum_j lambda_j x^(+-j))
-    c(x).  That multiplier, times a unit power of x, has degree below
-    m <= kappa, so it shares no irreducible factor of degree >= 2 with
-    h = (x^n - 1)/g.  Other permutations, other powers of sigma too, leave
-    ``shift_construction`` false."""
-    g = grc.base.cyclic_gen
-    if g is None:
-        raise ValueError("base code is not cyclic")
-    kap = kappa(g, grc.n)
-    shift = Permutation.cyclic_shift(grc.n)
-    perms = grc.variant.perms if isinstance(grc.variant, TypeI) else None
-    shift_construction = any(
-        perms == tuple(shift ** (sign * j) for j in range(1, grc.m)) for sign in (1, -1)
-    )
-    d = grc.base.min_distance(cap=cap)
-    q = grc.field.q
-    implied = tuple(griesmer_g(q, r, d) for r in range(1, grc.m + 1))
-    return CyclicLowerBoundReport(
-        n=grc.n,
-        m=grc.m,
-        kappa_value=kap,
-        shift_construction=shift_construction,
-        satisfied=shift_construction and grc.m <= kap,
-        base_distance=d,
-        implied_sbdh_lower=implied,
-    )
-
-
-@dataclass(frozen=True)
-class QcType2Report:
-    """Preconditions and implied bounds for single-row QC Type-II codes."""
-
-    n: int
-    g: Poly
-    cofactors: tuple[Poly, ...]
-    degrees_increasing: bool
-    cofactor_coprime: tuple[bool, ...]
-    joint_gcd_one: bool
-    satisfied: bool
-    base_distance: int
-    implied_sbdh_lower: tuple[int, ...]
-    implied_shdh_lower: tuple[int, ...]
-
-
-def check_qc_type2_bounds(grc: GrcCode, *, cap: int | None = None) -> QcType2Report:
-    """Check the QC Type-II sufficient conditions on (f_1 g, ..., f_m g):
-    strictly increasing cofactor degrees and every cofactor coprime to
-    (x^n - 1)/g; when they hold, sbdh_r >= g_q(r, d) and shdh_r >= r d."""
-    if grc.qc is None:
-        raise ValueError("no quasi-cyclic generators attached to this code")
-    g = grc.base.cyclic_gen
-    xn1 = Poly.xn_minus_1(grc.field, grc.n)
-    h = xn1 // g
-    cofs = tuple(gi // g for gi in grc.qc)
-    degrees_increasing = all(a.degree < b.degree for a, b in zip(cofs, cofs[1:]))
-    coprime = tuple(not c.is_zero() and poly_gcd(c, h).degree == 0 for c in cofs)
-    joint = poly_gcd_many(list(cofs) + [xn1]).degree == 0
-    d = grc.base.min_distance(cap=cap)
-    q = grc.field.q
-    implied_sbdh = tuple(griesmer_g(q, r, d) for r in range(1, grc.m + 1))
-    implied_shdh = tuple(r * d for r in range(1, grc.m + 1))
-    return QcType2Report(
-        n=grc.n,
-        g=g,
-        cofactors=cofs,
-        degrees_increasing=degrees_increasing,
-        cofactor_coprime=coprime,
-        joint_gcd_one=joint,
-        satisfied=degrees_increasing and all(coprime) and joint,
-        base_distance=d,
-        implied_sbdh_lower=implied_sbdh,
-        implied_shdh_lower=implied_shdh,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from .bounds import (
     BoundReport,
+    check_cyclic_lower_bound,
+    check_qc_type2_bounds,
     classify_mds,
     griesmer_gm,
     levenshtein_min_channels,
@@ -25,8 +27,6 @@ from .grc import (
     DistanceProfile,
     GrcCode,
     TypeI,
-    check_cyclic_lower_bound,
-    check_qc_type2_bounds,
     degeneracy_and_regularity,
 )
 
@@ -36,6 +36,17 @@ __all__ = ["bound_suite", "demo_notes"]
 def bound_suite(
     grc: GrcCode, profile: DistanceProfile, *, cap: int | None = None
 ) -> list[BoundReport]:
+    """Every bound that applies to ``grc``, checked against ``profile``, as
+    rows in this order:
+
+    - for each r = 1..m, ``singleton-block``, then ``griesmer-block`` when
+      k >= r;
+    - for a Type-I or Type-II code, ``type1-upper`` for each r, then
+      ``shdh-tradeoff-upper`` for a non-degenerate Type-II code;
+    - ``cyclic-kappa-lower`` for a Type-I code on a cyclic base code;
+    - ``qc-type2-lower`` for a quasi-cyclic code not tagged Type-I.
+
+    ``cap`` bounds the enumeration of the base code's minimum distance."""
     q = grc.field.q
     n, k, m = grc.n, grc.dim, grc.m
     reports: list[BoundReport] = []
@@ -106,50 +117,9 @@ def bound_suite(
             )
 
     if is_type1 and grc.base.cyclic_gen is not None:
-        rep = check_cyclic_lower_bound(grc, cap=cap)
-        if not rep.shift_construction:
-            verdict, note = "not-applicable", "not a cyclic-shift construction"
-        elif not rep.satisfied:
-            verdict, note = "not-applicable", f"m={m} exceeds kappa={rep.kappa_value}"
-        else:
-            ok = all(a >= b for a, b in zip(profile.sbdh, rep.implied_sbdh_lower))
-            verdict, note = ("satisfied" if ok else "violated"), ""
-        reports.append(
-            BoundReport.build(
-                "cyclic-kappa-lower",
-                {"n": n, "m": m, "kappa": rep.kappa_value, "d": rep.base_distance},
-                rep.implied_sbdh_lower,
-                profile.sbdh,
-                verdict,
-                note,
-            )
-        )
-
+        reports.append(check_cyclic_lower_bound(grc, profile, cap=cap))
     if grc.qc is not None and not is_type1:
-        rep = check_qc_type2_bounds(grc, cap=cap)
-        if rep.satisfied:
-            implied = rep.implied_sbdh_lower + rep.implied_shdh_lower
-            ok = all(a >= b for a, b in zip(profile.sbdh + profile.shdh, implied))
-            verdict, note = ("satisfied" if ok else "violated"), ""
-        else:
-            conds = []
-            if not rep.degrees_increasing:
-                conds.append("cofactor degrees not strictly increasing")
-            if not all(rep.cofactor_coprime):
-                conds.append("cofactor shares a factor with (x^n-1)/g")
-            if not rep.joint_gcd_one:
-                conds.append("joint gcd not 1")
-            verdict, note = "not-applicable", "; ".join(conds)
-        reports.append(
-            BoundReport.build(
-                "qc-type2-lower",
-                {"n": n, "m": m, "d": rep.base_distance},
-                (rep.implied_sbdh_lower, rep.implied_shdh_lower),
-                (profile.sbdh, profile.shdh),
-                verdict,
-                note,
-            )
-        )
+        reports.append(check_qc_type2_bounds(grc, profile, cap=cap))
     return reports
 
 

@@ -14,6 +14,8 @@ import time
 import pytest
 
 from grclib.bounds import (
+    check_cyclic_lower_bound,
+    check_qc_type2_bounds,
     classify_mds,
     griesmer_g,
     is_fractional_mds,
@@ -35,8 +37,6 @@ from grclib.fields import field_create
 from grclib.geometry import expand_projective, solomon_stiffler
 from grclib.grc import (
     as_blocked,
-    check_cyclic_lower_bound,
-    check_qc_type2_bounds,
     distance_profile,
     from_qc_generators,
     type1_regular,
@@ -253,11 +253,13 @@ def test_criterion_06_bound_suite(
     # kappa-gated cyclic lower bound (Type-I from cyclic bases)
     for label in ("golay-m11", "ternary-m5", "simplex-m4"):
         grc, prof = profiles[label]
-        rep = check_cyclic_lower_bound(grc)
-        if not rep.satisfied:
-            problems.append(f"{label}: kappa precondition unexpectedly violated")
-        for r in range(1, grc.m + 1):
-            if prof.sbdh[r - 1] < rep.implied_sbdh_lower[r - 1]:
+        row = check_cyclic_lower_bound(grc, prof)
+        if row.verdict == "not-applicable":
+            problems.append(f"{label}: kappa precondition unexpectedly violated ({row.note})")
+        elif row.verdict != "satisfied":
+            problems.append(f"{label}: cyclic lower bound row reads {row.verdict}")
+        for r, (lo, d_r) in enumerate(zip(row.bound, row.actual), start=1):
+            if d_r < lo:
                 problems.append(f"{label}: cyclic lower bound fails at r={r}")
 
     # Type-I regular upper bound
@@ -281,15 +283,16 @@ def test_criterion_06_bound_suite(
     g = Poly.parse(GF2, presets.GOLAY_GEN)
     gens = [g, Poly.parse(GF2, "x^3+x+1") * g]
     qc9 = from_qc_generators(23, gens)
-    rep9 = check_qc_type2_bounds(qc9)
     prof9 = distance_profile(qc9)
-    if not rep9.satisfied:
-        problems.append("qc type2 preconditions unexpectedly violated")
-    for r in (1, 2):
-        if prof9.sbdh[r - 1] < rep9.implied_sbdh_lower[r - 1]:
-            problems.append(f"qc type2 sbdh bound fails at r={r}")
-        if prof9.shdh[r - 1] < rep9.implied_shdh_lower[r - 1]:
-            problems.append(f"qc type2 shdh bound fails at r={r}")
+    row9 = check_qc_type2_bounds(qc9, prof9)
+    if row9.verdict == "not-applicable":
+        problems.append(f"qc type2 preconditions unexpectedly violated ({row9.note})")
+    elif row9.verdict != "satisfied":
+        problems.append(f"qc type2 row reads {row9.verdict}")
+    for kind, implied, actual in zip(("sbdh", "shdh"), row9.bound, row9.actual):
+        for r, (lo, d_r) in enumerate(zip(implied, actual), start=1):
+            if d_r < lo:
+                problems.append(f"qc type2 {kind} bound fails at r={r}")
 
     # the GF(11) code beats the Type-I-only upper bound at r in {2, 3}
     rs = gf11_rs_profile

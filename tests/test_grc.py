@@ -1,15 +1,16 @@
+import dataclasses
 import random
 from itertools import product
 
 import pytest
 
+from grclib import cli
+from grclib.bounds import check_cyclic_lower_bound, check_qc_type2_bounds
 from grclib.codes import LinearCode
 from grclib.codetable import _interpretations, load_table
 from grclib.fields import field_create
 from grclib.grc import (
     as_blocked,
-    check_cyclic_lower_bound,
-    check_qc_type2_bounds,
     degeneracy_and_regularity,
     distance_profile,
     from_qc_generators,
@@ -370,33 +371,34 @@ def test_structure_requires_variant():
 
 
 # ---------------------------------------------------------------------------
-# precondition reports
+# cyclic-structure bound rows
+
+
+def _cyclic_row(grc):
+    return check_cyclic_lower_bound(grc, distance_profile(grc))
 
 
 def test_cyclic_lower_bound_golay_m11(golay):
-    grc = type1_regular(golay, Permutation.cyclic_shift(23), 11)
-    rep = check_cyclic_lower_bound(grc)
-    assert rep.satisfied
-    assert rep.kappa_value == 11
-    assert rep.base_distance == 7
-    assert rep.implied_sbdh_lower[:4] == (7, 11, 13, 14)
+    row = _cyclic_row(type1_regular(golay, Permutation.cyclic_shift(23), 11))
+    assert dict(row.inputs) == {"n": 23, "m": 11, "kappa": 11, "d": 7}
+    assert row.bound[:4] == (7, 11, 13, 14)
+    assert (row.verdict, row.note) == ("satisfied", "")
 
 
 def test_cyclic_lower_bound_violated_for_hamming_m6():
     simplex_gen = Poly.parse(GF2, presets.SIMPLEX_15_4_GEN)
     h = Poly.xn_minus_1(GF2, 15) // simplex_gen
     hamming = LinearCode.cyclic(GF2, 15, h)
-    grc = type1_regular(hamming, Permutation.cyclic_shift(15), 6)
-    rep = check_cyclic_lower_bound(grc)
-    assert rep.kappa_value == 2
-    assert not rep.satisfied
+    row = _cyclic_row(type1_regular(hamming, Permutation.cyclic_shift(15), 6))
+    assert dict(row.inputs)["kappa"] == 2
+    assert (row.verdict, row.note) == ("not-applicable", "m=6 exceeds kappa=2")
 
 
 def test_cyclic_lower_bound_needs_a_cyclic_base():
     code = LinearCode.from_rows(GF2, [[1, 1, 0]])
     grc = type1_regular(code, Permutation.identity(3), 2)
     with pytest.raises(ValueError, match="not cyclic"):
-        check_cyclic_lower_bound(grc)
+        _cyclic_row(grc)
 
 
 def test_cyclic_lower_bound_only_for_shift_powers(golay):
@@ -404,13 +406,13 @@ def test_cyclic_lower_bound_only_for_shift_powers(golay):
     shift, ident = Permutation.cyclic_shift(23), Permutation.identity(23)
     outside = (type1(golay, [ident, ident, ident]), type1(golay, [shift, shift]))
     for grc in outside:
-        rep = check_cyclic_lower_bound(grc)
-        assert not rep.shift_construction and not rep.satisfied
+        row = _cyclic_row(grc)
+        assert (row.verdict, row.note) == ("not-applicable", "not a cyclic-shift construction")
     inside = (presets.golay_type1_shift(4), type1_regular(golay, shift, 11),
               type1_regular(golay, shift, 1))
     for grc in inside:
-        rep = check_cyclic_lower_bound(grc)
-        assert rep.shift_construction and rep.satisfied
+        row = _cyclic_row(grc)
+        assert (row.verdict, row.note) == ("satisfied", "")
 
 
 def test_qc_type2_conditions_gf11():
@@ -421,13 +423,13 @@ def test_qc_type2_conditions_gf11():
         Poly.parse(gf11, "10x^6+5x^5+7x^4+7x^2+9x+2"),
         Poly.parse(gf11, "9x^6+4x^5+7x^4+6x^2+6"),
     ]
-    rep = check_qc_type2_bounds(from_qc_generators(10, [f * g for f in fs]))
-    assert all(rep.cofactor_coprime)
-    assert rep.joint_gcd_one
-    # all three cofactors have degree 6: the degree condition fails honestly
-    assert not rep.degrees_increasing
-    assert rep.base_distance == 5
-    assert rep.implied_shdh_lower == (5, 10, 15)
+    grc = from_qc_generators(10, [f * g for f in fs])
+    row = check_qc_type2_bounds(grc, distance_profile(grc))
+    # all three cofactors have degree 6: the degree condition fails honestly,
+    # and it is the only one the note names
+    assert (row.verdict, row.note) == ("not-applicable", "cofactor degrees not strictly increasing")
+    assert dict(row.inputs)["d"] == 5
+    assert row.bound[1] == (5, 10, 15)
 
 
 def test_qc_type2_conditions_satisfied_case():
@@ -435,16 +437,51 @@ def test_qc_type2_conditions_satisfied_case():
     f1 = Poly.one(GF2)
     f2 = Poly.parse(GF2, "x^3+x+1")
     grc = from_qc_generators(23, [f1 * g, f2 * g])
-    rep = check_qc_type2_bounds(grc)
-    assert rep.satisfied
     prof = distance_profile(grc)
-    assert all(a >= b for a, b in zip(prof.sbdh, rep.implied_sbdh_lower))
-    assert all(a >= b for a, b in zip(prof.shdh, rep.implied_shdh_lower))
+    row = check_qc_type2_bounds(grc, prof)
+    assert (row.verdict, row.note) == ("satisfied", "")
+    assert row.actual == (prof.sbdh, prof.shdh)
 
 
 def test_qc_type2_check_needs_qc_generators():
+    grc = presets.golay_classical_repetition(2)
     with pytest.raises(ValueError, match="quasi-cyclic"):
-        check_qc_type2_bounds(presets.golay_classical_repetition(2))
+        check_qc_type2_bounds(grc, distance_profile(grc))
+
+
+def _lowered(prof, i, value):
+    """``prof`` with entry i of its SBDH + SHDH set to ``value``."""
+    values = list(prof.sbdh + prof.shdh)
+    values[i] = value
+    return dataclasses.replace(prof, sbdh=tuple(values[:prof.m]), shdh=tuple(values[prof.m:]))
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "qc-sbdh", "qc-shdh"])
+def test_cyclic_structure_rows_read_violated(kind, tmp_path, monkeypatch, capsys):
+    """A profile below an implied bound reads ``violated``: in the row the
+    check builds, in the row ``bound_suite`` carries, and so in ``grc bounds``,
+    which exits 2."""
+    if kind == "cyclic":
+        grc, check, name = presets.golay_type1_shift(4), check_cyclic_lower_bound, "cyclic-kappa-lower"
+    else:
+        g = Poly.parse(GF2, presets.GOLAY_GEN)
+        grc = from_qc_generators(23, [g, Poly.parse(GF2, "x^3+x+1") * g])
+        check, name = check_qc_type2_bounds, "qc-type2-lower"
+    prof = distance_profile(grc)
+    row = check(grc, prof)
+    assert row.verdict == "satisfied"
+    implied = row.bound if kind == "cyclic" else row.bound[0] + row.bound[1]
+    # SBDH or SHDH at r = 2, one below its implied bound
+    i = grc.m + 1 if kind == "qc-shdh" else 1
+    low = _lowered(prof, i, implied[i] - 1)
+    assert check(grc, low).verdict == "violated"
+    assert [r.verdict for r in bound_suite(grc, low) if r.name == name] == ["violated"]
+    path = tmp_path / "code.grc"
+    path.write_text(grc_to_text(grc))
+    monkeypatch.setattr(cli, "distance_profile", lambda code, cap=None: low)
+    assert cli.main(["bounds", "--code", str(path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert [ln.split(",")[-2] for ln in out if ln.startswith(name + ",")] == ["violated"]
 
 
 # ---------------------------------------------------------------------------

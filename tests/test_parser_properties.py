@@ -1,8 +1,9 @@
 """Malformed input never ends in a traceback: every command that reads a
 file gets valid GRC files, plain code files, simulate configs and catalog
-CSVs, and mutations of them, and ``construct`` and ``search`` get valid and
-bad values of their flags; each must return one of the documented exit
-codes (0 ok, 1 usage or input error, 2 mismatch, 3 cap exceeded).
+CSVs, and mutations of them, and ``construct``, ``search``, ``verify-table``
+and ``demo-example1`` get valid and bad values of their flags; each must
+return one of the documented exit codes (0 ok, 1 usage or input error, 2
+mismatch, 3 cap exceeded).
 Polynomial exponents, in flags and in a config's CRC, take the huge values
 too."""
 
@@ -193,4 +194,46 @@ SEARCH_VALUES = {
 @given(flags=mutated_flags([SEARCH], SEARCH_VALUES))
 def test_malformed_search_flags_end_in_an_exit_code(capsys, flags):
     _check_exit_code(["search", *flags])
+    capsys.readouterr()
+
+
+# ``verify-table`` flags on the two-row CATALOG: at most two rows, so a huge
+# --threads starts at most two threads
+VERIFY = {"--rows": "1,2", "--cap": "8", "--threads": "1"}
+VERIFY_VALUES = {
+    "--rows": st.sampled_from(["1", "2", "1,2", "3", "1,,2", "x", ",", "2**70", str(2**70)]),
+    "--cap": st.sampled_from(["8", "0", "-1", "x", *HUGE]),
+    "--threads": st.sampled_from(["1", "2", "0", "-1", "x", "1.5", *HUGE]),
+}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=mutated_flags([VERIFY], VERIFY_VALUES))
+def test_malformed_verify_table_flags_end_in_an_exit_code(tmp_path, capsys, flags):
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text(CATALOG)
+    _check_exit_code(["verify-table", "--file", str(catalog), *flags])
+    capsys.readouterr()
+
+
+# ``demo-example1`` flags, each passed as --flag=value so that a value such
+# as -inf reaches the flag's own check; --frames takes only the valid values
+# 1 and 2 and bad ones, never a long run, so a huge --threads starts at most
+# two threads
+DEMO = {"--threads": "1", "--snr-db": "-5", "--seed": "1"}
+DEMO_VALUES = {
+    "--threads": st.sampled_from(["1", "2", "0", "-1", "x", *HUGE]),
+    "--snr-db": st.sampled_from(["-5", "0", "3.5", "-40", "nan", "inf", "-inf", "x"]),
+    "--seed": st.sampled_from(["0", "1", "-1", str(2**70), "x"]),
+}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=mutated_flags([DEMO], DEMO_VALUES),
+       frames=st.sampled_from(["1", "2", "0", "-1", "x", "1.5", "nan"]))
+def test_malformed_demo_flags_end_in_an_exit_code(capsys, flags, frames):
+    pairs = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+    _check_exit_code(["demo-example1", f"--frames={frames}", *pairs])
     capsys.readouterr()
