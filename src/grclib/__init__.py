@@ -1,7 +1,7 @@
 """Generalized repetition codes: constructions, exact distance hierarchies,
 bounds, code-table verification, and HARQ decoding simulation."""
 
-from .fields import Field, FieldElement, field_create
+from .fields import Field, field_create
 from .poly import (
     Poly,
     companion_matrix,
@@ -15,8 +15,6 @@ from .matrices import Matrix
 from .perms import Permutation
 from .codes import (
     Block,
-    BlockView,
-    Hamming,
     LinearCode,
     WeightDistribution,
     block_weight,
@@ -57,7 +55,6 @@ from .bounds import (
     type1_upper,
 )
 from .geometry import (
-    ProjectivePointSet,
     expand_projective,
     pg_points,
     simplex_code,
@@ -89,12 +86,12 @@ from .codetable import (
 
 __all__ = [
     # algebra
-    "Field", "FieldElement", "field_create",
+    "Field", "field_create",
     "Poly", "poly_gcd", "poly_mul_mod", "factor_xn_minus_1", "kappa",
     "companion_matrix", "is_irreducible",
     "Matrix", "Permutation",
     # codes
-    "Block", "BlockView", "Hamming", "LinearCode", "WeightDistribution",
+    "Block", "LinearCode", "WeightDistribution",
     "block_weight", "hamming_weight", "DEFAULT_CAP", "DimensionCapError",
     # repetition codes
     "GrcCode", "TypeI", "TypeII", "DistanceProfile",
@@ -107,7 +104,7 @@ __all__ = [
     "singleton_block", "singleton_bsymbol", "classify_mds", "is_fractional_mds",
     "type1_length_refinement", "type1_upper", "shdh_tradeoff_upper",
     "qc_type1_sandwich", "levenshtein_min_channels",
-    "ProjectivePointSet", "pg_points", "simplex_code", "expand_projective",
+    "pg_points", "simplex_code", "expand_projective",
     "solomon_stiffler",
     # decoding and simulation
     "Bsc", "AwgnBpskHard", "GenieVerifier", "CrcVerifier", "transmit",

@@ -23,9 +23,7 @@ from .perms import Permutation
 from .poly import Poly, poly_gcd_many
 
 __all__ = [
-    "Hamming",
     "Block",
-    "BlockView",
     "WeightDistribution",
     "LinearCode",
     "hamming_weight",
@@ -34,29 +32,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Hamming:
-    """Hamming metric marker."""
-
-
-@dataclass(frozen=True)
 class Block:
-    """Block metric with m blocks; Block(1) coincides with Hamming."""
+    """Block metric with m blocks; Block(1) is the Hamming metric."""
 
     m: int
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("block count must be >= 1")
-
-
-Metric = Hamming | Block
-
-
-def _metric_blocks(metric: Metric, length: int) -> int:
-    m = 1 if isinstance(metric, Hamming) else metric.m
-    if length % m:
-        raise ValueError(f"length {length} not divisible by block count {m}")
-    return m
 
 
 def hamming_weight(v: Sequence[int]) -> int:
@@ -69,34 +52,6 @@ def block_weight(v: Sequence[int], m: int) -> int:
         raise ValueError(f"length {len(v)} not divisible by block count {m}")
     n = len(v) // m
     return sum(1 for j in range(n) if any(v[i * n + j] for i in range(m)))
-
-
-@dataclass(frozen=True)
-class BlockView:
-    """m x n array view of a length-mn vector (blocks are the rows)."""
-
-    vector: tuple[int, ...]
-    m: int
-
-    def __post_init__(self) -> None:
-        if len(self.vector) % self.m:
-            raise ValueError("vector length not divisible by block count")
-
-    @property
-    def n(self) -> int:
-        return len(self.vector) // self.m
-
-    def block(self, i: int) -> tuple[int, ...]:
-        return self.vector[i * self.n : (i + 1) * self.n]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.vector[i * self.n + j] for i in range(self.m))
-
-    def rows(self) -> list[tuple[int, ...]]:
-        return [self.block(i) for i in range(self.m)]
-
-    def weight(self) -> int:
-        return block_weight(self.vector, self.m)
 
 
 @dataclass(frozen=True)
@@ -206,15 +161,13 @@ class LinearCode:
 
     # -- distances --------------------------------------------------------------
 
-    def min_distance(self, metric: Metric = Hamming(), *, cap: int | None = None) -> int:
-        m = _metric_blocks(metric, self.n)
-        return kernels.min_block_distance(self.field, self.gen.rows(), m, cap=cap)
+    def min_distance(self, metric: Block = Block(1), *, cap: int | None = None) -> int:
+        return kernels.min_block_distance(self.field, self.gen.rows(), metric.m, cap=cap)
 
     def weight_distribution(
-        self, metric: Metric = Hamming(), *, cap: int | None = None
+        self, metric: Block = Block(1), *, cap: int | None = None
     ) -> WeightDistribution:
-        m = _metric_blocks(metric, self.n)
-        arr = kernels.weight_histogram(self.field, self.gen.rows(), m, cap=cap)
+        arr = kernels.weight_histogram(self.field, self.gen.rows(), metric.m, cap=cap)
         return WeightDistribution.from_array(arr)
 
     # -- derived codes ------------------------------------------------------------

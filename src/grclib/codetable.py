@@ -63,8 +63,6 @@ class CodeTableEntry:
     d2: int
     ud2: int
 
-    m: int = 2
-
 
 def load_table(path: str | None = None) -> list[CodeTableEntry]:
     """Load the bundled table (or a CSV file with the same columns)."""

@@ -54,7 +54,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import kernels
-from .codes import Hamming, LinearCode, Metric, _metric_blocks
+from .codes import Block, LinearCode
 from .fields import Field
 from .grc import GrcCode, TypeI, TypeII
 from .matrices import Matrix
@@ -424,17 +424,18 @@ class DecodeResult:
 def md_decode(
     code: LinearCode,
     received: Sequence[int],
-    metric: Metric = Hamming(),
+    metric: Block = Block(1),
     *,
     cap: int | None = None,
 ) -> DecodeResult:
-    """Exhaustive nearest-codeword decoding in the given metric."""
+    """Exhaustive nearest-codeword decoding in the block metric ``metric``;
+    Block(1), the default, is the Hamming metric."""
     if len(received) != code.n:
         raise ValueError("received length does not match code length")
-    m = _metric_blocks(metric, code.n)
+    m = metric.m
     table = kernels.build_table(code.field, code.gen.rows(), m, cap=cap)
     words = kernels.pack_rows(code.field, [received], m)
-    index, dist = kernels.nearest(table, words, range(m), not isinstance(metric, Hamming))
+    index, dist = kernels.nearest(table, words, range(m), union=True)
     message = _message(code.field.q, index[0], code.k)
     return DecodeResult(message, code.encode(message), int(dist[0]))
 

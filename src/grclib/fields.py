@@ -6,20 +6,18 @@ vector of the residue polynomial in base p::
 
     a  <->  a0 + a1*x + ... + a_{e-1}*x^(e-1),   a = a0 + a1*p + ... + a_{e-1}*p^(e-1)
 
-Keeping elements as ints makes the enumeration kernels cheap; the
-:class:`FieldElement` wrapper provides operator syntax on top.  The
+Keeping elements as ints makes the enumeration kernels cheap.  The
 arithmetic methods also take int64 numpy arrays of such ints and work
 elementwise: that is how matrices and :meth:`Field.tables` use them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Field", "FieldElement", "field_create", "is_prime"]
+__all__ = ["Field", "field_create", "is_prime"]
 
 # Fields up to this order get dense numpy add/mul tables (used by kernels).
 _TABLE_LIMIT = 4096
@@ -125,9 +123,6 @@ class Field:
             a = a * self.p + (int(c) % self.p)
         return a
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, self._canon(value))
-
     def _canon(self, a: int) -> int:
         if self.e == 1:
             return int(a) % self.p
@@ -198,9 +193,6 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
@@ -233,52 +225,6 @@ class Field:
             self._add_table = add
             self._mul_table = mul
         return self._add_table, self._mul_table
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Element wrapper with operator syntax; equality is representational."""
-
-    field: Field
-    value: int
-
-    def _coerce(self, other: "FieldElement | int") -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("field mismatch")
-            return other.value
-        return self.field._canon(other)
-
-    def __add__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    def __truediv__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, n: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.value, n))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    @property
-    def vector(self) -> tuple[int, ...]:
-        return self.field.vector(self.value)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value}@{self.field!r}"
 
 
 _FIELD_CACHE: dict[tuple, Field] = {}

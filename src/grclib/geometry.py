@@ -10,7 +10,6 @@ makes the expansion useful as an exact cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
@@ -21,7 +20,6 @@ from .grc import GrcCode
 from .matrices import Matrix
 
 __all__ = [
-    "ProjectivePointSet",
     "pg_points",
     "simplex_code",
     "expand_projective",
@@ -29,17 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProjectivePointSet:
-    field: Field
-    k: int
-    points: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def pg_points(field: Field, k: int) -> ProjectivePointSet:
+def pg_points(field: Field, k: int) -> tuple[tuple[int, ...], ...]:
     """All N_k points of PG(k-1, q), normalized, in lexicographic order."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -50,12 +38,12 @@ def pg_points(field: Field, k: int) -> ProjectivePointSet:
             pts.append((0,) * lead + (1,) + tail)
     pts.sort()
     assert len(pts) == n_points(field.q, k)
-    return ProjectivePointSet(field, k, tuple(pts))
+    return tuple(pts)
 
 
 def simplex_code(field: Field, k: int) -> LinearCode:
     """[N_k, k, q^(k-1)] Simplex code whose columns are all projective points."""
-    pts = pg_points(field, k).points
+    pts = pg_points(field, k)
     rows = [[p[i] for p in pts] for i in range(k)]
     return LinearCode.from_rows(field, rows)
 
@@ -63,7 +51,7 @@ def simplex_code(field: Field, k: int) -> LinearCode:
 def _expansion_points(field: Field, m: int) -> list[tuple[int, ...]]:
     """Points of PG(m-1, q) with the m standard-basis points first."""
     basis = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
-    rest = [p for p in pg_points(field, m).points if p not in set(basis)]
+    rest = [p for p in pg_points(field, m) if p not in set(basis)]
     return basis + rest
 
 
@@ -126,7 +114,7 @@ def solomon_stiffler(
     if sum(ks[: min(s + 1, len(ks))]) > s * k:
         raise ValueError("subspace dimensions exceed s*k")
 
-    pts = pg_points(field, k).points
+    pts = pg_points(field, k)
     counts = {p: s for p in pts}
     for ki in ks:
         for p in pts:

@@ -222,8 +222,8 @@ def build_table(
     """The codewords of ``rows``, read as m blocks, in chunks of at most
     ``_CHUNK_BUDGET`` mask words: the low rows are the first lo, with
     q^lo <= max(q, codewords per chunk)."""
-    check_cap(field.q, len(rows), cap)
     packed = pack_rows(field, rows, m)
+    check_cap(field.q, len(rows), cap)
     k, _, width = packed.shape
     words = width if field.q == 2 else (width + 7) // 8  # mask words per block
     lo = 1

@@ -183,10 +183,7 @@ class Poly:
         dd = other.degree
         inv_lead = f.inv(other.coeffs[-1])
         quo = [0] * max(0, len(rem) - dd)
-        while len(rem) - 1 >= dd and rem:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
+        while len(rem) - 1 >= dd:
             shift = len(rem) - 1 - dd
             factor = f.mul(rem[-1], inv_lead)
             quo[shift] = factor

@@ -113,6 +113,18 @@ def test_refinement_adds_m_minus_1_when_s_1():
     assert rep.bound == griesmer_gm(2, 2, 12, 7) + 1
 
 
+@pytest.mark.parametrize(
+    "d_m, bound, verdict",
+    [(3, 12, "satisfied"), (4, griesmer_gm(2, 2, 3, 4) + 1, "violated")],
+)
+def test_refinement_adds_1_when_s_equals_m(d_m, bound, verdict):
+    # q=2, n=4, m=2, k=3: s = ceil(d_m/2) = 2 = m and m n* = 8 > N_3 = 7
+    rep = type1_length_refinement(2, 4, 2, 3, d_m)
+    assert dict(rep.inputs)["s"] == 2
+    assert (rep.bound, rep.actual, rep.verdict) == (bound, 12, verdict)
+    assert rep.note.startswith("case s=m:")
+
+
 def test_refinement_outside_cases():
     # choose parameters with s > m: ceil(d/q^(k-m)) = 3 and N_m = 3 -> s = 3 > m = 2
     rep = type1_length_refinement(2, 9, 2, 4, 9)
@@ -179,7 +191,7 @@ def test_pg_point_counts():
 
 
 def test_pg_points_normalized_distinct():
-    pts = pg_points(GF3, 3).points
+    pts = pg_points(GF3, 3)
     assert len(set(pts)) == 13
     for p in pts:
         first = next(x for x in p if x)

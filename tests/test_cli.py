@@ -91,6 +91,53 @@ def test_construct_type1_cyclic(tmp_path, capsys):
     assert "SBDH 7 11 13 15" in out2
 
 
+def test_construct_from_a_base_file_matches_the_cyclic_gen_build(tmp_path, capsys):
+    base = tmp_path / "golay.txt"
+    base.write_text(presets.binary_golay().to_text())
+    from_base, from_gen = tmp_path / "base.grc", tmp_path / "gen.grc"
+    flags = ["--sigma", "cyclic", "--m", "2", "--out"]
+    assert run_cli(["construct", "--kind", "type1", "--base", str(base), *flags,
+                    str(from_base)], capsys)[0] == 0
+    # the README command up to its --sigma flag builds the base from --cyclic-gen
+    assert run_cli(README_TYPE1[:-5] + flags + [str(from_gen)], capsys)[0] == 0
+    assert from_base.read_bytes() == from_gen.read_bytes()
+
+
+def test_construct_extended_sigma_on_the_extended_golay_base(tmp_path, capsys):
+    base = tmp_path / "golay24.txt"
+    base.write_text(presets.binary_golay().extend().to_text())
+    out_file = tmp_path / "ext.grc"
+    code, _, _ = run_cli(["construct", "--kind", "type1", "--base", str(base),
+                          "--sigma", "extended", "--m", "3", "--out", str(out_file)], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["profile", "--code", str(out_file)], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "SBDH 8 12 14 / SHDH 8 16 24"
+
+
+def test_construct_without_out_prints_the_file(tmp_path, capsys):
+    out_file = tmp_path / "t1.grc"
+    assert run_cli(README_TYPE1 + [str(out_file)], capsys)[0] == 0
+    code, out, err = run_cli(README_TYPE1[:-1], capsys)
+    assert (code, err) == (0, "")
+    assert out == out_file.read_text()
+
+
+def test_type1_file_with_a_flipped_entry_is_refused(tmp_path, capsys):
+    """A Type-I file without QC lines is rebuilt from its first block and
+    perm lines: a flipped entry in the last block is an input error."""
+    path = tmp_path / "flipped.grc"
+    assert run_cli(README_TYPE1 + [str(path)], capsys)[0] == 0
+    lines = path.read_text().splitlines(True)
+    row = lines[1].split()
+    row[-1] = str(1 - int(row[-1]))
+    lines[1] = " ".join(row) + "\n"
+    path.write_text("".join(lines))
+    code, out, err = run_cli(["profile", "--code", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: stored generator disagrees with variant reconstruction\n"
+
+
 def test_bounds_command(mixed_file, capsys):
     code, out, _ = run_cli(["bounds", "--code", mixed_file], capsys)
     assert code == 0
@@ -212,6 +259,9 @@ def test_simulate_with_crc_verifier(tmp_path, mixed_file, capsys):
         ("verifier = crc", "usage error:"),  # no polynomial
         ("verifier = crc 0", "error:"),  # the zero polynomial divides nothing
         ("combining = maybe", "usage error:"),
+        # a later line overrides the config's channel
+        ("channel = foo 1", "usage error: unknown channel kind 'foo'"),
+        ("channel = bsc", "usage error: channel must be 'bsc P' or 'awgn SNR_DB'"),
     ],
 )
 def test_simulate_rejects_bad_config_values(tmp_path, shift_file, capsys, line, prefix):

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from grclib import kernels
 from grclib.codes import (
     Block,
-    BlockView,
-    Hamming,
     LinearCode,
     block_weight,
     hamming_weight,
@@ -120,15 +118,6 @@ def test_block_weight_bracketing(m, vals):
     bw = block_weight(v, m)
     hw = hamming_weight(v)
     assert -(-hw // m) <= bw <= min(n, hw)
-
-
-def test_block_view():
-    bv = BlockView((1, 2, 3, 4, 5, 6), 2)
-    assert bv.n == 3
-    assert bv.block(0) == (1, 2, 3)
-    assert bv.block(1) == (4, 5, 6)
-    assert bv.column(1) == (2, 5)
-    assert bv.weight() == 3
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +326,7 @@ def test_concurrent_sweeps_share_no_state():
 
 
 def test_block1_equals_hamming(golay):
-    assert golay.min_distance(Block(1)) == golay.min_distance(Hamming())
+    assert golay.min_distance(Block(1)) == golay.min_distance()
 
 
 def test_weight_distribution_simplex(simplex):
@@ -374,6 +363,9 @@ def test_dimension_cap():
     code = LinearCode.from_rows(GF2, rows)
     with pytest.raises(DimensionCapError):
         code.min_distance(cap=4)
+    # a block count that does not divide the length is refused before the cap
+    with pytest.raises(ValueError, match="length 10 not divisible by block count 3"):
+        code.min_distance(Block(3), cap=4)
     assert code.min_distance(cap=8) == 1
     # the default cap refuses k = 30 without an explicit override
     big = LinearCode.from_rows(GF2, [[1 if i == j else 0 for j in range(40)] for i in range(30)])

@@ -82,7 +82,6 @@ def test_table_loads_56_rows():
     assert len(table) == 56
     assert table[0].n == 31 and table[0].k == 6
     assert all(e.n % 2 == 1 for e in table)  # n odd in every row
-    assert all(e.m == 2 for e in table)
 
 
 def test_entry_2_decodes_to_k10_d12():

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from grclib.codes import Block, Hamming, LinearCode
+from grclib.codes import Block, LinearCode
 from grclib import decoding, kernels
 from grclib.decoding import (
     AwgnBpskHard,
@@ -421,7 +421,7 @@ def test_qary_decoding_matches_oracle(grc):
         words.append(word)
     for rec in words:
         for metric, nb, blocks, kind in (
-            (Hamming(), m * n, [0], "hamming"),
+            (Block(1), m * n, [0], "hamming"),
             (Block(m), n, range(m), "block"),
         ):
             res = md_decode(full, rec, metric)

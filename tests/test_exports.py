@@ -1,0 +1,29 @@
+"""Every exported name resolves: ``grclib.__all__``, the ``__all__`` of each
+``grclib.*`` module that has one (the command line module has none), and
+``from grclib import *``."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import grclib
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(grclib.__path__, "grclib."))
+
+
+@pytest.mark.parametrize("name", ["grclib", *MODULES])
+def test_every_all_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
+    assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_star_import_binds_every_package_name():
+    assert grclib.__all__
+    namespace: dict = {}
+    exec("from grclib import *", namespace)
+    assert set(grclib.__all__) <= namespace.keys()
