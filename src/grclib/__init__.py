@@ -1,5 +1,12 @@
 """Generalized repetition codes: constructions, exact distance hierarchies,
-bounds, code-table verification, and HARQ decoding simulation."""
+bounds, code-table verification, and HARQ decoding simulation.
+
+``geometry``, ``decoding`` and ``codetable`` are imported on first use of
+one of their names (PEP 562), so ``import grclib`` compiles none of them."""
+
+import importlib
+import sys
+import types
 
 from .fields import Field, field_create
 from .poly import (
@@ -54,35 +61,22 @@ from .bounds import (
     type1_length_refinement,
     type1_upper,
 )
-from .geometry import (
-    expand_projective,
-    pg_points,
-    simplex_code,
-    solomon_stiffler,
-)
-from .decoding import (
-    AwgnBpskHard,
-    Bsc,
-    CrcVerifier,
-    GenieVerifier,
-    GrcDecoder,
-    SimConfig,
-    SimResult,
-    chase_combine,
-    fer_simulate,
-    md_decode,
-    multi_round_decode,
-    transmit,
-)
-from .codetable import (
-    CodeTableEntry,
-    hex_decode,
-    hex_encode,
-    load_table,
-    search_qc_type2,
-    verify_entry,
-    verify_table,
-)
+
+# modules loaded on first use, and the package names each provides: a
+# caller that needs none of them does not pay for compiling them
+_LAZY = {
+    "geometry": ("expand_projective", "pg_points", "simplex_code", "solomon_stiffler"),
+    "decoding": (
+        "AwgnBpskHard", "Bsc", "CrcVerifier", "GenieVerifier", "GrcDecoder", "SimConfig",
+        "SimResult", "chase_combine", "fer_simulate", "md_decode", "multi_round_decode",
+        "transmit",
+    ),
+    "codetable": (
+        "CodeTableEntry", "hex_decode", "hex_encode", "load_table", "search_qc_type2",
+        "verify_entry", "verify_table",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     # algebra
@@ -116,3 +110,29 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+class _Package(types.ModuleType):
+    """The package, which binds a lazy module's names when the import system
+    binds the module on it, however the module was imported: after
+    ``import grclib.decoding``, ``grclib.fer_simulate`` is in the package's
+    namespace as an eager import would have put it."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        super().__setattr__(name, value)
+        for export in _LAZY.get(name, ()):
+            super().__setattr__(export, getattr(value, export))
+
+
+def __getattr__(name: str) -> object:
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    importlib.import_module(f".{_MODULE_OF[name]}", __name__)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+sys.modules[__name__].__class__ = _Package

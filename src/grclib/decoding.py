@@ -6,18 +6,24 @@ its induced binary symmetric channel, under which maximum-likelihood
 decoding is exact nearest-codeword search in the relevant metric.
 
 One decoding path: a ``GrcDecoder`` holds the code's field, shape,
-generator and Type-I permutations, one codeword table of the full code, and
-the blocks' coset-leader tables, and no reference to the code.  Each
-candidate, like ``md_decode``, is a nearest-codeword search on a block
-subset, with ties going to the smallest message index, and a message index
-is read as base-q digits by ``kernels.message_digits``.  A Chase candidate
-votes the Type-I copies aligned onto block 1 and decodes the result in
-block 1, so its message is numbered like every other.  A Hamming candidate
-on one block (round 1, and Chase's decode in block 1) decodes by syndrome,
-from the block's leader table (``kernels.coset_leaders``), built on its
-first use; other candidates, and a block that gets no leader table (rank
-below k, or more leaders than codewords), sweep the codeword table
-(``kernels.nearest``).  Both give the same index.  One candidate loop,
+generator and Type-I permutations, one codeword table of the full code, the
+blocks' coset-leader tables and the information sets of its multi-block
+candidates, and no reference to the code.  Each candidate, like
+``md_decode``, is a nearest-codeword search on a block subset, with ties
+going to the smallest message index, and a message index is read as
+base-q digits by ``kernels.message_digits``.  A Chase candidate votes the
+Type-I copies aligned onto block 1 and decodes the result in block 1, so
+its message is numbered like every other.  A Hamming candidate on one
+block (round 1, and Chase's decode in block 1) decodes by syndrome, from
+the block's leader table (``kernels.coset_leaders``), built on its first
+use.  A candidate on several blocks, in either metric, enumerates error
+patterns on information sets of the code on those blocks
+(``kernels.isd_nearest``), built on its first use; a word that would need
+more patterns than the q^k codewords sweeps the codeword table
+(``kernels.nearest``).  So do a block-metric candidate on one block, a
+block that gets no leader table (rank below k, or more leaders than
+codewords), and every candidate of a table so small that the sweep takes
+several words per pass.  All give the same index.  One candidate loop,
 ``GrcDecoder.first_accepted``, walks the candidates once for a batch of
 frames and decodes every frame not yet accepted in one call per candidate;
 ``multi_round_decode`` is that loop on one frame, and the simulator runs it
@@ -428,15 +434,24 @@ def md_decode(
     *,
     cap: int | None = None,
 ) -> DecodeResult:
-    """Exhaustive nearest-codeword decoding in the block metric ``metric``;
-    Block(1), the default, is the Hamming metric."""
+    """Exact nearest-codeword decoding in the block metric ``metric``, ties
+    going to the smallest message index; Block(1), the default, is the
+    Hamming metric.  It enumerates error patterns on information sets
+    (``kernels.isd_nearest``); only a word that would need more patterns
+    than the q^k codewords is swept."""
     if len(received) != code.n:
         raise ValueError("received length does not match code length")
-    m = metric.m
-    table = kernels.build_table(code.field, code.gen.rows(), m, cap=cap)
-    words = kernels.pack_rows(code.field, [received], m)
-    index, dist = kernels.nearest(table, words, range(m), union=True)
-    message = _message(code.field.q, index[0], code.k)
+    field, m = code.field, metric.m
+    words = kernels.pack_rows(field, [received], m)
+    kernels.check_cap(field.q, code.k, cap)
+    sets = kernels.info_sets(field, code.gen.data.reshape(code.k, m, -1), union=True)
+
+    def sweep(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        table = kernels.build_table(field, code.gen.rows(), m, cap=cap)
+        return kernels.nearest(table, words[rows], range(m), union=True)
+
+    index, dist = kernels.isd_nearest(sets, np.array(received).reshape(1, m, -1), sweep)
+    message = _message(field.q, index[0], code.k)
     return DecodeResult(message, code.encode(message), int(dist[0]))
 
 
@@ -577,6 +592,7 @@ class GrcDecoder:
         self.table = kernels.build_table(grc.field, grc.gen.rows(), grc.m)
         self._lock = threading.Lock()  # the simulator's threads share one decoder
         self._leaders: dict[bytes, kernels.CosetLeaders | None] = {}
+        self._sets: dict[tuple[tuple[int, ...], bool], kernels.InfoSets] = {}
 
     def candidate_message(self, received: Sequence[int], cand: Candidate) -> tuple[int, ...]:
         """The message that one candidate decodes ``received`` to."""
@@ -619,8 +635,27 @@ class GrcDecoder:
             return self._decode_block(0, voted)
         if cand.kind == "hamming" and len(cand.blocks) == 1:
             return self._decode_block(cand.blocks[0] - 1, symbols[:, cand.blocks[0] - 1])
-        blocks = [b - 1 for b in cand.blocks]
-        return kernels.nearest(self.table, packed[:, blocks], blocks, cand.kind == "block")[0]
+        blocks, union = [b - 1 for b in cand.blocks], cand.kind == "block"
+
+        def sweep(rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
+            return kernels.nearest(self.table, packed[rows][:, blocks], blocks, union)
+
+        if len(blocks) == 1 or self.table.group > 1:
+            # one block (a block-metric candidate), or a table so small that
+            # the sweep takes several words per pass: a word's whole sweep
+            # then costs less than one weight of the enumeration
+            return sweep(slice(None))[0]
+        return kernels.isd_nearest(self._info_sets(tuple(blocks), union), symbols[:, blocks], sweep)[0]
+
+    def _info_sets(self, blocks: tuple[int, ...], union: bool) -> kernels.InfoSets:
+        """The information sets of the code on the 0-based ``blocks``, in
+        the block metric when ``union`` and the Hamming metric otherwise,
+        built on first use."""
+        with self._lock:
+            if (blocks, union) not in self._sets:
+                gen = self.gen.reshape(self.k, self.m, self.n)[:, list(blocks)]
+                self._sets[blocks, union] = kernels.info_sets(self.field, gen, union)
+            return self._sets[blocks, union]
 
     def _decode_block(self, b: int, words: np.ndarray) -> np.ndarray:
         """Message index of the codeword nearest to each of ``words`` (F, n)

@@ -51,13 +51,23 @@ One block can also be decoded by syndrome (the standard array):
 ``coset_leaders`` tabulates every minimum-weight coset leader of a block
 code, and ``CosetLeaders.decode`` returns for each word the index that
 ``nearest`` returns on that block, from the leaders of its coset alone.
+
+Several blocks can be decoded by information sets (Prange's method, with
+the stopping rule of Brouwer and Zimmermann): ``info_sets`` picks disjoint
+information sets of the code on those blocks, and ``isd_nearest`` returns
+the index and distance that ``nearest`` returns, from the codewords that
+agree with a word on all but w symbols of some set, for w = 0, 1, ...
+until no codeword left can be as near.  The patterns of weight w of every
+set are one table for ``_coset_masks``, so they are swept like codewords.
+A word that would need more patterns than the q^k codewords is swept.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-from typing import Iterator, NamedTuple, Sequence
+import threading
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,6 +89,9 @@ __all__ = [
     "nearest",
     "CosetLeaders",
     "coset_leaders",
+    "InfoSets",
+    "info_sets",
+    "isd_nearest",
 ]
 
 DEFAULT_CAP = 28
@@ -169,6 +182,14 @@ class CodewordTable(NamedTuple):
     @property
     def size(self) -> int:
         return self.low.shape[2] * len(self.highs)
+
+    @property
+    def group(self) -> int:
+        """Received words that ``_coset_masks`` sweeps together, f of them
+        with f * m * W * C mask words within a quarter of ``_CHUNK_BUDGET``
+        (W mask words per block)."""
+        m, nb, c = self.low.shape
+        return max(1, _CHUNK_BUDGET // (4 * m * (nb if self.field.q == 2 else (nb + 7) // 8) * c))
 
     def codewords(self, index: np.ndarray, length: int) -> np.ndarray:
         """The codewords of the message indices, as (F, m, length) symbols:
@@ -279,8 +300,8 @@ def _coset_masks(
     multiple of 8 codewords.
     """
     field, low, highs = table
-    m, nb, c = low.shape
-    group = max(1, _CHUNK_BUDGET // (4 * m * (nb if field.q == 2 else (nb + 7) // 8) * c))
+    _, nb, c = low.shape
+    group = table.group
     blocks = list(blocks)
     first, mb = blocks[0], len(blocks)
     picked = slice(first, first + mb) if blocks == list(range(first, first + mb)) else blocks
@@ -328,26 +349,30 @@ def _zero_coset(
 
 
 def _coset_weights(
-    table: CodewordTable, words: np.ndarray, blocks: Sequence[int], union: bool
+    table: CodewordTable, words: np.ndarray, blocks: Sequence[int], union: bool, sets: int = 1
 ) -> Iterator[tuple[slice, int, np.ndarray]]:
     """Weights (f, C) of the masks ``_coset_masks`` yields for the same
-    arguments: summed over the blocks, or of their union.  Yields (rows of
+    arguments: summed over the blocks, or of their union.  With ``sets`` > 1
+    the blocks are that many equal runs, weighed each on its own, and the
+    weights are (f, sets C), run i at [i C, (i + 1) C).  Yields (rows of
     ``words``, chunk index, weights) in one reused buffer."""
     dist = None
     for rows, t, masks in _coset_masks(table, words, blocks):
-        f, mb, nw, c = masks.shape
+        f, _, nw, c = masks.shape
+        masks = masks.reshape(f, sets, -1, nw, c)
+        mb = masks.shape[2]
         if dist is None:
-            either = np.empty((f, nw, c), masks.dtype) if union and mb > 1 else None
+            either = np.empty((f, sets, nw, c), masks.dtype) if union and mb > 1 else None
             bits = nw * 8 * masks.itemsize * (1 if union else mb)
-            dist, tmp = np.empty((2, f, c), np.min_scalar_type(bits))
+            dist, tmp = np.empty((2, f, sets, c), np.min_scalar_type(bits))
         if either is not None:
-            u = np.bitwise_or(masks[:, 0], masks[:, 1], out=either[:f])
+            u = np.bitwise_or(masks[:, :, 0], masks[:, :, 1], out=either[:f])
             for b in range(2, mb):
-                np.bitwise_or(u, masks[:, b], out=u)
-            parts = [u[:, w] for w in range(nw)]
+                np.bitwise_or(u, masks[:, :, b], out=u)
+            parts = [u[:, :, w] for w in range(nw)]
         else:
-            parts = [masks[:, b, w] for b in range(mb) for w in range(nw)]
-        yield rows, t, _weights(parts, dist[:f], tmp[:f])
+            parts = [masks[:, :, b, w] for b in range(mb) for w in range(nw)]
+        yield rows, t, _weights(parts, dist[:f], tmp[:f]).reshape(f, sets * c)
 
 
 def _weights(words: Sequence[np.ndarray], out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -581,6 +606,16 @@ def _add(field: Field, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
     return message_index(q, add[message_digits(q, a, width), message_digits(q, b, width)])
 
 
+def _digit_map(field: Field, gf_map: np.ndarray) -> np.ndarray:
+    """The GF(p) matrix (a e, b e) of the GF(q)-linear map w -> w gf_map,
+    gf_map (a, b), on base-p digits: digit d of symbol i at i e + d, row
+    i e + d holding the digits of x^d times row i."""
+    p, e = field.p, field.e
+    a, b = gf_map.shape
+    images = field.mul(p ** np.arange(e)[:, None], gf_map[:, None, :])  # (a, e, b)
+    return message_digits(p, images, e).reshape(a * e, b * e)
+
+
 def coset_leaders(field: Field, block: np.ndarray) -> CosetLeaders | None:
     """The coset-leader table of the code spanned by the rows of ``block``
     (k, n), or None when ``block`` has rank below k (a block codeword then
@@ -608,9 +643,7 @@ def coset_leaders(field: Field, block: np.ndarray) -> CosetLeaders | None:
     gf_map[rest, range(r)] = 1
     gf_map[info, :r] = field.neg(red.data[:, rest])
     gf_map[info, r:] = red.data[:, n:]
-    powers = p ** np.arange(e)
-    images = field.mul(powers[:, None], gf_map[:, None, :])  # (n, e, n): x^a times row j
-    maps = message_digits(p, images, e).reshape(n * e, n * e)
+    maps = _digit_map(field, gf_map)
     units = field.mul(np.arange(1, q)[:, None], gf_map[:, None, :])  # (n, q - 1, n): v e_j
     unit_s, unit_u = message_index(q, units[..., :r]), message_index(q, units[..., r:])
     weight = np.full(q**r, -1, dtype=np.int16)  # each coset's least weight, -1 until reached
@@ -642,6 +675,226 @@ def coset_leaders(field: Field, block: np.ndarray) -> CosetLeaders | None:
     np.cumsum(np.bincount(syndromes, minlength=q**r), out=start[1:])
     leaders = np.concatenate(found_u)[np.argsort(syndromes)]
     return CosetLeaders(field, k, maps, start, leaders)
+
+
+# ---------------------------------------------------------------------------
+# decoding several blocks by information sets
+
+
+class InfoSets(NamedTuple):
+    """Disjoint information sets of a code read on some of its blocks, as
+    ``info_sets`` finds them, and the error patterns ``isd_nearest`` runs
+    on them.
+
+    A word on mb blocks of n symbols is (mb, n), flat column b n + j.  Its
+    columns are grouped into symbols: each column alone (the Hamming
+    metric), or column j of every block (the block metric, ``union``), and
+    its distance to a codeword is the number of symbols where they differ.
+    Each of the s sets I is k columns on which the generator G is
+    invertible, and no two sets share a symbol.  With M = G_I^-1 G and
+    A = G_I^-1, the codeword r_I M agrees with the word r on I, and its
+    message is r_I A.
+
+    ``pivots`` (s, k) holds each set's columns, and ``maps`` (s, k e,
+    (mb n + k) e) the digit maps (``_digit_map``) of r_I to (r_I M | r_I A).
+    An error pattern e of weight w is nonzero on w symbols of a set, on
+    their columns in it; ``counts[j, w]`` is the number set j has.
+    ``atoms[j]`` holds set j's patterns of weight 1, in ascending order of
+    their symbols: e M as a table (mb, W, atoms) like ``CodewordTable.low``,
+    -e A as a message index, and the rank of e's symbol among the set's.
+    ``levels[w]`` (table, messages, tops), built on first use under
+    ``lock``, holds the patterns of weight w of every set side by side: set
+    j's e M on blocks j mb .. (j + 1) mb - 1 of a table of s mb blocks, and
+    their -e A and highest symbol's rank (s, P).  A set with fewer than P
+    patterns repeats its first.
+    """
+
+    field: Field
+    k: int
+    union: bool
+    pivots: np.ndarray
+    maps: np.ndarray
+    counts: np.ndarray
+    atoms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    levels: list
+    lock: threading.Lock
+
+
+def info_sets(field: Field, gen: np.ndarray, union: bool) -> InfoSets:
+    """Disjoint information sets of the code generated by ``gen`` (k, mb, n),
+    in the block metric when ``union`` and the Hamming metric otherwise,
+    taken greedily: each is the first k independent columns, in order of
+    their symbols, among the symbols that no earlier set holds.  One rref of
+    [G_free | G | I_k] finds a set and gives its M and A.  A generator of
+    rank below k has no set."""
+    k, mb, n = gen.shape
+    flat = gen.reshape(k, mb * n).astype(np.int64)
+    symbol = np.tile(np.arange(n), mb) if union else np.arange(mb * n)
+    order = np.argsort(symbol, kind="stable")  # columns by symbol, then block
+    free = np.ones(symbol.max() + 1, dtype=bool)
+    pivots, maps, atoms, counts = [], [], [], []
+    while True:
+        cols = order[free[symbol[order]]]
+        joined = np.hstack([flat[:, cols], flat, np.eye(k, dtype=np.int64)])
+        red, found = Matrix(field, k, joined.shape[1], joined).rref()
+        if found[-1] >= len(cols):  # the free columns have rank below k
+            break
+        piv = cols[list(found)]
+        gf_map = red.data[:, len(cols) :]  # (M | A), row i for pivot i
+        atom, count = _atoms(field, mb, symbol[piv], gf_map)
+        pivots.append(piv)
+        maps.append(_digit_map(field, gf_map))
+        atoms.append(atom)
+        counts.append(count + [0] * (n * mb - len(count) + 1))
+        free[symbol[piv]] = False
+    s, e = len(pivots), field.e
+    word = pack_rows(field, np.zeros((1, mb * n), dtype=np.int64), mb)
+    empty = np.zeros((s * mb, word.shape[2], 1), word.dtype)  # the pattern e = 0
+    level0 = (CodewordTable(field, empty, empty.transpose(2, 0, 1)),
+              np.zeros((s, 1), np.int64), np.full((s, 1), -1))
+    return InfoSets(
+        field, k, union,
+        np.array(pivots, dtype=np.int64).reshape(s, k),
+        np.array(maps, dtype=np.float64).reshape(s, k * e, (mb * n + k) * e),
+        np.array(counts, dtype=object).reshape(s, mb * n + 1),
+        tuple(atoms), [level0], threading.Lock(),
+    )
+
+
+def _atoms(
+    field: Field, mb: int, symbol: np.ndarray, gf_map: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[int]]:
+    """The patterns of weight 1 of the set whose pivot i lies in
+    ``symbol[i]``, from its gf_map = (M | A), and its pattern counts by
+    weight: the elementary symmetric polynomials of the numbers of nonzero
+    values on each symbol's pivots."""
+    q, k = field.q, len(symbol)
+    width = gf_map.shape[1] - k  # mb n
+    rank = np.unique(symbol, return_inverse=True)[1].ravel()
+    errors, counts = [], [1]
+    for r in range(rank.max() + 1):
+        at = np.flatnonzero(rank == r)
+        e = np.zeros((q ** len(at) - 1, k), dtype=np.int64)
+        e[:, at] = message_digits(q, np.arange(1, q ** len(at)), len(at))
+        errors.append(e)
+        counts = [a + len(e) * b for a, b in zip(counts + [0], [0] + counts)]
+    e = np.concatenate(errors)
+    image = (Matrix(field, *e.shape, e) @ Matrix(field, k, k + width, gf_map)).data
+    low = np.ascontiguousarray(pack_rows(field, image[:, :width], mb).transpose(1, 2, 0))
+    ranks = np.repeat(np.arange(len(errors)), [len(e) for e in errors])
+    return (low, message_index(q, field.neg(image[:, width:])), ranks), counts
+
+
+def _level(sets: InfoSets, w: int) -> tuple[CodewordTable, np.ndarray, np.ndarray]:
+    """The patterns of weight w of every set, built from those of weight
+    w - 1 on first use: each pattern plus each atom above its highest
+    symbol, so every pattern is made once."""
+    field, k, counts = sets.field, sets.k, sets.counts
+    with sets.lock:
+        while len(sets.levels) <= w:
+            v = len(sets.levels)
+            table, messages, tops = sets.levels[-1]
+            mb = len(table.low) // len(sets.atoms)
+            size = np.arange(max(counts[:, v]))
+            lows, new_messages, new_tops = [], [], []
+            for j, (low, message, rank) in enumerate(sets.atoms):
+                first = np.searchsorted(rank, tops[j, : counts[j, v - 1]] + 1)
+                parent, atom = _ranges(first, len(rank) - first)
+                fill = np.where(size < len(parent), size, 0)
+                parent, atom = parent[fill], atom[fill]
+                parents = table.low[j * mb : (j + 1) * mb, :, parent]
+                if field.q == 2:
+                    lows.append(parents ^ low[..., atom])
+                else:
+                    lows.append(field.tables()[0][parents, low[..., atom]])
+                new_messages.append(_add(field, messages[j, parent], message[atom], k))
+                new_tops.append(rank[atom])
+            sets.levels.append((table._replace(low=np.concatenate(lows)),
+                                np.stack(new_messages), np.stack(new_tops)))
+        return sets.levels[w]
+
+
+def _agreeing(sets: InfoSets, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each word r of ``symbols`` (F, mb, n) and each set I, the codeword
+    c = r_I M that agrees with r on I: c - r, packed like ``pack_rows`` on
+    the s mb blocks of the sets' levels, (F, s mb, W), and c's message
+    index (F, s).  The digit products are taken in floating point, which is
+    exact for them and runs as one matrix product per set."""
+    field = sets.field
+    f, mb, n = symbols.shape
+    s, k = sets.pivots.shape
+    p, e, width = field.p, field.e, mb * n * field.e
+    flat = symbols.reshape(f, mb * n)
+    digits = (flat[..., None] if e == 1 else message_digits(p, flat, e)).astype(np.float64)
+    picked = digits[:, sets.pivots].reshape(f, s, k * e).transpose(1, 0, 2)
+    image = np.ascontiguousarray(picked) @ sets.maps  # (s, F, (mb n + k) e)
+    image[..., :width] += (p - 1) * digits.reshape(f, width)  # c - r, all terms >= 0
+    image -= p * np.floor(image / p)  # mod p, exact on integers this small
+    image = image.astype(np.int16 if e == 1 else np.int64)
+    diff = image[..., :width] if e == 1 else message_index(p, image[..., :width].reshape(s, f, -1, e))
+    packed = pack_rows(field, diff.reshape(s * f, mb * n), mb)
+    packed = packed.reshape(s, f, mb, -1).transpose(1, 0, 2, 3).reshape(f, s * mb, -1)
+    return packed, message_index(p, image[..., width:].astype(np.int64)).T
+
+
+def isd_nearest(
+    sets: InfoSets,
+    symbols: np.ndarray,
+    sweep: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """What ``nearest`` returns for the words ``symbols`` (F, mb, n) on the
+    code of ``sets``: the message index and distance of the nearest
+    codeword, ties going to the smallest index.
+
+    For w = 0, 1, ..., every error pattern e of weight w on each set I gives
+    the codeword (r_I - e) M, and its message index.  The s sets share no
+    symbol, so once weight w has run, a codeword not yet seen differs from
+    r on at least w + 1 symbols of every set: it is at distance at least
+    s (w + 1).  A word stops once its best distance is below that, so every
+    codeword as near, every tie too, has been seen.
+
+    A word that would need more patterns in all than the q^k codewords, or
+    patterns of one weight whose table would pass ``_CHUNK_BUDGET`` words,
+    is decoded by ``sweep(rows)`` instead, which returns ``nearest``'s
+    result for those rows of ``symbols``; so is every word when the code
+    has no information set on these blocks (rank below k).
+    """
+    field, k, union = sets.field, sets.k, sets.union
+    f, mb, _ = symbols.shape
+    s = len(sets.pivots)
+    live = np.arange(f)
+    if s == 0:
+        return sweep(live)
+    best = np.full(f, _INF, dtype=np.int64)
+    index = np.zeros(f, dtype=np.int64)
+    diff, base = _agreeing(sets, symbols)
+    spent, words = 0, diff.shape[1] * diff.shape[2]  # table words per pattern
+    for w in range(sets.counts.shape[1]):
+        if not sets.counts[:, w].all():  # a set has run every codeword
+            live = live[:0]
+            break
+        spent += sets.counts[:, w].sum()
+        if spent > field.q**k or max(sets.counts[:, w]) * words > _CHUNK_BUDGET:
+            break
+        table, messages, _ = _level(sets, w)
+        for rows, _, dist in _coset_weights(table, diff[live], range(s * mb), union, s):
+            least = dist.min(axis=1)
+            word, hit = np.nonzero(dist == least[:, None])
+            at, pattern = np.divmod(hit, dist.shape[1] // s)
+            frames = live[rows]
+            ties = _add(field, base[frames[word], at], messages[at, pattern], k)
+            count = np.bincount(word, minlength=len(dist))
+            first = np.minimum.reduceat(ties, np.cumsum(count) - count)
+            least, old = least.astype(np.int64), best[frames]
+            index[frames] = np.where(least < old, first, np.where(
+                least == old, np.minimum(index[frames], first), index[frames]))
+            best[frames] = np.minimum(old, least)
+        live = live[best[live] >= s * (w + 1)]
+        if not len(live):
+            break
+    if len(live):
+        index[live], best[live] = sweep(live)
+    return index, best
 
 
 def _distances(

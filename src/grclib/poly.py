@@ -377,30 +377,33 @@ def _berlekamp_nullspace(f: Poly) -> list[tuple[int, ...]]:
 
 
 def _berlekamp_factor(f: Poly) -> list[Poly]:
-    """Irreducible factors of a square-free monic polynomial."""
+    """Irreducible factors of a square-free monic polynomial.
+
+    An element v of the Berlekamp subalgebra is a constant of GF(q) modulo
+    each irreducible factor, so its trace Tr(v) = v + v^p + ... +
+    v^(p^(e-1)) mod f is a constant of the prime field GF(p) modulo each,
+    and f is the product of gcd(f, Tr(v) - t) over the p elements t.  A
+    non-constant v differs modulo two factors, and the trace form is
+    nondegenerate, so Tr(c v) differs there for some c of the basis
+    1, x, ..., x^(e-1) of GF(q) over GF(p): at most e p gcds split f.
+    """
     fld = f.field
     if f.degree <= 1:
         return [f]
     basis = _berlekamp_nullspace(f)
     if len(basis) == 1:
         return [f]
-    # any non-constant basis element splits f over the field scan
     v = next(Poly.from_coeffs(fld, b) for b in basis if Poly.from_coeffs(fld, b).degree >= 1)
-    pieces: list[Poly] = []
-    rest = f
-    for c in range(fld.q):
-        g = poly_gcd(rest, v - Poly.from_coeffs(fld, [c]))
-        if 0 < g.degree:
-            pieces.append(g)
-            rest = rest // g
-            if rest.degree == 0:
-                break
-    if rest.degree > 0:
-        pieces.append(rest)
-    out: list[Poly] = []
-    for piece in pieces:
-        out.extend(_berlekamp_factor(piece) if piece.degree > 1 else [piece])
-    return out
+    for c in (fld.p**a for a in range(fld.e)):  # 1, x, ..., x^(e-1)
+        term = trace = v.scale(c)
+        for _ in range(fld.e - 1):
+            term = term.pow_mod(fld.p, f)
+            trace = trace + term
+        pieces = [poly_gcd(f, trace - Poly.from_coeffs(fld, [t])) for t in range(fld.p)]
+        pieces = [g for g in pieces if g.degree > 0]
+        if len(pieces) > 1:
+            break
+    return [factor for piece in pieces for factor in _berlekamp_factor(piece)]
 
 
 def factor_xn_minus_1(n: int, field: Field) -> list[tuple[Poly, int]]:

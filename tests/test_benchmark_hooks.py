@@ -29,6 +29,11 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 import bench, grclib, run, spans
 
+# load the modules grclib imports on first use, as a run's set-up does, so
+# that the snapshots below compare the same modules
+for name in grclib.__all__:
+    getattr(grclib, name)
+
 def snapshot():
     # every attribute of grclib's modules and of the classes they name
     owners = {}

@@ -325,8 +325,15 @@ def test_concurrent_sweeps_share_no_state():
         assert got[1].tolist() == want[1].tolist()
 
 
-def test_block1_equals_hamming(golay):
-    assert golay.min_distance(Block(1)) == golay.min_distance()
+def test_block1_equals_hamming(golay, ternary_golay):
+    """Block(1) is the Hamming metric: its minimum distance is the least
+    Hamming weight of a nonzero codeword, found here by encoding every
+    message with integer products mod p, outside ``kernels``."""
+    for code, d in ((golay, 7), (ternary_golay, 5)):
+        q = code.field.q  # both fields are prime
+        messages = np.array(list(product(range(q), repeat=code.k)))
+        weights = np.count_nonzero(messages @ code.gen.data % q, axis=1)
+        assert code.min_distance(Block(1)) == weights[weights > 0].min() == d
 
 
 def test_weight_distribution_simplex(simplex):
