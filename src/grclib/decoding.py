@@ -30,8 +30,9 @@ frames and decodes every frame not yet accepted in one call per candidate;
 on batches of frames.  Both decode through the code's own decoder
 (``GrcCode.decoder``), so a code's tables are built once, however many
 simulations run on it, and freed with the code.  The simulator's CRC
-is one linear map, the remainders of x^i mod g: a batch's check digits and
-its accept test are each one product in the field.
+is one GF(p)-linear map on base-p digits, built from the remainders of
+x^i mod g: a batch's check symbols and its accept test are each one
+integer product mod p, over GF(p) and GF(p^e) alike.
 
 All randomness flows from a master seed; the stream for frame f, block b is
 numpy's ``SeedSequence(seed, spawn_key=(f, b))`` feeding PCG64 (``rng_for``),
@@ -54,7 +55,7 @@ import threading
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import cache
-from itertools import combinations, groupby
+from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -63,7 +64,6 @@ from . import kernels
 from .codes import Block, LinearCode
 from .fields import Field
 from .grc import GrcCode, TypeI, TypeII
-from .matrices import Matrix
 from .perms import Permutation
 from .poly import Poly
 
@@ -161,39 +161,61 @@ def _words32(n: int) -> list[int]:
     return out
 
 
+def _hashmix(value: int | np.ndarray, const: int) -> tuple[int | np.ndarray, int]:
+    """SeedSequence's hashmix of ``value``, a word or a uint32 array, under
+    the hash constant ``const``: the hashed value and the next constant."""
+    nxt = const * _MULT_A & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ (value >> 16), nxt
+
+
+def _mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _absorb(pool: list, const: int, word: int | np.ndarray) -> int:
+    """Mix the entropy word ``word`` into every word of ``pool``, in place,
+    as SeedSequence mixes each word after the pool's first four; returns the
+    next hash constant."""
+    for dst in range(_POOL):
+        hashed, const = _hashmix(word, const)
+        pool[dst] = _mix(pool[dst], hashed)
+    return const
+
+
 def _seed_pools(seed: int, frames: Sequence[int], streams: int) -> np.ndarray:
     """The hashed entropy pool (F, streams, 4) of SeedSequence(seed,
-    spawn_key=(f, s)) for every f in ``frames``, all of one word length.
-    The seed's words are (1, 1) arrays and a frame's (F, 1), so the hash
-    works on the whole (F, streams) only from the stream word on."""
+    spawn_key=(f, s)) for every f below 2^64 in ``frames`` and s <
+    ``streams``.  The seed's words, which fill the pool and are mixed with
+    each other, are hashed on Python ints; the hash works on arrays only
+    from a frame's one or two words (F', 1) on, for the frames of each word
+    length, and on the whole (F', streams) only from the stream word on."""
     run = _words32(seed)
     run += [0] * (_POOL - len(run))  # spawned sequences pad the seed to the pool size
-    entropy = [np.full((1, 1), w, np.uint32) for w in run]
-    for col in np.array([_words32(f) for f in frames], np.uint32).T:
-        entropy.append(col[:, None])
-    entropy.append(np.arange(streams, dtype=np.uint32)[None, :])
-    const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        value = _MIX_L * x - _MIX_R * y
-        return value ^ (value >> 16)
-
-    pool = [hashmix(e) for e in entropy[:_POOL]]
+    const, pool = _INIT_A, []
+    for word in run[:_POOL]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for e in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(e))
-    return np.stack(pool, axis=-1)
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in run[_POOL:]:
+        const = _absorb(pool, const, word)
+    seeded = [np.full((1, 1), word, np.uint32) for word in pool]
+    frames = np.asarray(frames, dtype=np.uint64).reshape(-1, 1)
+    wide = frames[:, 0] > _MASK32
+    out = np.empty((len(frames), streams, _POOL), np.uint32)
+    for rows, words in ((~wide, [frames]), (wide, [frames & _MASK32, frames >> 32])):
+        if rows.any():
+            pool, hash_const = list(seeded), const
+            for word in words:
+                hash_const = _absorb(pool, hash_const, word[rows].astype(np.uint32))
+            _absorb(pool, hash_const, np.arange(streams, dtype=np.uint32)[None, :])
+            out[rows] = np.stack(pool, axis=-1)
+    return out
 
 
 # 128-bit integers are (hi, lo) pairs of uint64 arrays, which wrap mod 2^64
@@ -236,23 +258,20 @@ def _pcg64_states(seed: int, frames: Sequence[int], streams: int) -> np.ndarray:
     """(state_hi, state_lo, inc_hi, inc_lo), shape (4, F, streams), of the
     PCG64 that ``rng_for(seed, f, s)`` starts from, for every f in ``frames``
     and s < ``streams``."""
-    out = []
-    for _, group in groupby(frames, key=lambda f: len(_words32(f))):
-        pool = _seed_pools(seed, list(group), streams)
-        # generate_state(4, uint64): eight hashed words cycling over the pool
-        const, words = _INIT_B, []
-        for i in range(8):
-            value = pool[..., i % _POOL] ^ const
-            const = const * _MULT_B & _MASK32
-            value = value * const
-            words.append(value ^ (value >> 16))
-        u64 = np.stack(words, axis=-1).astype("<u4").view("<u8").astype(np.uint64, copy=False)
-        seed_hi, seed_lo, seq_hi, seq_lo = np.moveaxis(u64, -1, 0)
-        inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
-        # pcg64_set_seed: a step from state 0, add the seed, another step
-        state = _add128(*_mul128(*_add128(*inc, seed_hi, seed_lo), _PCG_HI, _PCG_LO), *inc)
-        out.append(np.stack([*state, *inc]))
-    return np.concatenate(out, axis=1)
+    pool = _seed_pools(seed, frames, streams)
+    # generate_state(4, uint64): eight hashed words cycling over the pool
+    const, words = _INIT_B, []
+    for i in range(8):
+        value = pool[..., i % _POOL] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        words.append(value ^ (value >> 16))
+    u64 = np.stack(words, axis=-1).astype("<u4").view("<u8").astype(np.uint64, copy=False)
+    seed_hi, seed_lo, seq_hi, seq_lo = np.moveaxis(u64, -1, 0)
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    # pcg64_set_seed: a step from state 0, add the seed, another step
+    state = _add128(*_mul128(*_add128(*inc, seed_hi, seed_lo), _PCG_HI, _PCG_LO), *inc)
+    return np.stack([*state, *inc])
 
 
 @cache
@@ -403,17 +422,39 @@ Verifier = GenieVerifier | CrcVerifier
 
 
 def _crc_remainders(generator: Poly, k: int) -> np.ndarray:
-    """Row i < k holds the coefficients of x^i mod ``generator``, so a
-    message's remainder is its digits times this (k, deg g) matrix: the CRC
-    as one linear map, ``CrcVerifier.attach`` and ``accepts`` on a batch."""
+    """The CRC of ``generator`` g, of degree r, as one GF(p)-linear map on
+    base-p digits (k e, r e): the digit map (``kernels._digit_map``) of the
+    (k, r) matrix R whose row i holds x^i mod g, so that a message's digits
+    times it mod p are the digits of the message's remainder.  Row i + 1 of
+    R is x times row i, its x^r term reduced by x^r = -(g_0 + ... +
+    g_(r-1) x^(r-1)) / g_r.
+    A base-q message index is the same integer read as k e base-p digits, so
+    ``_crc_attach`` and ``_crc_accepts`` are ``CrcVerifier.attach`` and
+    ``accepts`` on a batch, over GF(p) and GF(p^e) alike."""
     f, r = generator.field, generator.degree
-    rems = [Poly.from_coeffs(f, [0] * i + [1]) % generator for i in range(k)]
-    return np.array([[rem.coeff(j) for j in range(r)] for rem in rems], dtype=np.int64)
+    top = f.mul(f.neg(f.inv(generator.leading())), np.array(generator.coeffs[:r], dtype=np.int64))
+    rows = list(np.eye(r, dtype=np.int64))  # x^i mod g is x^i below the degree
+    for _ in range(r, k):
+        row = f.mul(rows[-1][-1], top)
+        row[1:] = f.add(row[1:], rows[-1][:-1])
+        rows.append(row)
+    return kernels._digit_map(f, np.array(rows))
 
 
-def _field_product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The matrix product a b in the field's arithmetic."""
-    return (Matrix(field, *a.shape, a) @ Matrix(field, *b.shape, b)).data
+def _crc_attach(p: int, rems: np.ndarray, payload: np.ndarray) -> np.ndarray:
+    """The message index of every payload index with its CRC check symbols
+    attached below it, as ``CrcVerifier.attach`` attaches them, from the map
+    ``rems`` (k e, r e) over GF(p): the check digits are minus the payload's
+    digits times the map's rows from r e on."""
+    low = rems.shape[1]
+    check = -(kernels.message_digits(p, payload, len(rems) - low) @ rems[low:]) % p
+    return kernels.message_index(p, check) + payload * p**low
+
+
+def _crc_accepts(p: int, rems: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Which message indices ``CrcVerifier.accepts``: those whose digits
+    times the map ``rems`` (k e, r e) over GF(p) vanish."""
+    return ~(kernels.message_digits(p, index, len(rems)) @ rems % p).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -791,21 +832,22 @@ def _simulate_batch(
 
     Frame f's message is drawn from stream m and its block b corrupted by
     stream b, exactly as ``rng_for(seed, f, .)`` and ``transmit`` would.
-    With a CRC, ``rems`` is its ``_crc_remainders`` for the message length:
-    every frame's check digits are -(payload rems[r:]), and a decoded
-    message passes where its digits times ``rems`` are zero.
+    With a CRC, ``rems`` is its ``_crc_remainders`` for the message length,
+    the map from a message's base-p digits to its remainder's: each frame's
+    payload gets its check symbols from one product of its digits with the
+    map (``_crc_attach``), and a decoded message passes where its digits
+    times the map are zero mod p (``_crc_accepts``).
     """
     grc = cfg.grc
     field, m, n, k = grc.field, grc.m, grc.n, grc.dim
-    q, p = field.q, cfg.channel.crossover
-    r = 0 if rems is None else rems.shape[1]
+    q, crossover = field.q, cfg.channel.crossover
+    r = 0 if rems is None else rems.shape[1] // field.e
     uniform, shift, digits = _frame_draws(cfg.seed, frames, m, n, q, k - r)
-    if rems is not None:
-        check = field.neg(_field_product(field, digits, rems[r:]))
-        digits = np.concatenate([check, digits], axis=1)
     sent = kernels.message_index(q, digits)
+    if rems is not None:
+        sent = _crc_attach(field.p, rems, sent)
     received = dec.table.codewords(sent, n)
-    hit = uniform < p
+    hit = uniform < crossover
     if q == 2:
         received ^= hit
     else:
@@ -815,8 +857,7 @@ def _simulate_batch(
     if rems is None:
         accepts: Acceptor = lambda live, index: index == sent[live]
     else:
-        def accepts(live: np.ndarray, index: np.ndarray) -> np.ndarray:
-            return ~_field_product(field, kernels.message_digits(q, index, k), rems).any(axis=1)
+        accepts = lambda live, index: _crc_accepts(field.p, rems, index)
     at, index = dec.first_accepted(received, cands, accepts)
     rounds = np.array([c.round for c in cands] + [m + 1])[at]  # position -1: none accepted
     return rounds, np.where(at >= 0, index, -1), sent

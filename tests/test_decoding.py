@@ -37,6 +37,7 @@ from grclib.verification import bound_suite
 
 GF2 = field_create(2)
 GF4 = field_create(2, 2)
+GF9 = field_create(3, 2)
 HEXACODE = [[1, 0, 0, 1, 2, 2], [0, 1, 0, 2, 1, 2], [0, 0, 1, 2, 2, 1]]  # 2 = alpha
 
 MSG = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0)
@@ -133,6 +134,35 @@ def test_crc_false_accept_possible():
     other[0] ^= 1
     other[1] ^= 1
     assert crc.accepts(other)  # two flips keep the parity
+
+
+@pytest.mark.parametrize("field, g", [
+    (GF2, "x^4+x+1"),
+    (field_create(3), "2x^2+x+1"),  # non-monic
+    (GF4, "2x^2+x+1"),
+    (field_create(2, 3), "x^3+5x+3"),
+    (GF9, "5x^2+x+7"),  # the first extension of an odd prime
+])
+def test_crc_digit_map_matches_verifier(field, g):
+    # the simulator's CRC, one product on base-p digits, against the scalar
+    # CrcVerifier: check symbols of random payloads, and the accept test on
+    # their messages with and without one corrupted symbol
+    verifier, k = CrcVerifier(Poly.parse(field, g)), 9
+    rems = decoding._crc_remainders(verifier.generator, k)
+    assert rems.shape == (k * field.e, verifier.ncheck * field.e)
+    rng = np.random.default_rng(field.q)
+    payloads = rng.integers(0, field.q, size=(60, k - verifier.ncheck))
+    sent = decoding._crc_attach(field.p, rems, kernels.message_index(field.q, payloads))
+    messages = [verifier.attach(tuple(pl.tolist())) for pl in payloads]
+    assert [decoding._message(field.q, i, k) for i in sent] == messages
+    for i, msg in enumerate(messages[1::2]):
+        msg = list(msg)
+        msg[i % k] = field.add(msg[i % k], 1 + i % (field.q - 1))
+        messages.append(tuple(msg))
+    want = [verifier.accepts(msg) for msg in messages]
+    index = kernels.message_index(field.q, np.array(messages))
+    assert decoding._crc_accepts(field.p, rems, index).tolist() == want
+    assert not all(want)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +627,24 @@ _SERIAL_CASES = {
     "gf4-crc": lambda: SimConfig(
         type1_regular(LinearCode.from_rows(GF4, HEXACODE), Permutation.cyclic_shift(6), 3),
         Bsc(0.3), frames=100, seed=4, max_depth=3, crc=Poly.parse(GF4, "2x^2+x+1")),
+    # ... and over an extension of an odd prime: an [8, 5] Reed-Solomon code over GF(9)
+    "gf9-crc": lambda: SimConfig(
+        type1_regular(LinearCode.cyclic(GF9, 8, Poly.parse(GF9, "x^3+3x^2+2x+6")),
+                      Permutation.cyclic_shift(8), 3),
+        Bsc(0.4), frames=150, seed=5, max_depth=3, crc=Poly.parse(GF9, "5x^2+x+7")),
 }
+
+# fer_simulate's rows for the gf9-crc case, pinned when the CRC was computed
+# in the field's scalar arithmetic
+GF9_CRC_ROWS = [
+    "code,bsc,0.4,1,150,103,0.686667,6,5",
+    "code,bsc,0.4,2,150,68,0.453333,8,5",
+    "code,bsc,0.4,3,150,60,0.400000,8,5",
+]
+
+
+def test_gf9_crc_rows():
+    assert fer_simulate(_SERIAL_CASES["gf9-crc"]()).csv_rows() == GF9_CRC_ROWS
 
 
 def test_fer_matches_serial_multiround():
@@ -699,6 +746,20 @@ def test_keyed_streams_match_rng_for(seed):
                     assert shift[i, b].tolist() == rng.integers(1, q, size=n).tolist(), (q, f, b)
             want = rng_for(seed, f, m).integers(0, q, size=k)
             assert message[i].tolist() == want.tolist(), (q, f)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**40 + 3, 2**130 + 7])
+def test_seed_pools_match_seed_sequence(seed):
+    # the seeding hash itself, for seeds of one, two and five words (four
+    # fill the pool and a fifth overflows it) and frames of one and two
+    # words side by side
+    frames, streams = [0, 2**32, 7, 2**32 - 1, 2**33 + 5], 3
+    pools = decoding._seed_pools(seed, frames, streams)
+    assert pools.shape == (len(frames), streams, 4)
+    for i, f in enumerate(frames):
+        for s in range(streams):
+            want = np.random.SeedSequence(seed, spawn_key=(f, s)).pool
+            assert pools[i, s].tolist() == want.tolist(), (f, s)
 
 
 # (seed, frame, q) whose 40 bounded draws numpy rejects at least once: found
