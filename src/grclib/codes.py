@@ -19,7 +19,6 @@ import numpy as np
 from . import kernels
 from .fields import Field, field_create
 from .matrices import Matrix, vec_mat_mul
-from .perms import Permutation
 from .poly import Poly, poly_gcd_many
 
 __all__ = [
@@ -220,13 +219,9 @@ class LinearCode:
         """(G, GX, ..., GX^(b-1)) with X the order-n cyclic shift."""
         if not 1 <= b <= self.n:
             raise ValueError("b must be in [1, n]")
-        shift = Permutation.cyclic_shift(self.n)
-        parts = []
-        cur = [tuple(r) for r in self.gen.rows()]
-        for _ in range(b):
-            parts.append(Matrix.from_rows(self.field, cur))
-            cur = [shift.apply(r) for r in cur]
-        return Matrix.hjoin(parts)
+        cols = np.arange(self.n)  # GX^t takes column (j + t) mod n of G to column j
+        joined = np.hstack([self.gen.data[:, (cols + t) % self.n] for t in range(b)])
+        return Matrix(self.field, self.k, b * self.n, joined)
 
     def b_symbol_distance(self, b: int, *, cap: int | None = None) -> int:
         """Minimum b-symbol distance via the Block(b) metric on (G, GX, ...)."""

@@ -6,24 +6,24 @@ its induced binary symmetric channel, under which maximum-likelihood
 decoding is exact nearest-codeword search in the relevant metric.
 
 One decoding path: a ``GrcDecoder`` holds the code's field, shape,
-generator and Type-I permutations, one codeword table of the full code, the
+generator and Type-I permutations, and no reference to the code, and builds
+each of its tables on first use: the codeword table of the full code, the
 blocks' coset-leader tables and the information sets of its multi-block
-candidates, and no reference to the code.  Each candidate, like
-``md_decode``, is a nearest-codeword search on a block subset, with ties
-going to the smallest message index, and a message index is read as
-base-q digits by ``kernels.message_digits``.  A Chase candidate votes the
-Type-I copies aligned onto block 1 and decodes the result in block 1, so
-its message is numbered like every other.  A Hamming candidate on one
-block (round 1, and Chase's decode in block 1) decodes by syndrome, from
-the block's leader table (``kernels.coset_leaders``), built on its first
-use.  A candidate on several blocks, in either metric, enumerates error
-patterns on information sets of the code on those blocks
-(``kernels.isd_nearest``), built on its first use; a word that would need
-more patterns than the q^k codewords sweeps the codeword table
-(``kernels.nearest``).  So do a block-metric candidate on one block, a
-block that gets no leader table (rank below k, or more leaders than
-codewords), and every candidate of a table so small that the sweep takes
-several words per pass.  All give the same index.  One candidate loop,
+candidates.  Each candidate, like ``md_decode``, is a nearest-codeword
+search on a block subset, with ties going to the smallest message index,
+and a message index is read as base-q digits by ``kernels.message_digits``.
+A Chase candidate votes the Type-I copies aligned onto block 1 and decodes
+the result in block 1, so its message is numbered like every other.  Every
+candidate on one block (round 1 in either metric, since on one block the
+block weight is the Hamming weight, and Chase's decode in block 1) decodes
+by syndrome, from the block's leader table (``kernels.coset_leaders``), or
+sweeps the codeword table (``kernels.nearest``) where the block gets none:
+rank below k, or more leaders than codewords.  A candidate on several
+blocks, in either metric, enumerates error patterns on information sets of
+the code on those blocks (``kernels.isd_nearest``); a word that would need
+more patterns than the q^k codewords sweeps the codeword table, and so does
+every such candidate of a table so small that the sweep takes several words
+per pass.  All give the same index.  One candidate loop,
 ``GrcDecoder.first_accepted``, walks the candidates once for a batch of
 frames and decodes every frame not yet accepted in one call per candidate;
 ``multi_round_decode`` is that loop on one frame, and the simulator runs it
@@ -56,7 +56,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from functools import cache
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -619,21 +619,31 @@ Acceptor = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class GrcDecoder:
-    """The decode state of a GRC, and the candidate decodes run over it:
-    the field, shape and generator, the Type-I permutations for Chase, the
-    codeword table, and each block's coset-leader table, built on first use
-    and shared by blocks with the same generator.  It holds no reference to
-    the code, so a code that keeps it (``GrcCode.decoder``) is freed with it.
+    """The decode state of a GRC and the candidate decodes run over it: the
+    field, shape and generator, the Type-I permutations for Chase, and the
+    tables built from them on first use, so a new decoder enumerates nothing.
+    It holds no reference to the code, so a code that keeps it
+    (``GrcCode.decoder``) is freed with it.
     """
 
     def __init__(self, grc: GrcCode):
         self.field, self.m, self.n, self.k = grc.field, grc.m, grc.n, grc.dim  # k: message length
         self.gen = grc.gen.data
         self.perms = grc.variant.perms if isinstance(grc.variant, TypeI) else ()
-        self.table = kernels.build_table(grc.field, grc.gen.rows(), grc.m)
         self._lock = threading.Lock()  # the simulator's threads share one decoder
-        self._leaders: dict[bytes, kernels.CosetLeaders | None] = {}
-        self._sets: dict[tuple[tuple[int, ...], bool], kernels.InfoSets] = {}
+        self._built: dict[tuple, Any] = {}
+
+    def _first_use(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """``build()`` on the first use of ``key``, once however many threads ask."""
+        with self._lock:
+            if key not in self._built:
+                self._built[key] = build()
+            return self._built[key]
+
+    @property
+    def table(self) -> kernels.CodewordTable:
+        """The codeword table of the full code."""
+        return self._first_use(("table",), lambda: kernels.build_table(self.field, self.gen, self.m))
 
     def candidate_message(self, received: Sequence[int], cand: Candidate) -> tuple[int, ...]:
         """The message that one candidate decodes ``received`` to."""
@@ -674,29 +684,24 @@ class GrcDecoder:
             # blocks 1..r, aligned onto block 1 and voted, decode in block 1
             voted = _vote(_align(symbols, self.perms[: len(cand.blocks) - 1]), self.field.q)
             return self._decode_block(0, voted)
-        if cand.kind == "hamming" and len(cand.blocks) == 1:
+        if len(cand.blocks) == 1:  # on one block the block weight is the Hamming weight
             return self._decode_block(cand.blocks[0] - 1, symbols[:, cand.blocks[0] - 1])
         blocks, union = [b - 1 for b in cand.blocks], cand.kind == "block"
 
         def sweep(rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
             return kernels.nearest(self.table, packed[rows][:, blocks], blocks, union)
 
-        if len(blocks) == 1 or self.table.group > 1:
-            # one block (a block-metric candidate), or a table so small that
-            # the sweep takes several words per pass: a word's whole sweep
-            # then costs less than one weight of the enumeration
+        if self.table.group > 1:
+            # the sweep takes several words per pass on a table this small, so a
+            # word's whole sweep costs less than one weight of the enumeration
             return sweep(slice(None))[0]
         return kernels.isd_nearest(self._info_sets(tuple(blocks), union), symbols[:, blocks], sweep)[0]
 
     def _info_sets(self, blocks: tuple[int, ...], union: bool) -> kernels.InfoSets:
         """The information sets of the code on the 0-based ``blocks``, in
-        the block metric when ``union`` and the Hamming metric otherwise,
-        built on first use."""
-        with self._lock:
-            if (blocks, union) not in self._sets:
-                gen = self.gen.reshape(self.k, self.m, self.n)[:, list(blocks)]
-                self._sets[blocks, union] = kernels.info_sets(self.field, gen, union)
-            return self._sets[blocks, union]
+        the block metric when ``union`` and the Hamming metric otherwise."""
+        return self._first_use(("sets", blocks, union), lambda: kernels.info_sets(
+            self.field, self.gen.reshape(self.k, self.m, self.n)[:, list(blocks)], union))
 
     def _decode_block(self, b: int, words: np.ndarray) -> np.ndarray:
         """Message index of the codeword nearest to each of ``words`` (F, n)
@@ -709,15 +714,12 @@ class GrcDecoder:
         return kernels.nearest(self.table, packed, [b], False)[0]
 
     def _block_leaders(self, b: int) -> kernels.CosetLeaders | None:
-        """The coset-leader table of block b, or None where
-        ``kernels.coset_leaders`` declines: a block of rank below k, or more
-        leaders than codewords."""
+        """The coset-leader table of block b, shared by blocks with the same
+        generator, or None where ``kernels.coset_leaders`` declines: a block
+        of rank below k, or more leaders than codewords."""
         block = self.gen[:, b * self.n : (b + 1) * self.n]
-        key = block.tobytes()
-        with self._lock:
-            if key not in self._leaders:
-                self._leaders[key] = kernels.coset_leaders(self.field, block)
-            return self._leaders[key]
+        return self._first_use(
+            ("leaders", block.tobytes()), lambda: kernels.coset_leaders(self.field, block))
 
 
 def multi_round_decode(
@@ -842,11 +844,12 @@ def _simulate_batch(
     field, m, n, k = grc.field, grc.m, grc.n, grc.dim
     q, crossover = field.q, cfg.channel.crossover
     r = 0 if rems is None else rems.shape[1] // field.e
+    table = dec.table  # a first build lands in the heap ahead of the draws' arrays
     uniform, shift, digits = _frame_draws(cfg.seed, frames, m, n, q, k - r)
     sent = kernels.message_index(q, digits)
     if rems is not None:
         sent = _crc_attach(field.p, rems, sent)
-    received = dec.table.codewords(sent, n)
+    received = table.codewords(sent, n)
     hit = uniform < crossover
     if q == 2:
         received ^= hit

@@ -176,8 +176,9 @@ def test_more_leaders_than_codewords_falls_back():
 
 
 def test_single_block_block_metric_candidate_sweeps():
-    # a hand-built block-metric candidate on one block keeps its own sweep;
-    # on one block the union of supports is the Hamming weight, so both agree
+    # a hand-built block-metric candidate on one block decodes by syndrome,
+    # like a Hamming one: on one block the union of supports is the Hamming
+    # weight, so it agrees with the block-metric sweep
     dec = GrcDecoder(presets.golay_type1_shift(2))
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -189,13 +190,21 @@ def test_single_block_block_metric_candidate_sweeps():
             assert got == tuple(kernels.message_digits(2, want, dec.k).tolist())
 
 
-def test_identical_blocks_share_a_table():
+def test_identical_blocks_share_a_table(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    build = kernels.coset_leaders
+    monkeypatch.setattr(kernels, "coset_leaders", counting)
     dec = GrcDecoder(presets.golay_classical_repetition(4))
     tables = {id(dec._block_leaders(b)) for b in range(4)}
-    assert len(tables) == 1 and len(dec._leaders) == 1
+    assert len(tables) == 1 and len(built) == 1
     # cyclic shifts of the Golay columns: four generators, four tables
     dec = GrcDecoder(presets.golay_type1_shift(4))
-    assert len({id(dec._block_leaders(b)) for b in range(4)}) == 4
+    assert len({id(dec._block_leaders(b)) for b in range(4)}) == 4 and len(built) == 5
 
 
 def test_concurrent_first_decodes_build_each_table_once(monkeypatch):
@@ -219,7 +228,7 @@ def test_concurrent_first_decodes_build_each_table_once(monkeypatch):
             got = [run.result(timeout=60) for run in runs]
     finally:
         sys.setswitchinterval(interval)
-    assert len(built) == len(dec._leaders) == 4
+    assert len(built) == 4
     assert all(tables == got[0] for tables in got)
 
 

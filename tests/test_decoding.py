@@ -601,11 +601,75 @@ def test_concurrent_first_uses_build_one_decoder(monkeypatch):
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
-            runs = [pool.submit(lambda: id(grc.decoder)) for _ in range(6)]
+            runs = [pool.submit(lambda: (id(grc.decoder), id(grc.decoder.table)))
+                    for _ in range(6)]
             got = {run.result(timeout=60) for run in runs}
     finally:
         sys.setswitchinterval(interval)
-    assert got == {id(grc.decoder)} and len(tables) == 1
+    assert got == {(id(grc.decoder), id(grc.decoder.table))} and len(tables) == 1
+
+
+def _count_builds(monkeypatch) -> dict[str, int]:
+    """Count the calls of each kernel that builds a decoder's state."""
+    counts = dict.fromkeys(("build_table", "coset_leaders", "info_sets"), 0)
+    for name in counts:
+        def counting(*args, _name=name, _build=getattr(kernels, name), **kwargs):
+            counts[_name] += 1
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, counting)
+    return counts
+
+
+def test_new_decoder_builds_nothing(monkeypatch):
+    counts = _count_builds(monkeypatch)
+    for grc in (presets.golay_type1_shift(4), presets.golay_type2_mixed()):
+        GrcDecoder(grc)
+        grc.decoder
+    assert counts == {"build_table": 0, "coset_leaders": 0, "info_sets": 0}
+
+
+def test_noiseless_frame_builds_leader_tables_only(monkeypatch):
+    grc = presets.golay_type1_shift(4)
+    counts = _count_builds(monkeypatch)
+    res = multi_round_decode(grc, grc.full_code().encode(MSG), 4, GenieVerifier(MSG),
+                             decoder=GrcDecoder(grc))
+    assert res.message == MSG and res.rounds_used == 1
+    assert counts == {"build_table": 0, "coset_leaders": 1, "info_sets": 0}
+
+
+@pytest.fixture(scope="module")
+def above_cap():
+    """A [62, 30] Type-I code, k above the enumeration cap: no codeword table."""
+    base = LinearCode.cyclic(GF2, 31, Poly.parse(GF2, "x+1"))
+    grc = type1_regular(base, Permutation.cyclic_shift(31), 2)
+    assert grc.dim > kernels.DEFAULT_CAP
+    return grc
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_code_above_the_cap_decodes_in_round_one(above_cap, depth):
+    message = tuple((7 * j + 3) % 2 for j in range(above_cap.dim))
+    received = above_cap.full_code().encode(message)
+    res = multi_round_decode(above_cap, received, depth, GenieVerifier(message),
+                             decoder=GrcDecoder(above_cap))
+    assert res.message == message and res.rounds_used == 1
+    assert res.accepted_by == Candidate(1, (1,), "hamming")
+
+
+def test_code_above_the_cap_needs_a_table_past_round_one(above_cap):
+    # Two errors in each block: each block reads as another codeword, so
+    # round 1 fails and the (1, 2) block candidate asks for the table.
+    message = tuple((7 * j + 3) % 2 for j in range(above_cap.dim))
+    received = list(above_cap.full_code().encode(message))
+    for j in (0, 5, 31, 40):
+        received[j] ^= 1
+    with pytest.raises(kernels.DimensionCapError):
+        multi_round_decode(above_cap, received, 2, GenieVerifier(message),
+                           decoder=GrcDecoder(above_cap))
+    # the simulator encodes by gathering from the table
+    with pytest.raises(kernels.DimensionCapError):
+        fer_simulate(SimConfig(above_cap, Bsc(0.0), frames=1, seed=1, max_depth=1))
 
 
 _SERIAL_CASES = {

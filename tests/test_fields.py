@@ -75,6 +75,27 @@ def test_default_modulus(p, e):
     assert field_create(p, e).modulus == DEFAULT_MODULI[p, e]
 
 
+def test_given_modulus_builds_its_field():
+    from grclib.poly import Poly
+
+    gf8 = field_create(2, 3, modulus=(1, 0, 1, 1))
+    assert gf8.modulus == (1, 0, 1, 1)  # x^3 + x^2 + 1
+    # a Poly's coefficients name the same field, and the cache hands it back
+    assert field_create(2, 3, Poly.from_coeffs(field_create(2), [1, 0, 1, 1])) is gf8
+    assert gf8 != field_create(2, 3)  # the default GF(8) is x^3 + x + 1
+    _, mul = gf8.tables()
+    assert all(sorted(mul[a]) == list(range(8)) for a in range(1, 8))
+    assert gf8.pow(2, 7) == 1
+    assert all(gf8.pow(a, -1) == gf8.inv(a) for a in range(1, 8))
+    with pytest.raises(ZeroDivisionError):
+        gf8.inv(0)
+
+
+def test_dense_tables_refused_for_large_fields():
+    with pytest.raises(ValueError, match="too large"):
+        field_create(2, 13).tables()
+
+
 def test_fields_imports_first_in_a_fresh_interpreter():
     # fields imports poly inside a function, since poly imports fields
     src = Path(__file__).resolve().parent.parent / "src"
