@@ -22,8 +22,9 @@ rank below k, or more leaders than codewords.  A candidate on several
 blocks, in either metric, enumerates error patterns on information sets of
 the code on those blocks (``kernels.isd_nearest``); a word that would need
 more patterns than the q^k codewords sweeps the codeword table, and so does
-every such candidate of a table so small that the sweep takes several words
-per pass.  All give the same index.  One candidate loop,
+every such candidate of a code so small that the sweep would take several
+words per pass, which ``kernels.table_layout`` tells from the code's shape
+before any table is built.  All give the same index.  One candidate loop,
 ``GrcDecoder.first_accepted``, walks the candidates once for a batch of
 frames and decodes every frame not yet accepted in one call per candidate;
 ``multi_round_decode`` is that loop on one frame, and the simulator runs it
@@ -479,12 +480,12 @@ def md_decode(
     going to the smallest message index; Block(1), the default, is the
     Hamming metric.  It enumerates error patterns on information sets
     (``kernels.isd_nearest``); only a word that would need more patterns
-    than the q^k codewords is swept."""
+    than the q^k codewords is swept, and only that sweep refuses a code of
+    more than 2^cap codewords."""
     if len(received) != code.n:
         raise ValueError("received length does not match code length")
     field, m = code.field, metric.m
     words = kernels.pack_rows(field, [received], m)
-    kernels.check_cap(field.q, code.k, cap)
     sets = kernels.info_sets(field, code.gen.data.reshape(code.k, m, -1), union=True)
 
     def sweep(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -691,7 +692,7 @@ class GrcDecoder:
         def sweep(rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
             return kernels.nearest(self.table, packed[rows][:, blocks], blocks, union)
 
-        if self.table.group > 1:
+        if kernels.table_layout(self.field.q, self.k, self.m, self.n)[1] > 1:
             # the sweep takes several words per pass on a table this small, so a
             # word's whole sweep costs less than one weight of the enumeration
             return sweep(slice(None))[0]

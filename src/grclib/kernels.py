@@ -83,6 +83,7 @@ __all__ = [
     "weight_histogram",
     "CodewordTable",
     "build_table",
+    "table_layout",
     "message_digits",
     "message_index",
     "pack_rows",
@@ -185,11 +186,9 @@ class CodewordTable(NamedTuple):
 
     @property
     def group(self) -> int:
-        """Received words that ``_coset_masks`` sweeps together, f of them
-        with f * m * W * C mask words within a quarter of ``_CHUNK_BUDGET``
-        (W mask words per block)."""
+        """Received words that ``_coset_masks`` sweeps together (``_group``)."""
         m, nb, c = self.low.shape
-        return max(1, _CHUNK_BUDGET // (4 * m * (nb if self.field.q == 2 else (nb + 7) // 8) * c))
+        return _group(m, nb if self.field.q == 2 else (nb + 7) // 8, c)
 
     def codewords(self, index: np.ndarray, length: int) -> np.ndarray:
         """The codewords of the message indices, as (F, m, length) symbols:
@@ -237,19 +236,34 @@ def message_index(q: int, digits: np.ndarray) -> np.ndarray:
     return digits @ q ** np.arange(digits.shape[-1], dtype=np.int64)
 
 
+def _group(m: int, words: int, c: int) -> int:
+    """Received words that ``_coset_masks`` sweeps together over chunks of C
+    codewords in m blocks of ``words`` mask words each: f of them, with
+    f * m * words * C within a quarter of ``_CHUNK_BUDGET``."""
+    return max(1, _CHUNK_BUDGET // (4 * m * words * c))
+
+
+def table_layout(q: int, k: int, m: int, n: int) -> tuple[int, int]:
+    """The low-row count lo of ``build_table`` on a code of q^k codewords in
+    m blocks of n symbols, the largest with q^lo <= max(q, codewords per
+    chunk of ``_CHUNK_BUDGET`` mask words), and the table's ``group``; both
+    known before, or without, building the table."""
+    words = -(-n // 64) if q == 2 else -(-n // 8)  # mask words per block
+    lo = 1
+    while lo < k and q ** (lo + 1) <= _CHUNK_BUDGET // (m * words):
+        lo += 1
+    return lo, _group(m, words, q**lo)
+
+
 def build_table(
     field: Field, rows: Sequence[Sequence[int]], m: int, *, cap: int | None = None
 ) -> CodewordTable:
-    """The codewords of ``rows``, read as m blocks, in chunks of at most
-    ``_CHUNK_BUDGET`` mask words: the low rows are the first lo, with
-    q^lo <= max(q, codewords per chunk)."""
+    """The codewords of ``rows``, read as m blocks, in chunks of q^lo
+    codewords, the low rows being the first lo (``table_layout``)."""
     packed = pack_rows(field, rows, m)
     check_cap(field.q, len(rows), cap)
     k, _, width = packed.shape
-    words = width if field.q == 2 else (width + 7) // 8  # mask words per block
-    lo = 1
-    while lo < k and field.q ** (lo + 1) <= _CHUNK_BUDGET // (m * words):
-        lo += 1
+    lo, _ = table_layout(field.q, k, m, len(rows[0]) // m)
     flat = packed.reshape(k, m * width)
     span = _span(field, flat[:lo])
     low = _fresh_pages(span.shape[::-1], span.dtype)

@@ -1,6 +1,7 @@
 """Every exported name resolves: ``grclib.__all__``, the ``__all__`` of each
 ``grclib.*`` module that has one (the command line module has none), and
-``from grclib import *``."""
+``from grclib import *``; and each package name is its home module's
+object."""
 
 from __future__ import annotations
 
@@ -27,3 +28,14 @@ def test_star_import_binds_every_package_name():
     namespace: dict = {}
     exec("from grclib import *", namespace)
     assert set(grclib.__all__) <= namespace.keys()
+
+
+def test_each_package_name_is_its_home_modules_object():
+    homes: dict[str, list] = {}
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for export in getattr(module, "__all__", []):
+            homes.setdefault(export, []).append(module)
+    for name in grclib.__all__:
+        assert homes.get(name), f"no grclib module lists {name} in its __all__"
+        assert all(getattr(grclib, name) is getattr(m, name) for m in homes[name]), name

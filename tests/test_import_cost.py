@@ -1,12 +1,12 @@
-"""``import grclib`` loads only what the library's own names need.
+"""``import grclib`` loads no submodule, and a package name loads only
+the modules it needs.
 
 Every benchmark workload pays the package import in its set-up time, and
-with no bytecode cache that import compiles every module it loads.  The
-bound suite, the command line and the preset codes are loaded only by
-their callers, and geometry, decoding and the code table on first use of
-one of their package names, so none of them is on that path.  The imports
-run in a fresh interpreter, so modules this test process already holds do
-not count.
+with no bytecode cache that import compiles every module it loads.  Each
+module is loaded on first use of one of its package names, and the bound
+suite, the command line and the preset codes only by their callers, so a
+workload compiles only what it calls.  The imports run in a fresh
+interpreter, so modules this test process already holds do not count.
 """
 
 from __future__ import annotations
@@ -37,8 +37,22 @@ def _loaded_after(script: str) -> set[str]:
 
 def test_import_grclib_leaves_out_the_bound_suite_cli_and_presets():
     loaded = _loaded_after("import grclib")
+    assert {name for name in loaded if name.startswith("grclib")} == {"grclib"}
+
+
+def test_the_catalog_loads_no_bounds_decoding_or_cli():
+    loaded = _loaded_after("import grclib; grclib.load_table()")
+    assert "grclib.codetable" in loaded
+    assert not loaded & {
+        "grclib.bounds", "grclib.decoding", "grclib.geometry", "grclib.presets",
+        "grclib.verification", "grclib.cli",
+    }
+
+
+def test_a_bound_loads_the_bounds_module_and_binds_its_siblings():
+    script = "import grclib; grclib.griesmer_g; assert 'type1_upper' in vars(grclib)"
+    loaded = _loaded_after(script)
     assert "grclib.bounds" in loaded
-    assert not loaded & {"grclib.verification", "grclib.cli", "grclib.presets"}
     assert not loaded & LAZY
 
 

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grclib import kernels, presets
-from grclib.codes import Block
+from grclib.codes import Block, LinearCode
 from grclib.decoding import Candidate, GrcDecoder, md_decode
 from grclib.fields import field_create
 from grclib.grc import from_qc_generators
@@ -244,5 +244,13 @@ def test_md_decode_errors(golay):
         md_decode(golay, word[:-1])
     with pytest.raises(ValueError, match="not divisible by block count"):
         md_decode(golay, word, Block(2))
-    with pytest.raises(kernels.DimensionCapError):
-        md_decode(golay, word, cap=11)
+    # the cap refuses only a sweep: Golay words decode on information sets
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        noisy = (np.array(word) ^ (rng.random(len(word)) < 0.2)).tolist()
+        assert md_decode(golay, noisy, cap=11) == md_decode(golay, noisy)
+    # while the [5, 1] repetition code's five one-symbol sets outnumber its
+    # two codewords, so every word is swept
+    repetition = LinearCode.from_rows(GF2, [[1] * 5])
+    with pytest.raises(kernels.DimensionCapError, match="2\\^1 codewords above"):
+        md_decode(repetition, [1, 0, 1, 1, 0], cap=0)
