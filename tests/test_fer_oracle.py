@@ -1,4 +1,4 @@
-"""The simulator's depth-1 frame-error rate against an exact value.
+"""The simulator's frame-error rates against exact values.
 
 Under genie verification a frame fails at depth 1 exactly when every
 block's single-block Hamming candidate misses the sent message.  The blocks'
@@ -17,6 +17,14 @@ copy of msg's codeword back to msg.
   nearest search over all 4^6 error patterns, with the field written out
   here by hand.
 
+Two rounds are checked exactly on a code small enough to enumerate: the
+[7, 4] Hamming code of g(x) = 1 + x + x^3 as a Type-I code with m = 2 under
+the cyclic shift, without Chase combining.  Every one of its 16 messages and
+2^14 error patterns is decoded by the test's own nearest search (ties to the
+least message index) through the candidate ladder (1,) and (2,) in the
+Hamming metric, then (1, 2) in the block metric, and the rate at depth D is
+the probability that no candidate of round <= D returns the sent message.
+
 Each simulation must lie within 5 sigma of the exact rate.  The seeds were
 fixed before the first run.
 """
@@ -31,10 +39,11 @@ import pytest
 
 from grclib import presets
 from grclib.codes import LinearCode
-from grclib.decoding import Bsc, SimConfig, fer_simulate
+from grclib.decoding import Bsc, Candidate, SimConfig, fer_simulate, iter_candidates
 from grclib.fields import field_create
 from grclib.grc import type1_regular
 from grclib.perms import Permutation
+from grclib.poly import Poly
 
 FRAMES = 20_000
 HEXACODE = [[1, 0, 0, 1, 2, 2], [0, 1, 0, 2, 1, 2], [0, 0, 1, 2, 2, 1]]  # 2 = alpha
@@ -105,3 +114,49 @@ def test_hexacode_success_depends_on_the_message():
     # ties to the least index favour some messages: Pc from 0.42 to 0.74
     pc = hexacode_pc(0.3)
     assert 0.4 < pc.min() < 0.45 and 0.72 < pc.max() < 0.76
+
+
+def hamming_two_round_fer(p: float) -> tuple[float, float]:
+    """The exact FER at depths 1 and 2 of the [7, 4] Hamming Type-I code
+    with m = 2 under genie verification, on a BSC with crossover p."""
+    gen = np.array([np.roll([1, 1, 0, 1, 0, 0, 0], i) for i in range(4)])  # row i: x^i g(x)
+    bits = np.arange(128)[:, None] >> np.arange(7) & 1  # word w as its 7 bits, little-endian
+    c1 = (np.arange(16)[:, None] >> np.arange(4) & 1) @ gen % 2  # message u0 + 2 u1 + 4 u2 + 8 u3
+    c2 = np.roll(c1, -1, axis=1)  # block 2 is block 1 shifted: c2[j] = c1[j + 1 mod 7]
+    as_int = lambda words: words @ (1 << np.arange(7))
+    # the message of the nearest codeword to every received block and pair;
+    # argmin takes the least message index on ties
+    block1 = (bits[:, None] != c1).sum(axis=2).argmin(axis=1)  # (128,)
+    block2 = (bits[:, None] != c2).sum(axis=2).argmin(axis=1)
+    differs = (bits[:, None, None] != c1) | (bits[None, :, None] != c2)  # (128, 128, 16, 7)
+    pair = differs.sum(axis=3).argmin(axis=2)  # block metric on (1, 2): (128, 128)
+    sent = np.arange(16)[:, None, None]
+    r1 = as_int(c1)[:, None, None] ^ np.arange(128)[:, None]  # (message, e1, e2)
+    r2 = as_int(c2)[:, None, None] ^ np.arange(128)
+    round1 = (block1[r1] == sent) | (block2[r2] == sent)
+    round2 = round1 | (pair[r1, r2] == sent)
+    weight = bits.sum(axis=1)
+    prob = p**weight * (1 - p) ** (7 - weight)  # one block's error pattern
+    joint = prob[:, None] * prob  # (e1, e2)
+    return tuple(float((joint * ~ok).sum(axis=(1, 2)).mean()) for ok in (round1, round2))
+
+
+def test_two_round_fer_matches_exact_value():
+    gf2 = field_create(2)
+    grc = type1_regular(LinearCode.cyclic(gf2, 7, Poly.parse(gf2, "x^3+x+1")),
+                        Permutation.cyclic_shift(7), 2)
+    # the code and the candidate ladder are the ones the oracle models
+    gen = np.array([np.roll([1, 1, 0, 1, 0, 0, 0], i) for i in range(4)])
+    assert grc.full_code().gen.data.tolist() == np.hstack([gen, np.roll(gen, -1, axis=1)]).tolist()
+    assert list(iter_candidates(grc, 2, combining=False)) == [
+        Candidate(1, (1,), "hamming"), Candidate(1, (2,), "hamming"), Candidate(2, (1, 2), "block")
+    ]
+    want = hamming_two_round_fer(0.12)
+    assert want == pytest.approx((0.040491, 0.030466), abs=5e-7)
+    cfg = SimConfig(grc, Bsc(0.12), frames=FRAMES, seed=5, max_depth=2, combining=False,
+                    code_id="hamming-type1")
+    res = fer_simulate(cfg)
+    for depth, exact in enumerate(want, 1):
+        sigma = math.sqrt(exact * (1 - exact) / FRAMES)
+        got = res.fer(depth)
+        assert abs(got - exact) <= 5 * sigma, (depth, got, exact, (got - exact) / sigma)
