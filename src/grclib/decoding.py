@@ -35,18 +35,16 @@ is one GF(p)-linear map on base-p digits, built from the remainders of
 x^i mod g: a batch's check symbols and its accept test are each one
 integer product mod p, over GF(p) and GF(p^e) alike.
 
-All randomness flows from a master seed; the stream for frame f, block b is
-numpy's ``SeedSequence(seed, spawn_key=(f, b))`` feeding PCG64 (``rng_for``),
-so results are bit-reproducible and independent of how frames are
-partitioned across workers.  The simulator computes every draw of a batch
-of frames on arrays, bit for bit what ``rng_for``'s generators draw: the
-seeding hash and PCG64's seeding steps of all streams at once, output j of
-a stream by jumping its 128-bit LCG j + 1 steps ahead (A state + B inc, the
-products in 32-bit limbs), and numpy's conversions of the outputs to
-doubles and to bounded integers.  Only a stream whose bounded draw numpy
-rejects and redraws, which never happens for a power-of-two range and
-otherwise about once in 2^32 / (2^32 mod r) draws, is drawn by a PCG64
-generator set to its state.
+All randomness flows from a master seed.  Frame f's block b is corrupted
+by stream b and its message drawn from stream m; word j of stream s is half
+j % 2 of the Philox4x32-10 block (Salmon et al., SC 2011) at counter
+(j // 2, s, f mod 2^32, f // 2^32) under a key folded from the seed.  So
+every draw is a pure function of (seed, frame, stream, position), and
+results do not depend on how frames are split across workers.  A word w
+gives the double (w >> 11) 2^-53 and, below r < 2^32, the integer
+floor(w r / 2^64), exact from w's 32-bit halves.  ``rng_for`` draws from
+one stream; the simulator computes all the streams of a batch of frames in
+one pass on arrays (``_frame_draws``).
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import cache
 from itertools import combinations
 from typing import Any, Callable, Iterator, Sequence
 
@@ -136,230 +133,131 @@ class AwgnBpskHard:
 Channel = Bsc | AwgnBpskHard
 
 
-def rng_for(seed: int, frame: int, stream: int) -> np.random.Generator:
-    """Deterministic per-(frame, stream) generator derived from the master seed."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(frame, stream)))
+# Philox4x32-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC 2011): the round multipliers and the key's increments (Weyl constants)
+_PHILOX_M0, _PHILOX_M1 = 0xD2511F53, 0xCD9E8D57
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B9, 0xBB67AE85
+_FOLD = 0x9E3779B97F4A7C15  # odd; folds a seed's 64-bit limbs into the key
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's multiplier
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_LOW32 = np.uint64(_MASK32)
+def _key(seed: int) -> tuple[int, int]:
+    """The Philox key (k0, k1) of a master seed: its 64-bit limbs folded
+    high limb first, key = key * _FOLD + limb mod 2^64, so a seed below
+    2^64 is its own key, split into 32-bit words low word first."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    key = 0
+    for shift in range(64 * ((seed.bit_length() - 1) // 64), -1, -64):
+        key = (key * _FOLD + (seed >> shift & _MASK64)) & _MASK64
+    return key & _MASK32, key >> 32
 
 
-def _words32(n: int) -> list[int]:
-    """n as little-endian uint32 words, the way SeedSequence reads an int."""
-    if n < 0:
-        raise ValueError("expected a non-negative integer")
-    out = [n & _MASK32]
-    while n >> 32:
-        n >>= 32
-        out.append(n & _MASK32)
-    return out
+def _philox(key: tuple[int, int], counter: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Philox4x32-10 under ``key`` of the counter blocks (c0, c1, c2, c3),
+    uint32 arrays that broadcast together: the four uint32 output words of
+    every block.  A round's two 32 x 32-bit products land in little-endian
+    uint64 buffers, read as (low, high) uint32 pairs; the next round's
+    counter is these halves, so the two buffers alternate."""
+    (c0, c1, c2, c3), (k0, k1) = counter, key
+    products = np.empty((2, 2, *np.broadcast_shapes(*(c.shape for c in counter))), "<u8")
+    halves = products.view("<u4").reshape(*products.shape, 2)  # (..., [low, high])
+    for r in range(10):
+        p, h = products[r % 2], halves[r % 2]
+        np.multiply(c0, np.uint64(_PHILOX_M0), out=p[0])
+        np.multiply(c2, np.uint64(_PHILOX_M1), out=p[1])
+        h[1, ..., 1] ^= c1 ^ np.uint32(k0)
+        h[0, ..., 1] ^= c3 ^ np.uint32(k1)
+        c0, c1, c2, c3 = h[1, ..., 1], h[1, ..., 0], h[0, ..., 1], h[0, ..., 0]
+        k0, k1 = (k0 + _PHILOX_W0) & _MASK32, (k1 + _PHILOX_W1) & _MASK32
+    return c0, c1, c2, c3
 
 
-def _hashmix(value: int | np.ndarray, const: int) -> tuple[int | np.ndarray, int]:
-    """SeedSequence's hashmix of ``value``, a word or a uint32 array, under
-    the hash constant ``const``: the hashed value and the next constant."""
-    nxt = const * _MULT_A & _MASK32
-    value = (value ^ const) * nxt & _MASK32
-    return value ^ (value >> 16), nxt
+def _halves(blocks: Sequence[np.ndarray], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 32-bit halves of the first ``count`` 64-bit words of
+    streams whose Philox blocks (x0, x1, x2, x3) run along the last axis:
+    word 2i is (x1, x0) of block i, word 2i + 1 is (x3, x2)."""
+    x0, x1, x2, x3 = blocks
+    shape = (*x0.shape[:-1], -1)
+    return (np.stack([x1, x3], axis=-1).reshape(shape)[..., :count],
+            np.stack([x0, x2], axis=-1).reshape(shape)[..., :count])
 
 
-def _mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return value ^ (value >> 16)
+def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The doubles in [0, 1) of the words (hi, lo): their top 53 bits."""
+    return ((hi.astype(np.uint64) << 21) | (lo >> 11)) * 2.0**-53
 
 
-def _absorb(pool: list, const: int, word: int | np.ndarray) -> int:
-    """Mix the entropy word ``word`` into every word of ``pool``, in place,
-    as SeedSequence mixes each word after the pool's first four; returns the
-    next hash constant."""
-    for dst in range(_POOL):
-        hashed, const = _hashmix(word, const)
-        pool[dst] = _mix(pool[dst], hashed)
-    return const
+def _below(hi: np.ndarray, lo: np.ndarray, r: int) -> np.ndarray:
+    """The integers floor(w r / 2^64) in [0, r) of the words w = (hi, lo),
+    exactly, for r < 2^32: no draw is rejected, and a value's bias is at
+    most r / 2^64."""
+    if not 0 < r <= _MASK32:
+        raise ValueError("a bounded draw needs a range in [1, 2^32)")
+    r = np.uint64(r)
+    return ((hi * r + (lo * r >> 32)) >> 32).astype(np.int64)
 
 
-def _seed_pools(seed: int, frames: Sequence[int], streams: int) -> np.ndarray:
-    """The hashed entropy pool (F, streams, 4) of SeedSequence(seed,
-    spawn_key=(f, s)) for every f below 2^64 in ``frames`` and s <
-    ``streams``.  The seed's words, which fill the pool and are mixed with
-    each other, are hashed on Python ints; the hash works on arrays only
-    from a frame's one or two words (F', 1) on, for the frames of each word
-    length, and on the whole (F', streams) only from the stream word on."""
-    run = _words32(seed)
-    run += [0] * (_POOL - len(run))  # spawned sequences pad the seed to the pool size
-    const, pool = _INIT_A, []
-    for word in run[:_POOL]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in run[_POOL:]:
-        const = _absorb(pool, const, word)
-    seeded = [np.full((1, 1), word, np.uint32) for word in pool]
-    frames = np.asarray(frames, dtype=np.uint64).reshape(-1, 1)
-    wide = frames[:, 0] > _MASK32
-    out = np.empty((len(frames), streams, _POOL), np.uint32)
-    for rows, words in ((~wide, [frames]), (wide, [frames & _MASK32, frames >> 32])):
-        if rows.any():
-            pool, hash_const = list(seeded), const
-            for word in words:
-                hash_const = _absorb(pool, hash_const, word[rows].astype(np.uint32))
-            _absorb(pool, hash_const, np.arange(streams, dtype=np.uint32)[None, :])
-            out[rows] = np.stack(pool, axis=-1)
-    return out
+class Stream:
+    """The noise stream ``stream`` of frame ``frame`` under a master seed:
+    word j is half j % 2 of the Philox4x32-10 block at counter (j // 2,
+    stream, frame mod 2^32, frame // 2^32) under the seed's key.  Each draw
+    takes the stream's next words in order, one word per value."""
+
+    def __init__(self, seed: int, frame: int, stream: int) -> None:
+        if not (0 <= frame <= _MASK64 and 0 <= stream <= _MASK32):
+            raise ValueError("frame must be in [0, 2^64) and stream in [0, 2^32)")
+        self._key = _key(seed)
+        self._counter = tuple(np.uint32(c) for c in (stream, frame & _MASK32, frame >> 32))
+        self._used = 0
+
+    def _words(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The halves of the stream's next ``size`` words."""
+        start, self._used = self._used, self._used + size
+        blocks = np.arange(start // 2, (start + size + 1) // 2, dtype=np.uint32)
+        hi, lo = _halves(_philox(self._key, (blocks, *self._counter)), 2 * len(blocks))
+        return hi[start % 2 : start % 2 + size], lo[start % 2 : start % 2 + size]
+
+    def random(self, size: int) -> np.ndarray:
+        """``size`` doubles in [0, 1)."""
+        return _uniform(*self._words(size))
+
+    def integers(self, low: int, high: int, size: int) -> np.ndarray:
+        """``size`` integers in [low, high)."""
+        return low + _below(*self._words(size), high - low)
 
 
-# 128-bit integers are (hi, lo) pairs of uint64 arrays, which wrap mod 2^64
-
-
-def _mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The high 64 bits of a * b, from 32-bit limbs."""
-    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
-    low = a0 * b0
-    mid = a1 * b0 + (low >> 32)
-    cross = a0 * b1 + (mid & _LOW32)
-    return a1 * b1 + (mid >> 32) + (cross >> 32)
-
-
-def _mul128(
-    a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """a * b mod 2^128."""
-    return _mul_hi(a_lo, b_lo) + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
-
-
-def _add128(
-    a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """a + b mod 2^128."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
-def _split128(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Python ints below 2^128 as (hi, lo) uint64 arrays."""
-    return (np.array([v >> 64 for v in values], np.uint64),
-            np.array([v & _MASK64 for v in values], np.uint64))
-
-
-_PCG_HI, _PCG_LO = _split128([_PCG_MULT])
-
-
-def _pcg64_states(seed: int, frames: Sequence[int], streams: int) -> np.ndarray:
-    """(state_hi, state_lo, inc_hi, inc_lo), shape (4, F, streams), of the
-    PCG64 that ``rng_for(seed, f, s)`` starts from, for every f in ``frames``
-    and s < ``streams``."""
-    pool = _seed_pools(seed, frames, streams)
-    # generate_state(4, uint64): eight hashed words cycling over the pool
-    const, words = _INIT_B, []
-    for i in range(8):
-        value = pool[..., i % _POOL] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const
-        words.append(value ^ (value >> 16))
-    u64 = np.stack(words, axis=-1).astype("<u4").view("<u8").astype(np.uint64, copy=False)
-    seed_hi, seed_lo, seq_hi, seq_lo = np.moveaxis(u64, -1, 0)
-    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
-    # pcg64_set_seed: a step from state 0, add the seed, another step
-    state = _add128(*_mul128(*_add128(*inc, seed_hi, seed_lo), _PCG_HI, _PCG_LO), *inc)
-    return np.stack([*state, *inc])
-
-
-@cache
-def _jumps(count: int) -> tuple[np.ndarray, ...]:
-    """(A_hi, A_lo, B_hi, B_lo) of the first ``count`` PCG64 steps: j + 1
-    steps take (state, inc) to A_j state + B_j inc, with A_j = M^(j+1) and
-    B_j = 1 + M + ... + M^j."""
-    a, b, steps_a, steps_b = 1, 0, [], []
-    for _ in range(count):
-        a, b = a * _PCG_MULT & _MASK128, (b * _PCG_MULT + 1) & _MASK128
-        steps_a.append(a)
-        steps_b.append(b)
-    out = (*_split128(steps_a), *_split128(steps_b))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-def _pcg64_words(streams: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` 64-bit outputs (N, count) of the PCG64 streams
-    (4, N) at (state_hi, state_lo, inc_hi, inc_lo): output j is the XSL-RR
-    output function of the state j + 1 steps on."""
-    a_hi, a_lo, b_hi, b_lo = _jumps(count)
-    s_hi, s_lo, i_hi, i_lo = streams[..., None]
-    hi, lo = _add128(*_mul128(s_hi, s_lo, a_hi, a_lo), *_mul128(i_hi, i_lo, b_hi, b_lo))
-    x, rot = hi ^ lo, hi >> 58
-    return (x >> rot) | (x << ((64 - rot) & 63))
-
-
-def _bounded(words: np.ndarray, count: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """``Generator.integers(0, r, size=count)`` for r < 2^32 on each row of
-    ``words``, as numpy draws it (Lemire): 32-bit halves, low half first,
-    each scaled to (u * r) >> 32.  A product whose low half is below
-    2^32 mod r is rejected and redrawn; the second array marks the rows
-    where that happens, whose values are then not numpy's."""
-    halves = np.stack([words & _LOW32, words >> 32], axis=-1).reshape(len(words), -1)
-    scaled = halves[:, :count] * np.uint64(r)
-    threshold = (1 << 32) % r
-    rejects = ((scaled & _LOW32) < threshold).any(axis=1)
-    return (scaled >> 32).astype(np.int64), rejects
-
-
-def _pcg64(stream: np.ndarray) -> np.random.Generator:
-    """A generator at the PCG64 stream (state_hi, state_lo, inc_hi, inc_lo)."""
-    s_hi, s_lo, i_hi, i_lo = (int(w) for w in stream)
-    bitgen = np.random.PCG64(0)
-    bitgen.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return np.random.Generator(bitgen)
+def rng_for(seed: int, frame: int, stream: int) -> Stream:
+    """The noise stream of (frame, stream) under the master seed."""
+    return Stream(seed, frame, stream)
 
 
 def _frame_draws(
     seed: int, frames: Sequence[int], m: int, n: int, q: int, digits: int
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Every random draw of the frames: for block b < m, ``rng_for(seed, f,
-    b)`` draws ``random(n)`` (uniform, (F, m, n)) and, when q > 2,
+    """Every random draw of the frames, as ``rng_for(seed, f, s)`` draws it:
+    block b < m draws ``random(n)`` (uniform, (F, m, n)) and, when q > 2,
     ``integers(1, q, size=n)`` (shift, (F, m, n)); stream m draws the
-    message ``integers(0, q, size=digits)`` (F, digits).  The draws are
-    computed on whole arrays, bit for bit numpy's; only a stream whose
-    bounded draw numpy rejects is drawn again by a generator."""
-    streams = _pcg64_states(seed, frames, m + 1)
-    uniform = np.empty((len(frames), m, n))
-    shift = np.empty((len(frames), m, n), dtype=np.int64) if q > 2 else None
-    for b in range(m):
-        words = _pcg64_words(streams[..., b], n if shift is None else n + (n + 1) // 2)
-        uniform[:, b] = (words[:, :n] >> 11) * 2.0**-53  # Generator.random: the top 53 bits
-        if shift is not None:
-            values, rejects = _bounded(words[:, n:], n, q - 1)
-            shift[:, b] = values + 1
-            for f in np.flatnonzero(rejects):
-                rng = _pcg64(streams[:, f, b])
-                rng.random(n)  # the doubles, as computed above
-                shift[f, b] = rng.integers(1, q, size=n)
-    message, rejects = _bounded(_pcg64_words(streams[..., m], (digits + 1) // 2), digits, q)
-    for f in np.flatnonzero(rejects):
-        message[f] = _pcg64(streams[:, f, m]).integers(0, q, size=digits)
+    message ``integers(0, q, size=digits)`` (F, digits).  The Philox blocks
+    of all the streams of all the frames are computed in one pass."""
+    frames = np.asarray(frames, dtype=np.uint64)
+    words = n if q == 2 else 2 * n
+    nb, nm = (words + 1) // 2, (digits + 1) // 2  # blocks per block stream, message stream
+    c0 = np.concatenate([np.tile(np.arange(nb, dtype=np.uint32), m), np.arange(nm, dtype=np.uint32)])
+    c1 = np.repeat(np.arange(m + 1, dtype=np.uint32), [nb] * m + [nm])
+    low, high = (frames & _MASK32).astype(np.uint32), (frames >> 32).astype(np.uint32)
+    blocks = _philox(_key(seed), (c0, c1, low[:, None], high[:, None]))
+    hi, lo = _halves([x[:, : m * nb].reshape(len(frames), m, nb) for x in blocks], words)
+    uniform = _uniform(hi[..., :n], lo[..., :n])
+    shift = None if q == 2 else _below(hi[..., n:], lo[..., n:], q - 1) + 1
+    message = _below(*_halves([x[:, m * nb :] for x in blocks], digits), q)
     return uniform, shift, message
 
 
 def transmit(
     codeword: Sequence[int],
     channel: Channel,
-    rng: np.random.Generator,
+    rng: Stream,
     field: Field,
 ) -> tuple[int, ...]:
     """Symbol-wise independent corruption.  Binary symbols flip with the

@@ -636,14 +636,14 @@ note,shdh-tradeoff-example,for (q=2, m=2, d_2=11, d_1=6) the trade-off formula g
 note,simplex-d2,the [15,4] Simplex m=4 repetition has second sub-block distance exactly 12 (only the lower bound 12 is quoted elsewhere)
 == fer comparison ==
 channel: awgn -5.0 dB -> induced crossover 0.2132
-type1-shift: D1=0.3000 D2=0.0500 D3=0.0500 D4=0.0000
+type1-shift: D1=0.3000 D2=0.1000 D3=0.0500 D4=0.0000
 type2-mixed: D1=0.3000 D2=0.0000 D3=0.0000 D4=0.0000
-classical-repetition: D1=0.3000 D2=0.3000 D3=0.1000 D4=0.0500
-bsymbol: D1=0.3000 D2=0.3000 D3=0.3000 D4=0.0000
-ir-linear: D1=0.8500 D2=0.4000 D3=0.0500 D4=0.0000
+classical-repetition: D1=0.3000 D2=0.3000 D3=0.1000 D4=0.1000
+bsymbol: D1=0.3000 D2=0.3000 D3=0.3000 D4=0.0500
+ir-linear: D1=0.7500 D2=0.2500 D3=0.0500 D4=0.0000
 code_id,channel,snr_db_or_p,depth,frames,frame_errors,fer,false_accepts,seed
 type1-shift,awgn-bpsk-hard,-5.0,1,20,6,0.300000,0,3
-type1-shift,awgn-bpsk-hard,-5.0,2,20,1,0.050000,0,3
+type1-shift,awgn-bpsk-hard,-5.0,2,20,2,0.100000,0,3
 type1-shift,awgn-bpsk-hard,-5.0,3,20,1,0.050000,0,3
 type1-shift,awgn-bpsk-hard,-5.0,4,20,0,0.000000,0,3
 type2-mixed,awgn-bpsk-hard,-5.0,1,20,6,0.300000,0,3
@@ -653,13 +653,13 @@ type2-mixed,awgn-bpsk-hard,-5.0,4,20,0,0.000000,0,3
 classical-repetition,awgn-bpsk-hard,-5.0,1,20,6,0.300000,0,3
 classical-repetition,awgn-bpsk-hard,-5.0,2,20,6,0.300000,0,3
 classical-repetition,awgn-bpsk-hard,-5.0,3,20,2,0.100000,0,3
-classical-repetition,awgn-bpsk-hard,-5.0,4,20,1,0.050000,0,3
+classical-repetition,awgn-bpsk-hard,-5.0,4,20,2,0.100000,0,3
 bsymbol,awgn-bpsk-hard,-5.0,1,20,6,0.300000,0,3
 bsymbol,awgn-bpsk-hard,-5.0,2,20,6,0.300000,0,3
 bsymbol,awgn-bpsk-hard,-5.0,3,20,6,0.300000,0,3
-bsymbol,awgn-bpsk-hard,-5.0,4,20,0,0.000000,0,3
-ir-linear,awgn-bpsk-hard,-5.0,1,20,17,0.850000,0,3
-ir-linear,awgn-bpsk-hard,-5.0,2,20,8,0.400000,0,3
+bsymbol,awgn-bpsk-hard,-5.0,4,20,1,0.050000,0,3
+ir-linear,awgn-bpsk-hard,-5.0,1,20,15,0.750000,0,3
+ir-linear,awgn-bpsk-hard,-5.0,2,20,5,0.250000,0,3
 ir-linear,awgn-bpsk-hard,-5.0,3,20,1,0.050000,0,3
 ir-linear,awgn-bpsk-hard,-5.0,4,20,0,0.000000,0,3
 """
