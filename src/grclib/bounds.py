@@ -1,7 +1,8 @@
 """Closed-form bounds for block-metric codes and their structured refinements.
 
 All checkers return a :class:`BoundReport` rather than a bare boolean so the
-CLI can print which bound fired and with what margin.
+CLI can print which bound fired and with what margin; :func:`bound_suite`
+gathers every row that applies to a constructed code.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .grc import DistanceProfile, GrcCode, TypeI
+from .grc import DistanceProfile, GrcCode, TypeI, degeneracy_and_regularity
 from .perms import Permutation
 from .poly import Poly, kappa, poly_gcd, poly_gcd_many
 
@@ -33,6 +34,7 @@ __all__ = [
     "levenshtein_min_channels",
     "check_cyclic_lower_bound",
     "check_qc_type2_bounds",
+    "bound_suite",
 ]
 
 
@@ -292,6 +294,100 @@ def check_qc_type2_bounds(
         verdict,
         "; ".join(failed),
     )
+
+
+# ---------------------------------------------------------------------------
+# every row that applies to a code
+
+
+def bound_suite(
+    grc: GrcCode, profile: DistanceProfile, *, cap: int | None = None
+) -> list[BoundReport]:
+    """Every bound that applies to ``grc``, checked against ``profile``, as
+    rows in this order:
+
+    - for each r = 1..m, ``singleton-block``, then ``griesmer-block`` when
+      k >= r;
+    - for a Type-I or Type-II code, ``type1-upper`` for each r, then
+      ``shdh-tradeoff-upper`` for a non-degenerate Type-II code;
+    - ``cyclic-kappa-lower`` for a Type-I code on a cyclic base code;
+    - ``qc-type2-lower`` for a quasi-cyclic code not tagged Type-I.
+
+    ``cap`` bounds the enumeration of the base code's minimum distance."""
+    q = grc.field.q
+    n, k, m = grc.n, grc.dim, grc.m
+    reports: list[BoundReport] = []
+
+    for r in range(1, m + 1):
+        d_r = profile.sbdh[r - 1]
+        bound = singleton_block(n, r, k)
+        verdict = "tight" if d_r == bound else ("satisfied" if d_r <= bound else "violated")
+        reports.append(
+            BoundReport.build(
+                "singleton-block",
+                {"n": n, "r": r, "k": k},
+                bound,
+                d_r,
+                verdict,
+                note=classify_mds(n, r, k, d_r),
+            )
+        )
+        if k >= r:
+            g_bound = griesmer_gm(q, r, k, d_r)
+            ok = n * n_points(q, r) >= g_bound
+            reports.append(
+                BoundReport.build(
+                    "griesmer-block",
+                    {"q": q, "n": n, "r": r, "k": k, "d_r": d_r},
+                    g_bound,
+                    n * n_points(q, r),
+                    "satisfied" if ok else "violated",
+                )
+            )
+
+    # Type-I-only upper bound n - k + r; Type-II codes may exceed it
+    is_type1 = isinstance(grc.variant, TypeI)
+    if grc.variant is not None:
+        structure = degeneracy_and_regularity(grc)
+        applicable = is_type1 and structure.regular and type1_upper_applicable(
+            grc.base.is_full_length(),
+            max((p.max_cycle_length() for p in grc.variant.perms), default=1),
+            k,
+            m,
+        )
+        for r in range(1, m + 1):
+            bound = type1_upper(n, k, r)
+            d_r = profile.sbdh[r - 1]
+            if applicable:
+                verdict, note = ("satisfied" if d_r <= bound else "violated"), ""
+            elif is_type1:
+                verdict, note = "not-applicable", "preconditions not met"
+            else:
+                verdict = "not-applicable"
+                note = "exceeds the Type-I-only bound" if d_r > bound else ""
+            reports.append(
+                BoundReport.build(
+                    "type1-upper", {"n": n, "k": k, "r": r}, bound, d_r, verdict, note
+                )
+            )
+        if not is_type1 and structure.non_degenerate:
+            bound = shdh_tradeoff_upper(q, m, profile.sbdh[m - 1], profile.shdh[0])
+            actual = profile.shdh[m - 1]
+            reports.append(
+                BoundReport.build(
+                    "shdh-tradeoff-upper",
+                    {"q": q, "m": m, "d_m": profile.sbdh[m - 1], "d1": profile.shdh[0]},
+                    bound,
+                    actual,
+                    "satisfied" if actual <= bound else "violated",
+                )
+            )
+
+    if is_type1 and grc.base.cyclic_gen is not None:
+        reports.append(check_cyclic_lower_bound(grc, profile, cap=cap))
+    if grc.qc is not None and not is_type1:
+        reports.append(check_qc_type2_bounds(grc, profile, cap=cap))
+    return reports
 
 
 # ---------------------------------------------------------------------------

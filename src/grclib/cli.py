@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bounds import BoundReport
+from .bounds import BoundReport, bound_suite, levenshtein_min_channels, shdh_tradeoff_upper
 from .codes import LinearCode, _field_of_order
 from .codetable import (
     VERIFY_CAP,
@@ -40,7 +40,6 @@ from .presets import (
     golay_type1_shift,
     golay_type2_mixed,
 )
-from .verification import bound_suite, demo_notes
 
 
 class UsageError(Exception):
@@ -203,9 +202,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for req in ("code", "channel", "frames", "seed", "max_depth"):
         if req not in cfgmap:
             raise UsageError(f"config is missing '{req}'")
-    frames = int(cfgmap["frames"])
-    if frames < 1:
-        raise UsageError("frames must be >= 1")
     grc = _load_any(cfgmap["code"], None)
     crc = None
     verifier = cfgmap.get("verifier", "genie").split(None, 1)
@@ -219,7 +215,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = SimConfig(
         grc=grc,
         channel=_parse_channel(cfgmap["channel"]),
-        frames=frames,
+        frames=int(cfgmap["frames"]),
         seed=int(cfgmap["seed"]),
         max_depth=int(cfgmap["max_depth"]),
         scheme=cfgmap.get("scheme", "multiround"),
@@ -254,6 +250,24 @@ def _cmd_search(args: argparse.Namespace) -> int:
         cof = ";".join(hex_encode(f) for f in c.cofactors)
         print(f"{c.n},{args.k},{hex_encode(c.g)},{cof},{sb},{sh}")
     return 0
+
+
+# (topic, text): known discrepancies the demo reports rather than patches
+_DEMO_NOTES = [
+    ("golay-dimension",
+     "the binary Golay code is [23,12,7]: its degree-11 generator forces "
+     "dimension 12 even where the m=11 repetition is quoted with dimension 11"),
+    ("levenshtein-count",
+     f"literal channel-count formula gives {levenshtein_min_channels(23, 7, 4)} for "
+     "(n=23, d=7, t=4); the worked value 1+C(7,3)=36 is also recorded; not reconciled"),
+    ("shdh-tradeoff-example",
+     f"for (q=2, m=2, d_2=11, d_1=6) the trade-off formula gives "
+     f"{shdh_tradeoff_upper(2, 2, 11, 6)}; the worked example claims a maximum of 12; "
+     "formula implemented as printed"),
+    ("simplex-d2",
+     "the [15,4] Simplex m=4 repetition has second sub-block distance exactly 12 "
+     "(only the lower bound 12 is quoted elsewhere)"),
+]
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -299,8 +313,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             print(repb.csv_row())
 
     print("== notes ==")
-    for note in demo_notes():
-        print(f"note,{note.topic},{note.text}")
+    for topic, text in _DEMO_NOTES:
+        print(f"note,{topic},{text}")
 
     print("== fer comparison ==")
     print(f"channel: awgn {args.snr_db} dB -> induced crossover {channel.crossover:.4f}")

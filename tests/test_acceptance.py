@@ -14,6 +14,7 @@ import time
 import pytest
 
 from grclib.bounds import (
+    bound_suite,
     check_cyclic_lower_bound,
     check_qc_type2_bounds,
     classify_mds,
@@ -45,7 +46,6 @@ from grclib.grc import (
 from grclib.matrices import Matrix
 from grclib.perms import Permutation
 from grclib.poly import Poly, companion_matrix
-from grclib.verification import bound_suite
 from grclib import presets
 
 GF2 = field_create(2)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from grclib.bounds import bound_suite
 from grclib.codes import Block, LinearCode
 from grclib import decoding, kernels
 from grclib.decoding import (
@@ -33,7 +34,6 @@ from grclib.grc import (
 from grclib.perms import Permutation
 from grclib.poly import Poly, companion_matrix
 from grclib import presets
-from grclib.verification import bound_suite
 
 GF2 = field_create(2)
 GF4 = field_create(2, 2)

@@ -18,12 +18,15 @@ copy of msg's codeword back to msg.
   here by hand.
 
 Two rounds are checked exactly on a code small enough to enumerate: the
-[7, 4] Hamming code of g(x) = 1 + x + x^3 as a Type-I code with m = 2 under
-the cyclic shift, without Chase combining.  Every one of its 16 messages and
-2^14 error patterns is decoded by the test's own nearest search (ties to the
+[7, 4] Hamming code of g(x) = 1 + x + x^3 with m = 2, as a Type-I code under
+the cyclic shift without Chase combining, and as a Type-II code under the
+companion matrix of x^4 + x + 1.  Every one of its 16 messages and 2^14
+error patterns is decoded by the test's own nearest search (ties to the
 least message index) through the candidate ladder (1,) and (2,) in the
-Hamming metric, then (1, 2) in the block metric, and the rate at depth D is
-the probability that no candidate of round <= D returns the sent message.
+Hamming metric, then (1, 2) in the metrics the code's round 2 tries (the
+block metric, and for Type-II the Hamming metric before it), and the rate
+at depth D is the probability that no candidate of round <= D returns the
+sent message.
 
 Each simulation must lie within 5 sigma of the exact rate.  The seeds were
 fixed before the first run.
@@ -41,14 +44,17 @@ from grclib import presets
 from grclib.codes import LinearCode
 from grclib.decoding import Bsc, Candidate, SimConfig, fer_simulate, iter_candidates
 from grclib.fields import field_create
-from grclib.grc import type1_regular
+from grclib.grc import type1_regular, type2
 from grclib.perms import Permutation
-from grclib.poly import Poly
+from grclib.poly import Poly, companion_matrix
 
 FRAMES = 20_000
 HEXACODE = [[1, 0, 0, 1, 2, 2], [0, 1, 0, 2, 1, 2], [0, 0, 1, 2, 2, 1]]  # 2 = alpha
 # GF(4) = GF(2)[a] / (a^2 + a + 1), element b0 + 2 b1 for b0 + b1 a: sums are XOR
 GF4_MUL = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
+HAMMING_GEN = np.array([np.roll([1, 1, 0, 1, 0, 0, 0], i) for i in range(4)])  # row i: x^i g(x)
+HAMMING_MESSAGES = np.arange(16)[:, None] >> np.arange(4) & 1  # index u0 + 2 u1 + 4 u2 + 8 u3
+HAMMING_BLOCK1 = HAMMING_MESSAGES @ HAMMING_GEN % 2  # (message, position)
 
 
 def perfect_fer(n: int, t: int, m: int, p: float) -> float:
@@ -116,47 +122,78 @@ def test_hexacode_success_depends_on_the_message():
     assert 0.4 < pc.min() < 0.45 and 0.72 < pc.max() < 0.76
 
 
-def hamming_two_round_fer(p: float) -> tuple[float, float]:
-    """The exact FER at depths 1 and 2 of the [7, 4] Hamming Type-I code
-    with m = 2 under genie verification, on a BSC with crossover p."""
-    gen = np.array([np.roll([1, 1, 0, 1, 0, 0, 0], i) for i in range(4)])  # row i: x^i g(x)
+def hamming_two_round_fer(
+    p: float, c2: np.ndarray, round2_kinds: tuple[str, ...]
+) -> tuple[float, float]:
+    """The exact FER at depths 1 and 2 of a code with m = 2 whose block 1 is
+    the [7, 4] Hamming code and whose block 2 for message i is ``c2[i]``,
+    under genie verification, on a BSC with crossover p.  Round 2 tries
+    blocks (1, 2) in each of ``round2_kinds``, 'hamming' or 'block'."""
+    c1 = HAMMING_BLOCK1
     bits = np.arange(128)[:, None] >> np.arange(7) & 1  # word w as its 7 bits, little-endian
-    c1 = (np.arange(16)[:, None] >> np.arange(4) & 1) @ gen % 2  # message u0 + 2 u1 + 4 u2 + 8 u3
-    c2 = np.roll(c1, -1, axis=1)  # block 2 is block 1 shifted: c2[j] = c1[j + 1 mod 7]
     as_int = lambda words: words @ (1 << np.arange(7))
     # the message of the nearest codeword to every received block and pair;
     # argmin takes the least message index on ties
     block1 = (bits[:, None] != c1).sum(axis=2).argmin(axis=1)  # (128,)
     block2 = (bits[:, None] != c2).sum(axis=2).argmin(axis=1)
-    differs = (bits[:, None, None] != c1) | (bits[None, :, None] != c2)  # (128, 128, 16, 7)
-    pair = differs.sum(axis=3).argmin(axis=2)  # block metric on (1, 2): (128, 128)
+    miss1 = bits[:, None, None] != c1  # (128, 1, 16, 7)
+    miss2 = bits[None, :, None] != c2  # (1, 128, 16, 7)
+    pair = {  # the metrics on (1, 2): (128, 128)
+        "hamming": (miss1.sum(axis=3) + miss2.sum(axis=3)).argmin(axis=2),
+        "block": (miss1 | miss2).sum(axis=3).argmin(axis=2),
+    }
     sent = np.arange(16)[:, None, None]
     r1 = as_int(c1)[:, None, None] ^ np.arange(128)[:, None]  # (message, e1, e2)
     r2 = as_int(c2)[:, None, None] ^ np.arange(128)
     round1 = (block1[r1] == sent) | (block2[r2] == sent)
-    round2 = round1 | (pair[r1, r2] == sent)
+    round2 = round1 | np.any([pair[kind][r1, r2] == sent for kind in round2_kinds], axis=0)
     weight = bits.sum(axis=1)
     prob = p**weight * (1 - p) ** (7 - weight)  # one block's error pattern
     joint = prob[:, None] * prob  # (e1, e2)
     return tuple(float((joint * ~ok).sum(axis=(1, 2)).mean()) for ok in (round1, round2))
 
 
-def test_two_round_fer_matches_exact_value():
+def _hamming_base():
     gf2 = field_create(2)
-    grc = type1_regular(LinearCode.cyclic(gf2, 7, Poly.parse(gf2, "x^3+x+1")),
-                        Permutation.cyclic_shift(7), 2)
-    # the code and the candidate ladder are the ones the oracle models
-    gen = np.array([np.roll([1, 1, 0, 1, 0, 0, 0], i) for i in range(4)])
-    assert grc.full_code().gen.data.tolist() == np.hstack([gen, np.roll(gen, -1, axis=1)]).tolist()
-    assert list(iter_candidates(grc, 2, combining=False)) == [
-        Candidate(1, (1,), "hamming"), Candidate(1, (2,), "hamming"), Candidate(2, (1, 2), "block")
-    ]
-    want = hamming_two_round_fer(0.12)
-    assert want == pytest.approx((0.040491, 0.030466), abs=5e-7)
-    cfg = SimConfig(grc, Bsc(0.12), frames=FRAMES, seed=5, max_depth=2, combining=False,
-                    code_id="hamming-type1")
-    res = fer_simulate(cfg)
+    return LinearCode.cyclic(gf2, 7, Poly.parse(gf2, "x^3+x+1"))
+
+
+def _assert_within_5_sigma(res, want):
     for depth, exact in enumerate(want, 1):
         sigma = math.sqrt(exact * (1 - exact) / FRAMES)
         got = res.fer(depth)
         assert abs(got - exact) <= 5 * sigma, (depth, got, exact, (got - exact) / sigma)
+
+
+def test_two_round_fer_matches_exact_value():
+    grc = type1_regular(_hamming_base(), Permutation.cyclic_shift(7), 2)
+    # the code and the candidate ladder are the ones the oracle models
+    gen = HAMMING_GEN
+    assert grc.full_code().gen.data.tolist() == np.hstack([gen, np.roll(gen, -1, axis=1)]).tolist()
+    assert list(iter_candidates(grc, 2, combining=False)) == [
+        Candidate(1, (1,), "hamming"), Candidate(1, (2,), "hamming"), Candidate(2, (1, 2), "block")
+    ]
+    # block 2 is block 1 shifted: c2[j] = c1[j + 1 mod 7]
+    want = hamming_two_round_fer(0.12, np.roll(HAMMING_BLOCK1, -1, axis=1), ("block",))
+    assert want == pytest.approx((0.040491, 0.030466), abs=5e-7)
+    cfg = SimConfig(grc, Bsc(0.12), frames=FRAMES, seed=5, max_depth=2, combining=False,
+                    code_id="hamming-type1")
+    _assert_within_5_sigma(fer_simulate(cfg), want)
+
+
+def test_type2_two_round_fer_matches_exact_value():
+    gf2 = field_create(2)
+    grc = type2(_hamming_base(), companion_matrix(Poly.parse(gf2, "x^4+x+1")), 2)
+    # block 2 of message u is (uB)G, B the companion matrix of x^4 + x + 1
+    b = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]])
+    gen = HAMMING_GEN
+    assert grc.full_code().gen.data.tolist() == np.hstack([gen, b @ gen % 2]).tolist()
+    assert list(iter_candidates(grc, 2)) == [
+        Candidate(1, (1,), "hamming"), Candidate(1, (2,), "hamming"),
+        Candidate(2, (1, 2), "hamming"), Candidate(2, (1, 2), "block"),
+    ]
+    want = hamming_two_round_fer(0.12, HAMMING_MESSAGES @ b @ gen % 2, ("hamming", "block"))
+    # the Type-I code of the same base reaches 0.030466 at depth 2
+    assert want == pytest.approx((0.040491, 0.025134), abs=5e-7)
+    cfg = SimConfig(grc, Bsc(0.12), frames=FRAMES, seed=6, max_depth=2, code_id="hamming-type2")
+    _assert_within_5_sigma(fer_simulate(cfg), want)

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from grclib import cli
-from grclib.bounds import check_cyclic_lower_bound, check_qc_type2_bounds
+from grclib.bounds import bound_suite, check_cyclic_lower_bound, check_qc_type2_bounds
 from grclib.codes import LinearCode
 from grclib.codetable import _interpretations, load_table
 from grclib.fields import field_create
@@ -26,7 +26,6 @@ from grclib.matrices import Matrix
 from grclib.perms import Permutation
 from grclib.poly import Poly, companion_matrix, poly_gcd
 from grclib import presets
-from grclib.verification import bound_suite
 
 GF2 = field_create(2)
 GF3 = field_create(3)

@@ -10,12 +10,12 @@ import pytest
 
 from grclib import grc as grc_module
 from grclib import presets
+from grclib.bounds import bound_suite
 from grclib.codes import LinearCode
 from grclib.fields import field_create
 from grclib.grc import as_blocked, distance_profile, from_qc_generators, type1, type2
 from grclib.perms import Permutation
 from grclib.poly import Poly, companion_matrix
-from grclib.verification import bound_suite
 
 GF2, GF3, GF11 = field_create(2), field_create(3), field_create(11)
 
